@@ -14,7 +14,7 @@ import numpy as np
 
 from . import matcore
 from .errors import CovarianceError
-from .matcore import eig_h, hermitian_part, hs_norm
+from .matcore import dagger, eig_h, hermitian_part, hs_norm, raise_first, scalar
 
 __all__ = [
     "CarCovariance",
@@ -45,51 +45,64 @@ DEGENERACY_SNAP = 1e-12
 
 @dataclass(frozen=True)
 class CarCovariance:
-    """Validated fermionic covariance: Hermitian, 0 <= S <= I, S + conj(S) = I."""
+    """Validated fermionic covariance: Hermitian, 0 <= S <= I, S + conj(S) = I.
+
+    ``matrix`` is one d x d covariance or a stack of them, shape (..., d, d).
+    """
 
     matrix: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 def validate_car(s, tol: float = VALIDATION_TOL) -> CarCovariance:
-    """Check and normalize a candidate covariance matrix.
+    """Check and normalize a candidate covariance matrix, or a stack of them.
 
     Symmetrizes within tolerance and enforces S + conj(S) = I exactly on the
     stored matrix; raises :class:`CovarianceError` with the violation
     magnitude otherwise.
     """
     s = np.asarray(s, dtype=complex)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
         raise CovarianceError(f"covariance must be square, got shape {s.shape}")
-    d = s.shape[0]
-    scale = 1.0 + float(np.max(np.abs(s), initial=0.0))
+    if not np.all(np.isfinite(s)):
+        raise CovarianceError("covariance has non-finite entries")
+    d = s.shape[-1]
+    scale = 1.0 + np.max(np.abs(s), axis=(-2, -1), initial=0.0)
 
-    herm_defect = float(np.max(np.abs(s - s.conj().T), initial=0.0))
-    if herm_defect > tol * scale:
-        raise CovarianceError(f"not Hermitian: max deviation {herm_defect:.3e}")
+    herm_defect = np.max(np.abs(s - dagger(s)), axis=(-2, -1), initial=0.0)
+    raise_first(herm_defect > tol * scale, herm_defect,
+                lambda v: CovarianceError(f"not Hermitian: max deviation {v:.3e}"))
     s = hermitian_part(s)
 
-    rel_defect = float(np.max(np.abs(s + np.conj(s) - np.eye(d)), initial=0.0))
-    if rel_defect > tol * scale:
-        raise CovarianceError(f"S + conj(S) != I: max deviation {rel_defect:.3e}")
+    rel_defect = np.max(np.abs(s + np.conj(s) - np.eye(d)), axis=(-2, -1), initial=0.0)
+    raise_first(rel_defect > tol * scale, rel_defect,
+                lambda v: CovarianceError(f"S + conj(S) != I: max deviation {v:.3e}"))
     # enforce the relation exactly: S + conj(S) = I means Re(S) = I/2, and
     # rebuilding from the imaginary part alone cancels without rounding
     s = 0.5 * np.eye(d) + 1j * np.imag(s)
 
-    w = np.linalg.eigvalsh(s)
-    if w.size and w[0] < -tol * scale:
-        raise CovarianceError(f"not PSD: eigenvalue {w[0]:.6e}")
+    w = np.linalg.eigvalsh(s)[..., :1]
+    raise_first(w < -tol * scale[..., None], w,
+                lambda v: CovarianceError(f"not PSD: eigenvalue {v:.6e}"))
 
     s.setflags(write=False)
     return CarCovariance(s)
 
 
-def mu_covariance(mu: float) -> CarCovariance:
-    """Two-dimensional covariance with eigenvalues 1/2 +- mu (pure at |mu| = 1/2)."""
-    return validate_car(np.array([[0.5, -1j * mu], [1j * mu, 0.5]], dtype=complex))
+def mu_covariance(mu) -> CarCovariance:
+    """Two-dimensional covariance with eigenvalues 1/2 +- mu (pure at |mu| = 1/2).
+
+    An array of offsets gives the stack of their covariances.
+    """
+    mu = np.asarray(mu)
+    m = np.zeros(mu.shape + (2, 2), dtype=complex)
+    m[..., 0, 0] = m[..., 1, 1] = 0.5
+    m[..., 0, 1] = -1j * mu
+    m[..., 1, 0] = 1j * mu
+    return validate_car(m)
 
 
 def _as_matrix(s) -> np.ndarray:
@@ -153,37 +166,37 @@ def _sqrt_both(m: np.ndarray):
     w = np.clip(w, 0.0, 1.0)
     w[w <= DEGENERACY_SNAP] = 0.0
     w[w >= 1.0 - DEGENERACY_SNAP] = 1.0
-    vh = v.conj().T
-    return (v * np.sqrt(w)) @ vh, (v * np.sqrt(1.0 - w)) @ vh
+    vh = dagger(v)
+    return (v * np.sqrt(w)[..., None, :]) @ vh, (v * np.sqrt(1.0 - w)[..., None, :]) @ vh
 
 
-def trans_prob_car(s, t, singular_tol: float = SINGULAR_TOL) -> float:
+def trans_prob_car(s, t, singular_tol: float = SINGULAR_TOL):
     """Transition probability between the quasi-free states of two covariances.
 
     Computed as |det M|^(1/2) with M = sqrt(S) sqrt(T) + sqrt(I-S) sqrt(I-T),
     via singular values; a singular value below ``singular_tol`` (relative)
     collapses the result to exactly 0. Always in [0, 1], 1 iff S = T.
+    Stacked covariances give one value per pair.
     """
     ms, mt = _as_matrix(s), _as_matrix(t)
     _check_same_dim(ms, mt)
     rs, cs = _sqrt_both(ms)
     rt, ct = _sqrt_both(mt)
-    m = rs @ rt + cs @ ct
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv.size == 0:
-        return 1.0
-    if sv[-1] <= singular_tol * max(1.0, float(sv[0])):
-        return 0.0
-    val = float(np.exp(0.5 * np.sum(np.log(sv))))
-    return min(val, 1.0)
+    sv = np.linalg.svd(rs @ rt + cs @ ct, compute_uv=False)
+    if sv.shape[-1] == 0:
+        return scalar(np.ones(sv.shape[:-1]))
+    zero = sv[..., -1] <= singular_tol * np.maximum(1.0, sv[..., 0])
+    with np.errstate(divide="ignore"):
+        val = np.exp(0.5 * np.sum(np.log(sv), axis=-1))
+    return scalar(np.where(zero, 0.0, np.minimum(val, 1.0)))
 
 
-def qe_distance_car(s, t) -> float:
+def qe_distance_car(s, t):
     """Hilbert-Schmidt distance of covariance square roots, ||sqrt(S) - sqrt(T)||.
 
     Finite-dimensional stand-in for the quasi-equivalence criterion: two
     sequences of states are quasi-equivalent iff these distances are square
-    summable mode by mode.
+    summable mode by mode. Stacked covariances give one distance per pair.
     """
     ms, mt = _as_matrix(s), _as_matrix(t)
     _check_same_dim(ms, mt)

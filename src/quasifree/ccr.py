@@ -18,8 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore
-from .errors import CovarianceError, SupportError
-from .matcore import eig_h, hermitian_part, hs_norm, sqrt_psd
+from .errors import CovarianceError
+from .matcore import (
+    eig_h, hermitian_part, hs_norm, raise_first, scalar, sqrt_psd, support_groups,
+)
 
 __all__ = [
     "CENTRAL_ELEMENT_MISMATCH",
@@ -59,14 +61,15 @@ SUPPORT_MISMATCH = "SupportMismatch"
 @dataclass(frozen=True)
 class CcrCovariance:
     """Validated pair (sigma, R): sigma real antisymmetric, R real symmetric,
-    with R + i*sigma/2 PSD."""
+    with R + i*sigma/2 PSD.  Either one d x d pair or a stack of them, shape
+    (..., d, d)."""
 
     sigma: np.ndarray
     r: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.r.shape[0]
+        return self.r.shape[-1]
 
     @property
     def s_matrix(self) -> np.ndarray:
@@ -90,23 +93,26 @@ def _as_real(m, name: str) -> np.ndarray:
 def validate_ccr(sigma, r, tol: float = VALIDATION_TOL) -> CcrCovariance:
     """Check that R + i*sigma/2 is PSD; antisymmetrize/symmetrize exactly.
 
-    The error message carries the minimal eigenvalue when positivity fails.
+    Also takes a stack of forms R, shape (..., d, d), on one sigma or a stack
+    of them. The error message carries the minimal eigenvalue when positivity
+    fails.
     """
     sigma = _as_real(sigma, "sigma")
     r = _as_real(r, "R")
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+    if sigma.ndim < 2 or sigma.shape[-1] != sigma.shape[-2]:
         raise CovarianceError(f"sigma must be square, got shape {sigma.shape}")
-    if r.shape != sigma.shape:
+    if r.shape[-2:] != sigma.shape[-2:]:
         raise CovarianceError(f"shape mismatch: sigma {sigma.shape} vs R {r.shape}")
-    sigma = 0.5 * (sigma - sigma.T)
-    r = 0.5 * (r + r.T)
+    if not (np.all(np.isfinite(sigma)) and np.all(np.isfinite(r))):
+        raise CovarianceError("sigma and R must have finite entries")
+    sigma, r = np.broadcast_arrays(sigma, r)
+    sigma = 0.5 * (sigma - np.swapaxes(sigma, -1, -2))
+    r = 0.5 * (r + np.swapaxes(r, -1, -2))
     s = r + 0.5j * sigma
-    w = np.linalg.eigvalsh(s)
-    scale = 1.0 + float(np.max(np.abs(s), initial=0.0))
-    if w.size and w[0] < -tol * scale:
-        raise CovarianceError(
-            f"not a covariance form: minimal eigenvalue of R + i*sigma/2 is {w[0]:.6e}"
-        )
+    w = np.linalg.eigvalsh(s)[..., :1]
+    scale = 1.0 + np.max(np.abs(s), axis=(-2, -1), initial=0.0)
+    raise_first(w < -tol * scale[..., None], w, lambda v: CovarianceError(
+        f"not a covariance form: minimal eigenvalue of R + i*sigma/2 is {v:.6e}"))
     sigma.setflags(write=False)
     r.setflags(write=False)
     return CcrCovariance(sigma=sigma, r=r)
@@ -119,14 +125,18 @@ def canonical_sigma(n_modes: int) -> np.ndarray:
     return np.block([[zero, eye], [-eye, zero]])
 
 
-def thermal_covariance(c: float, n_modes: int = 1) -> CcrCovariance:
-    """Product thermal covariance R = (c/2) I on the canonical form, c >= 1."""
-    return validate_ccr(canonical_sigma(n_modes), 0.5 * c * np.eye(2 * n_modes))
+def thermal_covariance(c, n_modes: int = 1) -> CcrCovariance:
+    """Product thermal covariance R = (c/2) I on the canonical form, c >= 1.
+
+    An array of widths gives the stack of their covariances.
+    """
+    r = (0.5 * np.asarray(c))[..., None, None] * np.eye(2 * n_modes)
+    return validate_ccr(canonical_sigma(n_modes), r)
 
 
 def _check_same_space(a: CcrCovariance, b: CcrCovariance) -> None:
-    if a.dim != b.dim:
-        raise CovarianceError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if a.r.shape != b.r.shape:
+        raise CovarianceError(f"dimension mismatch: {a.r.shape} vs {b.r.shape}")
     if float(np.max(np.abs(a.sigma - b.sigma), initial=0.0)) > 1e-12:
         raise CovarianceError("covariances live on different symplectic forms")
 
@@ -162,62 +172,81 @@ def _transition_analysis(
 ):
     """Shared computation behind trans_prob_ccr and classify_ccr.
 
-    Returns (t, reason, diagnostics).
+    Returns (t, central, diagnostics) for the flattened stack of pairs: the
+    transition probabilities, whether a central element decided each, and
+    each pair's diagnostics dict.
     """
     _check_same_space(cov_s, cov_t)
-    a = ab_form(cov_s)
-    b = ab_form(cov_t)
+    d = cov_s.dim
+    a = ab_form(cov_s).reshape(-1, d, d)
+    b = ab_form(cov_t).reshape(-1, d, d)
     g = hermitian_part(a + b)
-
     w, v = eig_h(g)
-    thr = support_tol * max(float(np.trace(g).real), 0.0)
-    keep = w > thr
-    r = int(np.count_nonzero(keep))
-    diagnostics: dict = {"support_dim": r}
-    if r == 0:
-        # both forms vanish entirely: the two states coincide (trivial character)
-        return 1.0, POSITIVE_TRANSITION_PROBABILITY, diagnostics
-
-    basis = v[:, keep]
-    scaled = basis * (1.0 / np.sqrt(w[keep]))
-    ra = hermitian_part(scaled.conj().T @ a @ scaled)
-    rb = hermitian_part(scaled.conj().T @ b @ scaled)
-
-    # central-element detection: a kernel direction of one form inside supp(G)
-    # on which the other form is positive makes the states disjoint
-    for this, other, label in ((ra, b, "A"), (rb, a, "B")):
-        wt, vt = np.linalg.eigh(this)
-        for idx in np.nonzero(wt < KERNEL_TOL)[0]:
-            h = basis @ vt[:, idx]
-            other_val = float((h.conj() @ other @ h).real)
-            if other_val > FORM_POSITIVE_TOL:
-                diagnostics["central_witness"] = {
+    keep = w > support_tol * np.maximum(np.trace(g, axis1=-2, axis2=-1).real, 0.0)[:, None]
+    t = np.ones(a.shape[0])
+    central = np.zeros(a.shape[0], dtype=bool)
+    diagnostics = [{"support_dim": int(r)} for r in np.count_nonzero(keep, axis=-1)]
+    pending = []  # (pairs, support bases, eigenvalues) still without a verdict
+    for sel, wk, basis, _ in support_groups(w, v, keep):
+        idx = np.flatnonzero(sel)
+        if basis.shape[-1] == 0:
+            continue  # both forms vanish entirely: the states coincide (trivial character)
+        # central-element detection: a kernel direction of one form inside
+        # supp(G) on which the other form is positive makes the states disjoint
+        for label, this, other in (("A", a, b), ("B", b, a)):
+            wt, vt = np.linalg.eigh(matcore.sandwich(basis, this[idx], wk))
+            kernel = wt < KERNEL_TOL
+            cand = np.flatnonzero(kernel.any(axis=-1) & ~central[idx])
+            if cand.size == 0:
+                continue
+            h = basis[cand] @ vt[cand]
+            other_val = np.sum(h.conj() * (other[idx[cand]] @ h), axis=-2).real
+            hit = kernel[cand] & (other_val > FORM_POSITIVE_TOL)
+            for m in np.flatnonzero(hit.any(axis=-1)).tolist():
+                j, i = int(np.argmax(hit[m])), idx[cand[m]]
+                diagnostics[i]["central_witness"] = {
                     "side": label,
-                    "ratio_eigenvalue": float(wt[idx]),
-                    "other_form_value": other_val,
+                    "ratio_eigenvalue": float(wt[cand[m], j]),
+                    "other_form_value": float(other_val[m, j]),
                 }
-                return 0.0, CENTRAL_ELEMENT_MISMATCH, diagnostics
+                central[i] = True
+            if central[idx].all():
+                break
+        t[idx[central[idx]]] = 0.0
+        keep_on = ~central[idx]
+        pending.append((idx[keep_on], basis[keep_on], wk[keep_on]))
 
-    gm_ab, info = matcore.geometric_mean(a, b, return_info=True)
-    diagnostics["ab_support_mismatch"] = info.support_mismatch
-    core = hermitian_part(scaled.conj().T @ (2.0 * gm_ab) @ scaled)
-    wc = np.clip(np.linalg.eigvalsh(core), 0.0, 1.0)
-    diagnostics["det_eigenvalues"] = [float(x) for x in wc]
-    if np.any(wc <= 1e-13):
-        # a vanishing determinant factor that escaped the witness check above
-        return 0.0, CENTRAL_ELEMENT_MISMATCH, diagnostics
-    t = float(math.exp(0.5 * float(np.sum(np.log(wc)))))
-    return min(t, 1.0), POSITIVE_TRANSITION_PROBABILITY, diagnostics
+    need = np.concatenate([p[0] for p in pending] + [np.zeros(0, dtype=int)])
+    if need.size:
+        gm = np.zeros_like(a)
+        gm[need], info = matcore.geometric_mean(a[need], b[need], return_info=True)
+        mismatch = dict(zip(need.tolist(), info.support_mismatch.tolist()))
+        for idx, basis, wk in pending:
+            core = matcore.sandwich(basis, 2.0 * gm[idx], wk)
+            wc = np.clip(np.linalg.eigvalsh(core), 0.0, 1.0)
+            # a vanishing determinant factor that escaped the witness check above
+            zero = np.any(wc <= 1e-13, axis=-1)
+            with np.errstate(divide="ignore"):
+                half_log = 0.5 * np.sum(np.log(wc), axis=-1)
+            # math.exp (not np.exp, which can differ in the last bit) as for one pair
+            t[idx] = np.where(zero, 0.0, [min(math.exp(x), 1.0) for x in half_log.tolist()])
+            central[idx] = zero
+            for i, row in zip(idx.tolist(), wc.tolist()):
+                diagnostics[i]["ab_support_mismatch"] = mismatch[i]
+                diagnostics[i]["det_eigenvalues"] = row
+    return t, central, diagnostics
 
 
-def trans_prob_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance) -> float:
+def trans_prob_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance):
     """Transition probability between two quasi-free CCR states.
 
     The square is det(2 * ratio(gm(A, B), A + B)) over the support of A + B,
     with A, B the symmetrized forms of :func:`ab_form`; it vanishes exactly
-    when a central element separates the states.
+    when a central element separates the states. Stacked covariances give
+    one value per pair.
     """
-    return _transition_analysis(cov_s, cov_t)[0]
+    t = _transition_analysis(cov_s, cov_t)[0]
+    return scalar(t.reshape(cov_s.r.shape[:-2]))
 
 
 def classify_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance, tol: float = 1e-12) -> CcrVerdict:
@@ -226,9 +255,10 @@ def classify_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance, tol: float = 1e-12)
     In finite dimension the two states are quasi-equivalent exactly when the
     transition probability is positive, otherwise disjoint.
     """
-    t, reason, diagnostics = _transition_analysis(cov_s, cov_t)
+    t, central, diagnostics = _transition_analysis(cov_s, cov_t)
+    t, diagnostics = float(t[0]), diagnostics[0]
+    reason = CENTRAL_ELEMENT_MISMATCH if central[0] else POSITIVE_TRANSITION_PROBABILITY
     equiv, hs_dist = qe_distance_ccr(cov_s, cov_t)
-    diagnostics = dict(diagnostics)
     diagnostics["metric_equivalent"] = equiv
     diagnostics["qe_hs_distance"] = hs_dist
     if t > tol:
@@ -259,31 +289,34 @@ def qe_distance_ccr(
     domination within ``cond_bound``); the distance is
     ||sqrt(ratio(S, S + conj S)) - sqrt(ratio(T, T + conj T))||. When the flag
     is False the distance slot is +inf (the criterion fails outright).
+    Stacked covariances give one flag and one distance per pair.
     """
     _check_same_space(cov_s, cov_t)
-    gs = 2.0 * cov_s.r
-    gt = 2.0 * cov_t.r
+    d, lead = cov_s.dim, cov_s.r.shape[:-2]
+    gs = 2.0 * cov_s.r.reshape(-1, d, d)
+    gt = 2.0 * cov_t.r.reshape(-1, d, d)
 
     ps = matcore.support_projection(gs, support_tol)
     pt = matcore.support_projection(gt, support_tol)
-    if hs_norm(ps - pt) > 1e-6:
-        return False, math.inf
-    rank = int(round(float(np.trace(ps).real)))
-    if rank > 0:
-        try:
-            wr = np.linalg.eigvalsh(matcore.ratio(gs, gt))
-        except SupportError:
-            return False, math.inf
-        pos = wr[wr > 1e-15]
-        if pos.size != rank:
-            return False, math.inf
-        lo, hi = float(pos[0]), float(pos[-1])
-        if hi / lo > cond_bound:
-            return False, math.inf
+    equiv = ~(hs_norm(ps - pt) > 1e-6)
+    sel = np.flatnonzero(equiv)
+    if sel.size:
+        rank = np.rint(np.trace(ps[sel], axis1=-2, axis2=-1).real).astype(int)
+        ratio_st, unsupported, _ = matcore.ratio_violations(gs[sel], gt[sel])
+        wr = np.linalg.eigvalsh(ratio_st)
+        lo = np.take_along_axis(wr, np.clip(d - rank, 0, d - 1)[:, None], -1)[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dominated = ~(wr[:, -1] / lo > cond_bound)
+        ok = (np.count_nonzero(wr > 1e-15, axis=-1) == rank) & dominated
+        equiv[sel] = (rank == 0) | ok & ~unsupported
+        sel = np.flatnonzero(equiv)
 
-    xs = sqrt_psd(matcore.ratio(cov_s.s_matrix, gs))
-    xt = sqrt_psd(matcore.ratio(cov_t.s_matrix, gt))
-    return True, hs_norm(xs - xt)
+    dist = np.full(equiv.shape, math.inf)
+    if sel.size:
+        xs = sqrt_psd(matcore.ratio(cov_s.s_matrix.reshape(-1, d, d)[sel], gs[sel]))
+        xt = sqrt_psd(matcore.ratio(cov_t.s_matrix.reshape(-1, d, d)[sel], gt[sel]))
+        dist[sel] = hs_norm(xs - xt)
+    return scalar(equiv.reshape(lead)), scalar(dist.reshape(lead))
 
 
 def condition3_distance(cov_s: CcrCovariance, cov_t: CcrCovariance) -> float:
@@ -313,11 +346,10 @@ def is_standard_ccr(cov: CcrCovariance, tol: float = 1e-10) -> bool:
     Fails for states with a pure factor (e.g. the vacuum), holds for fully
     thermal states; on a trivial metric support it holds vacuously.
     """
-    g = 2.0 * cov.r
-    basis, wk = matcore._support_basis(g, tol=1e-10)
-    if basis.shape[1] == 0:
-        return True
-    scaled = basis * (1.0 / np.sqrt(wk))
-    core = hermitian_part(scaled.conj().T @ cov.s_matrix @ scaled)
-    w = np.linalg.eigvalsh(core)
-    return bool(w[0] > tol)
+    w, v = eig_h(2.0 * cov.r)
+    standard = np.ones(w.shape[:-1], dtype=bool)
+    for sel, wk, basis, _ in support_groups(w, v, matcore.abs_support(w, 1e-10)):
+        if basis.shape[-1]:
+            core = matcore.sandwich(basis, cov.s_matrix[sel], wk)
+            standard[sel] = np.linalg.eigvalsh(core)[:, 0] > tol
+    return scalar(standard)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -109,75 +110,62 @@ def _ccr_pair(scenario) -> tuple:
     return s, t
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _exponent(fam: dict) -> float:
+    p = fam.get("p")
+    if not _is_number(p) or not p > 0:
+        raise ScenarioError(f"{fam['rule']} needs a positive exponent 'p'")
+    return float(p)
+
+
+def _literal_family(fam: dict, seq_kind: str) -> seqmodel.ModeFamily:
+    """Explicit [first, second] covariance pairs and an optional tail pair."""
+    if seq_kind == seqmodel.CAR:
+        make = car.validate_car
+    else:
+        sigma = parse_matrix(fam.get("sigma", []), "family.sigma")
+        make = functools.partial(ccr.validate_ccr, sigma)
+
+    def pair(raw, where: str) -> tuple:
+        if not isinstance(raw, list) or len(raw) != 2:
+            raise ScenarioError(f"{where} must be a two-element list [first, second]")
+        return tuple(make(parse_matrix(m, f"{where}[{i}]")) for i, m in enumerate(raw))
+
+    pairs = fam.get("pairs")
+    if not isinstance(pairs, list) or not pairs:
+        raise ScenarioError("literal family needs a non-empty 'pairs' list")
+    tail = fam.get("tail")
+    return seqmodel.literal_family(
+        seq_kind, [pair(raw, f"pairs[{i}]") for i, raw in enumerate(pairs)],
+        tail=None if tail is None else pair(tail, "tail"), label=fam.get("label", "literal"),
+    )
+
+
+# family rule -> (the sequence kind it is for, None for both; family factory)
+_FAMILY_RULES = {
+    "car_mu_power": (seqmodel.CAR, lambda fam, _: seqmodel.car_power_family(_exponent(fam))),
+    "ccr_thermal_power": (
+        seqmodel.CCR, lambda fam, _: seqmodel.ccr_thermal_power_family(_exponent(fam))),
+    "counterexample": (seqmodel.CAR, lambda fam, _: seqmodel.car_counterexample()),
+    "literal": (None, _literal_family),
+}
+
+
 def _family(scenario) -> seqmodel.ModeFamily:
     fam = scenario.get("family")
     if not isinstance(fam, dict):
         raise ScenarioError("sequence scenario needs a 'family' object")
     rule = fam.get("rule")
+    if not isinstance(rule, str) or rule not in _FAMILY_RULES:
+        raise ScenarioError(f"unknown family rule {rule!r}")
+    kind, make = _FAMILY_RULES[rule]
     seq_kind = seqmodel.CAR if scenario["kind"] == "car-sequence" else seqmodel.CCR
-
-    if rule == "car_mu_power":
-        if seq_kind != seqmodel.CAR:
-            raise ScenarioError("car_mu_power is a car-sequence rule")
-        p = fam.get("p")
-        if not isinstance(p, (int, float)) or p <= 0:
-            raise ScenarioError("car_mu_power needs a positive exponent 'p'")
-        return seqmodel.car_power_family(float(p))
-    if rule == "ccr_thermal_power":
-        if seq_kind != seqmodel.CCR:
-            raise ScenarioError("ccr_thermal_power is a ccr-sequence rule")
-        p = fam.get("p")
-        if not isinstance(p, (int, float)) or p <= 0:
-            raise ScenarioError("ccr_thermal_power needs a positive exponent 'p'")
-        return seqmodel.ccr_thermal_power_family(float(p))
-    if rule == "counterexample":
-        if seq_kind != seqmodel.CAR:
-            raise ScenarioError("the counterexample family is a car-sequence rule")
-        return seqmodel.car_counterexample()
-    if rule == "literal":
-        pairs_raw = fam.get("pairs")
-        if not isinstance(pairs_raw, list) or not pairs_raw:
-            raise ScenarioError("literal family needs a non-empty 'pairs' list")
-        pairs = []
-        if seq_kind == seqmodel.CAR:
-            for i, pair in enumerate(pairs_raw):
-                if not isinstance(pair, list) or len(pair) != 2:
-                    raise ScenarioError(f"pairs[{i}] must be [S, T]")
-                pairs.append(
-                    (
-                        car.validate_car(parse_matrix(pair[0], f"pairs[{i}][0]")),
-                        car.validate_car(parse_matrix(pair[1], f"pairs[{i}][1]")),
-                    )
-                )
-            tail = fam.get("tail")
-            tail_pair = None
-            if tail is not None:
-                tail_pair = (
-                    car.validate_car(parse_matrix(tail[0], "tail[0]")),
-                    car.validate_car(parse_matrix(tail[1], "tail[1]")),
-                )
-        else:
-            sigma = parse_matrix(fam.get("sigma", []), "family.sigma")
-            for i, pair in enumerate(pairs_raw):
-                if not isinstance(pair, list) or len(pair) != 2:
-                    raise ScenarioError(f"pairs[{i}] must be [R_S, R_T]")
-                pairs.append(
-                    (
-                        ccr.validate_ccr(sigma, parse_matrix(pair[0], f"pairs[{i}][0]")),
-                        ccr.validate_ccr(sigma, parse_matrix(pair[1], f"pairs[{i}][1]")),
-                    )
-                )
-            tail = fam.get("tail")
-            tail_pair = None
-            if tail is not None:
-                tail_pair = (
-                    ccr.validate_ccr(sigma, parse_matrix(tail[0], "tail[0]")),
-                    ccr.validate_ccr(sigma, parse_matrix(tail[1], "tail[1]")),
-                )
-        return seqmodel.literal_family(
-            seq_kind, pairs, tail=tail_pair, label=fam.get("label", "literal")
-        )
-    raise ScenarioError(f"unknown family rule {rule!r}")
+    if kind not in (None, seq_kind):
+        raise ScenarioError(f"{rule} is a {kind}-sequence rule")
+    return make(fam, seq_kind)
 
 
 def _sanitize(value):
@@ -236,8 +224,7 @@ def _cmd_validate(scenario, opts):
             }
     else:
         fam = _family(scenario)
-        for k in range(1, 9):
-            fam.pair_at(k)  # generator pairs validate on construction
+        fam.stack(1, 8)  # the family's covariances validate as they are built
         results["family"] = {"label": fam.label, "modes_checked": 8}
     results["valid"] = True
     return results, EXIT_OK
@@ -390,6 +377,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _DEFAULT_OPTS = {"tol": 1e-8, "cutoff": 80, "n_max": 4096, "seed": None}
+_NUMERIC_OPTS = {"tol": float, "cutoff": int, "n_max": int}
+
+
+def _numeric_option(key: str, value, kind):
+    """A finite number option as float or int; anything else is a ScenarioError."""
+    if not _is_number(value) or not math.isfinite(value):
+        raise ScenarioError(f"option {key!r} must be a finite number, got {value!r}")
+    if kind is int and value != int(value):
+        raise ScenarioError(f"option {key!r} must be an integer, got {value!r}")
+    return kind(value)
 
 
 def main(argv=None) -> int:
@@ -419,14 +416,11 @@ def main(argv=None) -> int:
             for key in opts:
                 if key in given:
                     opts[key] = given[key]
-        for key in ("tol", "cutoff", "seed"):
+        for key in opts:
             if getattr(args, key) is not None:
                 opts[key] = getattr(args, key)
-        if args.n_max is not None:
-            opts["n_max"] = args.n_max
-        opts["tol"] = float(opts["tol"])
-        opts["cutoff"] = int(opts["cutoff"])
-        opts["n_max"] = int(opts["n_max"])
+        for key, kind in _NUMERIC_OPTS.items():
+            opts[key] = _numeric_option(key, opts[key], kind)
 
         results, code = handler(scenario, opts)
     except InconclusiveError as exc:

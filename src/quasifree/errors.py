@@ -28,7 +28,7 @@ class SupportError(ValueError):
 
 
 class SizeCapError(ValueError):
-    """A brute-force oracle was asked for a problem size beyond its hard cap."""
+    """A brute-force oracle or a sequence scan was asked for a size beyond its hard cap."""
 
 
 class InconclusiveError(RuntimeError):

@@ -5,6 +5,10 @@ symmetrized (Hermitian ops) or antisymmetrized (skew ops) before use, all
 spectral computations go through ``numpy.linalg.eigh``, and eigenvalues below
 a relative clamp threshold are treated as structural zeros. Results are
 deterministic for identical input bits.
+
+The spectral helpers also take stacks of matrices, shape ``(..., d, d)``,
+and give each matrix the same bits as alone; steps whose shapes depend on a
+support rank split the stack by rank with :func:`support_groups`.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ __all__ = [
     "projection_meet",
     "ratio",
     "sqrt_psd",
+    "support_groups",
     "support_projection",
 ]
 
@@ -46,21 +51,51 @@ def conj_matrix(x: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(x))
 
 
+def dagger(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return x.swapaxes(-1, -2).conj()
+
+
 def hermitian_part(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
-    return 0.5 * (x + x.conj().T)
+    return 0.5 * (x + dagger(x))
 
 
-def hs_norm(x: np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(np.asarray(x)))
+def hs_norm(x: np.ndarray):
+    """Hilbert-Schmidt (Frobenius) norm; one norm per matrix for a stack."""
+    return scalar(np.linalg.norm(np.asarray(x), axis=(-2, -1)))
 
 
-def _check_square(x: np.ndarray, name: str) -> np.ndarray:
+def scalar(x):
+    """A 0-d result as a Python scalar; per-matrix results of a stack unchanged."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
+def raise_first(bad, values, error) -> None:
+    """Raise ``error(value)`` for the first matrix flagged in ``bad`` (one flag per matrix)."""
+    bad = np.ravel(bad)
+    if bad.any():
+        raise error(float(np.ravel(values)[np.argmax(bad)]))
+
+
+def _check_square(x: np.ndarray, name: str, stack: bool = False) -> np.ndarray:
     x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+    if x.ndim < 2 or x.ndim > 2 and not stack or x.shape[-1] != x.shape[-2]:
         raise ValueError(f"{name} must be a square matrix, got shape {x.shape}")
     return x
+
+
+def _check_pair(x: np.ndarray, y: np.ndarray) -> None:
+    if x.shape != y.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
+
+
+def _require_psd(w: np.ndarray, clamp_tol: float, name: str) -> None:
+    """NotPositiveError unless each spectrum (ascending) is above -clamp_tol * its max |w|."""
+    if w.shape[-1]:
+        low, msg = w[..., 0], f"{name} is not PSD: minimal eigenvalue {{:.6e}}"
+        raise_first(low < -clamp_tol * np.max(np.abs(w), axis=-1), low,
+                    lambda v: NotPositiveError(msg.format(v), v))
 
 
 def eig_h(h: np.ndarray):
@@ -69,8 +104,7 @@ def eig_h(h: np.ndarray):
     Returns ``(w, v)`` with eigenvalues ascending and orthonormal eigenvector
     columns, so ``(v * w) @ v.conj().T`` reconstructs the Hermitian part.
     """
-    _check_square(h, "matrix")
-    return np.linalg.eigh(hermitian_part(h))
+    return np.linalg.eigh(hermitian_part(_check_square(h, "matrix", stack=True)))
 
 
 def sqrt_psd(h: np.ndarray, clamp_tol: float = PSD_CLAMP_TOL) -> np.ndarray:
@@ -80,28 +114,47 @@ def sqrt_psd(h: np.ndarray, clamp_tol: float = PSD_CLAMP_TOL) -> np.ndarray:
     below that raises :class:`NotPositiveError`.
     """
     w, v = eig_h(h)
-    scale = float(np.max(np.abs(w), initial=0.0))
-    if scale > 0.0 and w[0] < -clamp_tol * scale:
-        raise NotPositiveError(
-            f"matrix is not PSD: minimal eigenvalue {w[0]:.6e} "
-            f"(clamp threshold {-clamp_tol * scale:.1e})",
-            float(w[0]),
-        )
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    _require_psd(w, clamp_tol, "matrix")
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dagger(v)
+
+
+def abs_support(w: np.ndarray, tol: float) -> np.ndarray:
+    """Support mask: |eigenvalue| above tol times the largest |eigenvalue| of its spectrum."""
+    scale = np.max(np.abs(w), axis=-1, initial=0.0, keepdims=True)
+    return (np.abs(w) > tol * scale) & (scale > 0.0)
 
 
 def support_projection(h: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
     """Orthogonal projection onto the span of eigenvectors with |eigenvalue| above tol*||h||."""
-    b, _ = _support_basis(h, tol)
-    return b @ b.conj().T
-
-
-def _support_basis(h: np.ndarray, tol: float = SUPPORT_TOL):
-    """Orthonormal basis of the support of the Hermitian part of ``h``."""
     w, v = eig_h(h)
-    scale = float(np.max(np.abs(w), initial=0.0))
-    keep = np.abs(w) > tol * scale if scale > 0.0 else np.zeros_like(w, dtype=bool)
-    return v[:, keep], w[keep]
+    return (v * abs_support(w, tol)[..., None, :]) @ dagger(v)
+
+
+def support_groups(w: np.ndarray, v: np.ndarray, keep: np.ndarray):
+    """Split eigendecompositions ``(w, v)`` of a stack by the rank of the support ``keep``.
+
+    Support columns move behind the rest in order (a no-op for an ascending
+    ``eigh`` under a threshold), so rank r has support ``v[..., -r:]``. Yields
+    ``(sel, w_r, basis, null)`` per rank: a mask over the stack, then the
+    support eigenvalues, support basis and kernel basis of those matrices.
+    """
+    if np.any(keep[..., :-1] > keep[..., 1:]):
+        order = np.argsort(keep, axis=-1, kind="stable")
+        w = np.take_along_axis(w, order, -1)
+        v = np.take_along_axis(v, order[..., None, :], -1)
+    rank = np.count_nonzero(keep, axis=-1)
+    d = keep.shape[-1]
+    for r in np.flatnonzero(np.bincount(np.ravel(rank), minlength=d + 1)).tolist():
+        sel = rank == r
+        vs = v[sel]
+        yield sel, w[sel][:, d - r :], vs[..., d - r :], vs[..., : d - r]
+
+
+def sandwich(b: np.ndarray, x: np.ndarray, w=None) -> np.ndarray:
+    """Hermitian part of b^* x b; with ``w``, of the columns of b scaled by w^(-1/2)."""
+    if w is not None:
+        b = b * (1.0 / np.sqrt(w))[..., None, :]
+    return hermitian_part(dagger(b) @ x @ b)
 
 
 def pfaffian(a: np.ndarray) -> complex:
@@ -170,7 +223,7 @@ def pfaffian_pairings(a: np.ndarray) -> complex:
 
 @dataclass(frozen=True)
 class GeometricMeanInfo:
-    """Support metadata from a geometric-mean computation."""
+    """Support metadata from a geometric-mean computation (per matrix for a stack)."""
 
     support_mismatch: bool
     support_dim: int
@@ -191,46 +244,34 @@ def geometric_mean(
     also returns a :class:`GeometricMeanInfo` flagging whether the two
     supports differ.
     """
-    a = hermitian_part(_check_square(a, "first matrix"))
-    b = hermitian_part(_check_square(b, "second matrix"))
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    d = a.shape[0]
+    a = hermitian_part(_check_square(a, "first matrix", stack=True))
+    b = hermitian_part(_check_square(b, "second matrix", stack=True))
+    _check_pair(a, b)
 
-    supports = []
+    proj, ranks = [], []
     for m, name in ((a, "first matrix"), (b, "second matrix")):
         w, v = np.linalg.eigh(m)
-        scale = float(np.max(np.abs(w), initial=0.0))
-        if scale > 0.0 and w[0] < -reg * scale:
-            raise NotPositiveError(
-                f"{name} is not PSD: minimal eigenvalue {w[0]:.6e}", float(w[0])
-            )
-        thr = reg * max(float(np.trace(m).real), 0.0)
-        keep = w > thr
-        supports.append(v[:, keep])
+        _require_psd(w, reg, name)
+        keep = w > reg * np.maximum(np.trace(m, axis1=-2, axis2=-1).real, 0.0)[..., None]
+        ranks.append(np.count_nonzero(keep, axis=-1))
+        proj.append((v * keep[..., None, :]) @ dagger(v))
 
-    ba, bb = supports
     # common support = eigenvalue-2 space of the sum of the two support projections
-    ww, vv = np.linalg.eigh(ba @ ba.conj().T + bb @ bb.conj().T)
-    common = vv[:, ww >= 2.0 - 1e-8]
-    r = common.shape[1]
-    mismatch = r < max(ba.shape[1], bb.shape[1])
-
-    if r == 0:
-        g = np.zeros((d, d), dtype=complex)
-    else:
-        a_r = hermitian_part(common.conj().T @ a @ common)
-        b_r = hermitian_part(common.conj().T @ b @ common)
-        wa, va = np.linalg.eigh(a_r)
-        root = (va * np.sqrt(wa)) @ va.conj().T
-        inv_root = (va * (1.0 / np.sqrt(wa))) @ va.conj().T
-        mid = sqrt_psd(inv_root @ b_r @ inv_root)
-        core = hermitian_part(root @ mid @ root)
-        g = common @ core @ common.conj().T
+    ww, vv = np.linalg.eigh(proj[0] + proj[1])
+    common = ww >= 2.0 - 1e-8
+    g = np.zeros_like(a)
+    for sel, _, basis, _ in support_groups(ww, vv, common):
+        if basis.shape[-1]:
+            wa, va = np.linalg.eigh(sandwich(basis, a[sel]))
+            root = (va * np.sqrt(wa)[:, None, :]) @ dagger(va)
+            inv_root = (va * (1.0 / np.sqrt(wa))[:, None, :]) @ dagger(va)
+            mid = sqrt_psd(inv_root @ sandwich(basis, b[sel]) @ inv_root)
+            g[sel] = basis @ hermitian_part(root @ mid @ root) @ dagger(basis)
 
     g = hermitian_part(g)
     if return_info:
-        return g, GeometricMeanInfo(support_mismatch=mismatch, support_dim=r)
+        r = np.count_nonzero(common, axis=-1)
+        return g, GeometricMeanInfo(scalar(r < np.maximum(*ranks)), scalar(r))
     return g
 
 
@@ -240,36 +281,47 @@ def ratio(x: np.ndarray, g: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
     Requires supp(x) contained in supp(g); a violating direction raises
     :class:`SupportError` carrying a witness vector.
     """
-    x = hermitian_part(_check_square(x, "numerator"))
-    g = _check_square(g, "denominator")
-    if x.shape != g.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {g.shape}")
+    out, _, errors = ratio_violations(x, g, tol)
+    if errors:
+        raise errors[0]
+    return out
+
+
+def ratio_violations(x: np.ndarray, g: np.ndarray, tol: float = SUPPORT_TOL):
+    """:func:`ratio` without raising: ``(ratio, bad, errors)`` with a mask
+    ``bad`` of the matrices that violate the support condition and the
+    SupportError that :func:`ratio` raises for each of them."""
+    x = hermitian_part(_check_square(x, "numerator", stack=True))
+    g = _check_square(g, "denominator", stack=True)
+    _check_pair(x, g)
     w, v = eig_h(g)
-    scale = float(np.max(np.abs(w), initial=0.0))
-    keep = w > tol * scale if scale > 0.0 else np.zeros_like(w, dtype=bool)
-    null = v[:, ~keep]
-    if null.size:
-        leak = np.linalg.norm(x @ null, axis=0)
-        bound = 1e-8 * (1.0 + hs_norm(x))
-        if np.any(leak > bound):
-            j = int(np.argmax(leak))
-            raise SupportError(
-                f"support violation: |X v| = {leak[j]:.3e} on a kernel vector of "
-                f"the denominator (bound {bound:.1e})",
-                null[:, j].copy(),
-            )
-    basis = v[:, keep]
-    scaled = basis * (1.0 / np.sqrt(w[keep]))
-    core = hermitian_part(scaled.conj().T @ x @ scaled)
-    return hermitian_part((basis @ core) @ basis.conj().T)
+    scale = np.max(np.abs(w), axis=-1, initial=0.0, keepdims=True)
+    out = np.zeros_like(x)
+    bad = np.zeros(x.shape[:-2], dtype=bool)
+    errors = []
+    for sel, wk, basis, null in support_groups(w, v, (w > tol * scale) & (scale > 0.0)):
+        xs = x[sel]
+        if null.shape[-1]:
+            leak = np.linalg.norm(xs @ null, axis=-2)
+            bound = 1e-8 * (1.0 + np.linalg.norm(xs, axis=(-2, -1)))[:, None]
+            hit = np.any(leak > bound, axis=-1)
+            bad[sel] = hit
+            for m in np.flatnonzero(hit).tolist():
+                j = int(np.argmax(leak[m]))
+                errors.append(SupportError(
+                    f"support violation: |X v| = {leak[m, j]:.3e} on a kernel vector of "
+                    f"the denominator (bound {bound[m, 0]:.1e})",
+                    null[m, :, j].copy(),
+                ))
+        out[sel] = hermitian_part(basis @ sandwich(basis, xs, wk) @ dagger(basis))
+    return out, bad, errors
 
 
 def projection_meet(p: np.ndarray, r: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """Projection onto ran(p) ∩ ran(r): the eigenvalue-2 space of p + r."""
     p = _check_square(p, "first projection")
     r = _check_square(r, "second projection")
-    if p.shape != r.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {r.shape}")
+    _check_pair(p, r)
     w, v = eig_h(np.asarray(p, dtype=complex) + np.asarray(r, dtype=complex))
     basis = v[:, w >= 2.0 - tol]
     return basis @ basis.conj().T

@@ -55,6 +55,34 @@ def test_validate_error_carries_magnitude():
         car.validate_car(0.4 * np.eye(2))
 
 
+def test_validate_rejects_non_finite():
+    with pytest.raises(CovarianceError, match="non-finite"):
+        car.validate_car([[math.nan, 0.0], [0.0, 0.5]])
+    stack = np.stack([car.mu_covariance(0.1).matrix, car.mu_covariance(0.2).matrix])
+    stack[1, 0, 1] = complex(0.0, math.inf)
+    with pytest.raises(CovarianceError, match="non-finite"):
+        car.validate_car(stack)
+
+
+def test_stacked_pair_api_matches_pairs_bitwise(rng):
+    pairs = [sampling.random_car_pair(rng, 4) for _ in range(5)]
+    s = car.validate_car(np.stack([p[0].matrix for p in pairs]))
+    t = car.validate_car(np.stack([p[1].matrix for p in pairs]))
+    assert s.dim == 4 and s.matrix.shape == (5, 4, 4)
+    tp, qe = car.trans_prob_car(s, t), car.qe_distance_car(s, t)
+    assert tp.shape == qe.shape == (5,)
+    for i, (a, b) in enumerate(pairs):
+        assert np.array_equal(s.matrix[i], a.matrix)
+        assert tp[i] == car.trans_prob_car(a, b)
+        assert qe[i] == car.qe_distance_car(a, b)
+
+
+def test_validate_stack_reports_failing_matrix():
+    stack = np.stack([car.mu_covariance(0.1).matrix, np.array([[0.5, -0.7j], [0.7j, 0.5]])])
+    with pytest.raises(CovarianceError, match=r"not PSD: eigenvalue -2\.000000e-01"):
+        car.validate_car(stack)
+
+
 def test_validate_rejects_nonsquare():
     with pytest.raises(CovarianceError, match="square"):
         car.validate_car(np.zeros((2, 3)))

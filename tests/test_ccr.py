@@ -43,6 +43,29 @@ def test_validate_rejects_complex_input():
         ccr.validate_ccr(ccr.canonical_sigma(1), np.eye(2) + 0.1j * np.eye(2))
 
 
+def test_validate_rejects_non_finite():
+    with pytest.raises(CovarianceError, match="finite"):
+        ccr.validate_ccr(ccr.canonical_sigma(1), [[math.nan, 0.0], [0.0, 1.0]])
+    r = np.stack([np.eye(2), np.eye(2)])
+    r[1, 1, 1] = math.inf
+    with pytest.raises(CovarianceError, match="finite"):
+        ccr.validate_ccr(ccr.canonical_sigma(1), r)
+
+
+def test_stacked_pair_api_matches_pairs_bitwise(rng):
+    sigma = ccr.canonical_sigma(2)
+    pairs = [sampling.random_ccr_pair(rng, sigma) for _ in range(4)]
+    pairs.append((ccr.thermal_covariance(1.0, 2), ccr.thermal_covariance(2.5, 2)))
+    s = ccr.validate_ccr(sigma, np.stack([p[0].r for p in pairs]))
+    t = ccr.validate_ccr(sigma, np.stack([p[1].r for p in pairs]))
+    tp = ccr.trans_prob_ccr(s, t)
+    equiv, dist = ccr.qe_distance_ccr(s, t)
+    for i, (a, b) in enumerate(pairs):
+        assert tp[i] == ccr.trans_prob_ccr(a, b)
+        assert (equiv[i], dist[i]) == ccr.qe_distance_ccr(a, b)
+    assert list(ccr.is_standard_ccr(s)) == [ccr.is_standard_ccr(a) for a, _ in pairs]
+
+
 def test_validate_shape_guards():
     with pytest.raises(CovarianceError, match="square"):
         ccr.validate_ccr(np.zeros((2, 3)), np.zeros((2, 3)))

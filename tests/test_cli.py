@@ -294,3 +294,65 @@ def test_report_is_valid_json_throughout(tmp_path, capsys):
     path = write_scenario(tmp_path, car_pair_scenario())
     _, report, _ = run_cli(capsys, ["trans-prob", path])
     json.dumps(report, allow_nan=False)
+
+
+# ------------------------------------------------- malformed scenarios
+
+
+def assert_validation_error(capsys, tmp_path, scenario, command="validate", needle=""):
+    path = write_scenario(tmp_path, scenario)
+    code, report, err = run_cli(capsys, [command, path])
+    assert code == 2 and report["exit_code"] == 2
+    assert needle in report["error"]
+    assert "Traceback" not in err
+
+
+def test_null_cutoff_is_validation_error(tmp_path, capsys):
+    assert_validation_error(capsys, tmp_path, car_pair_scenario(options={"cutoff": None}),
+                            needle="cutoff")
+
+
+def test_non_numeric_options_are_validation_errors(tmp_path, capsys):
+    for options in ({"tol": "1e-8"}, {"n_max": 100.5}, {"n_max": True}):
+        assert_validation_error(capsys, tmp_path, car_pair_scenario(options=options))
+
+
+def test_literal_tail_must_be_a_pair(tmp_path, capsys):
+    sc = {"kind": "car-sequence",
+          "family": {"rule": "literal", "pairs": [[MU_03, MU_01]], "tail": 5}}
+    assert_validation_error(capsys, tmp_path, sc, needle="tail")
+
+
+def test_boolean_exponent_is_validation_error(tmp_path, capsys):
+    sc = {"kind": "car-sequence", "family": {"rule": "car_mu_power", "p": True},
+          "options": {"n_max": 256}}
+    assert_validation_error(capsys, tmp_path, sc, command="classify", needle="exponent")
+
+
+def test_nan_entry_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"kind": "car-pair", "S": [[NaN, 0.0], [0.0, 0.5]], '
+                    '"T": [[0.5, 0.0], [0.0, 0.5]]}')
+    code, report, _ = run_cli(capsys, ["validate", str(path)])
+    assert code == 2
+    assert "non-finite" in report["error"]
+
+
+def test_ccr_literal_family(tmp_path, capsys):
+    pair = [thermal_r(1.5), thermal_r(1.2)]
+    sc = {"kind": "ccr-sequence",
+          "family": {"rule": "literal", "sigma": SIGMA_1, "pairs": [pair], "tail": pair},
+          "options": {"n_max": 64}}
+    code, report, _ = run_cli(capsys, ["classify", write_scenario(tmp_path, sc)])
+    assert code in (0, 3)
+    assert report["results"]["family"] == "literal"
+    sc["family"]["pairs"] = [[thermal_r(1.5)]]
+    assert_validation_error(capsys, tmp_path, sc, command="classify", needle="pairs[0]")
+
+
+def test_n_max_above_cap_is_resource_error(tmp_path, capsys):
+    sc = {"kind": "car-sequence", "family": {"rule": "car_mu_power", "p": 2.0},
+          "options": {"n_max": 1 << 40}}
+    code, report, _ = run_cli(capsys, ["classify", write_scenario(tmp_path, sc)])
+    assert code == 4 and report["exit_code"] == 4
+    assert "cap" in report["error"]

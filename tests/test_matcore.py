@@ -139,6 +139,35 @@ def test_support_projection():
     assert np.linalg.norm(matcore.support_projection(np.zeros((3, 3)))) == 0.0
 
 
+def test_support_groups_split_by_rank_and_keep_order():
+    w = np.array([[-2.0, 0.0, 1.0], [0.0, 1.0, 2.0], [0.0, 0.0, 3.0]])
+    v = np.stack([np.eye(3), 2.0 * np.eye(3), 3.0 * np.eye(3)]).astype(complex)
+    groups = list(matcore.support_groups(w, v, matcore.abs_support(w, 1e-10)))
+    assert [g[0].tolist() for g in groups] == [[False, False, True], [True, True, False]]
+    _, w1, basis1, null1 = groups[0]
+    assert w1.tolist() == [[3.0]] and np.array_equal(basis1[0], 3.0 * np.eye(3)[:, 2:])
+    _, w2, basis2, null2 = groups[1]
+    # support columns move behind the kernel column, each side in order
+    assert w2.tolist() == [[-2.0, 1.0], [1.0, 2.0]]
+    assert np.array_equal(basis2[0], np.eye(3)[:, [0, 2]])
+    assert np.array_equal(null2[0], np.eye(3)[:, [1]])
+    assert np.array_equal(basis2[1], 2.0 * np.eye(3)[:, 1:])
+
+
+def test_stacked_helpers_match_single_matrices_bitwise(rng):
+    a = np.stack([random_pd(rng, 4) for _ in range(3)])
+    b = np.stack([random_pd(rng, 4) for _ in range(3)])
+    b[1] = np.diag([1.0, 1.0, 0.0, 0.0])  # a rank-deficient support in the stack
+    g, info = matcore.geometric_mean(a, b, return_info=True)
+    r = matcore.ratio(a, a + b)
+    for i in range(3):
+        gi, info_i = matcore.geometric_mean(a[i], b[i], return_info=True)
+        assert np.array_equal(g[i], gi) and info.support_dim[i] == info_i.support_dim
+        assert np.array_equal(r[i], matcore.ratio(a[i], a[i] + b[i]))
+        assert np.array_equal(matcore.sqrt_psd(a)[i], matcore.sqrt_psd(a[i]))
+        assert matcore.hs_norm(a)[i] == matcore.hs_norm(a[i])
+
+
 def test_hermitian_part_and_conj():
     x = np.array([[1.0 + 1j, 2.0], [0.0, -1j]])
     h = matcore.hermitian_part(x)

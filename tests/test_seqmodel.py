@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from quasifree import car, ccr, seqmodel
-from quasifree.errors import ConsistencyViolation
+from quasifree import car, ccr, sampling, seqmodel
+from quasifree.errors import ConsistencyViolation, SizeCapError
 
 
 def flat_pair(delta=0.008):
@@ -58,6 +58,134 @@ def test_concat_families_kind_guard():
         )
 
 
+# ------------------------------------------------------- per-mode table
+
+
+def pair_api_terms(family, n):
+    """Per-mode (qe^2, -log tp) through the pair API, one mode at a time."""
+    qe_sq, neg_log_tp = [], []
+    for k in range(1, n + 1):
+        s, t = family.pair_at(k)
+        if family.kind == seqmodel.CAR:
+            dist, tp = car.qe_distance_car(s, t), car.trans_prob_car(s, t)
+        else:
+            equiv, dist = ccr.qe_distance_ccr(s, t)
+            assert equiv or math.isinf(dist)
+            tp = ccr.trans_prob_ccr(s, t)
+        qe_sq.append(dist**2)
+        neg_log_tp.append(math.inf if tp <= seqmodel.TP_FLOOR else -math.log(tp))
+    return qe_sq, neg_log_tp
+
+
+def assert_table_matches_pair_api(family, n):
+    table = seqmodel._term_table(family, n)
+    for got, want in zip(table, pair_api_terms(family, n)):
+        assert np.array_equal(got, np.array(want))
+
+
+def bare_car_family():
+    """A family with only a rule: the table stacks it from pair_at."""
+    def rule(k):
+        return car.mu_covariance(0.3), car.mu_covariance(0.3 + 0.1 / k)
+
+    return seqmodel.ModeFamily(seqmodel.CAR, "bare", rule)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of 7 modes, so that short tables cross block boundaries."""
+    monkeypatch.setattr(seqmodel, "BLOCK_MODES", 7)
+
+
+@pytest.mark.parametrize("family", [
+    seqmodel.car_power_family(2.0),
+    seqmodel.car_power_family(1.0),
+    seqmodel.ccr_thermal_power_family(2.0),
+    seqmodel.ccr_thermal_power_family(0.5),
+    seqmodel.car_counterexample(),
+    seqmodel.car_mu_sequence(lambda k: 0.2, lambda k: 0.2 + 0.1 * k**-1.5, label="user-mu"),
+    seqmodel.ccr_thermal_sequence(lambda k: 1.0 + 2.0 / k, lambda k: 2.0, label="user-width"),
+    bare_car_family(),
+], ids=lambda f: f.label)
+def test_table_bit_identical_to_pair_api(family, small_blocks):
+    assert_table_matches_pair_api(family, 40)
+
+
+def test_table_crosses_default_blocks():
+    fam = seqmodel.car_power_family(1.5)
+    assert_table_matches_pair_api(fam, seqmodel.BLOCK_MODES + 9)
+
+
+def test_table_literal_mixed_dimensions(rng, small_blocks):
+    pairs = [sampling.random_car_pair(rng, 2 * (1 + i % 3)) for i in range(9)]
+    fam = seqmodel.literal_family(seqmodel.CAR, pairs, tail=pairs[1])
+    groups = fam.stack(1, 12)
+    assert sorted(s.dim for _, s, _ in groups) == [2, 4, 6]
+    assert sorted(np.concatenate([m for m, _, _ in groups]).tolist()) == list(range(1, 13))
+    assert_table_matches_pair_api(fam, 16)
+
+
+def test_table_concat_stacked_then_fallback(small_blocks):
+    fam = seqmodel.concat_families(seqmodel.car_power_family(2.0), 10, bare_car_family())
+    assert_table_matches_pair_api(fam, 25)
+
+
+def test_table_ccr_literal_mixed_supports(small_blocks):
+    """Vacuum, thermal and degenerate-sigma pairs, one with a central witness.
+
+    Supports of rank 0 to 3 run the rank-grouped paths, the 3-mode pair runs
+    the witness branch, and the support-gap pair fails metric equivalence.
+    """
+    z = np.zeros((2, 2))
+    sigma3 = np.zeros((3, 3))
+    sigma3[0, 1], sigma3[1, 0] = 1.0, -1.0
+    pairs = [
+        (ccr.thermal_covariance(1.0), ccr.thermal_covariance(2.0)),
+        (ccr.thermal_covariance(1.5), ccr.thermal_covariance(3.0)),
+        (ccr.thermal_covariance(1.0), ccr.thermal_covariance(1.0)),
+        (ccr.validate_ccr(z, np.diag([1.0, 0.5])), ccr.validate_ccr(z, np.diag([0.5, 2.0]))),
+        (ccr.validate_ccr(z, np.diag([1.0, 0.0])), ccr.validate_ccr(z, np.diag([2.0, 0.0]))),
+        (ccr.validate_ccr(z, np.diag([1.0, 0.0])), ccr.validate_ccr(z, np.diag([1.0, 1.0]))),
+        (ccr.validate_ccr(z, z), ccr.validate_ccr(z, z)),
+        (ccr.validate_ccr(sigma3, np.diag([1.0, 1.0, 0.0])),
+         ccr.validate_ccr(sigma3, np.diag([1.0, 1.0, 1.0]))),
+    ]
+    fam = seqmodel.literal_family(seqmodel.CCR, pairs * 2, label="ccr-mixed")
+    qe_sq, neg_log_tp = seqmodel._term_table(fam, 18)
+    assert math.isinf(qe_sq[5]) and math.isinf(neg_log_tp[7])  # support gap, central witness
+    assert_table_matches_pair_api(fam, 18)
+
+
+def test_table_does_not_call_pair_at(monkeypatch, rng):
+    families = [
+        seqmodel.car_power_family(2.0),
+        seqmodel.ccr_thermal_power_family(2.0),
+        seqmodel.car_counterexample(),
+        seqmodel.car_mu_sequence(lambda k: 0.1, lambda k: 0.1 + 0.3 / k),
+        seqmodel.literal_family(seqmodel.CAR, [sampling.random_car_pair(rng, 4)]),
+    ]
+
+    def fail(self, k):
+        raise AssertionError("pair_at called")
+
+    monkeypatch.setattr(seqmodel.ModeFamily, "pair_at", fail)
+    for fam in families:
+        seqmodel.classify_sequence(fam, n_max=seqmodel.MIN_N_MAX)
+
+
+def test_n_max_cap():
+    fam = seqmodel.car_power_family(2.0)
+    with pytest.raises(SizeCapError, match="cap"):
+        seqmodel.classify_sequence(fam, n_max=seqmodel.N_MAX_CAP + 1)
+    with pytest.raises(SizeCapError):
+        seqmodel.partial_qe_sum(fam, seqmodel.N_MAX_CAP + 1)
+
+
+def test_stack_range_guard():
+    with pytest.raises(ValueError, match="lo"):
+        seqmodel.car_power_family(2.0).stack(3, 2)
+
+
 # ------------------------------------------------------------- partial sums
 
 
@@ -91,8 +219,10 @@ def test_block_additivity_within_rounding():
     f2 = seqmodel.car_power_family(1.0)
     cat = seqmodel.concat_families(f1, 10, f2)
     # per-mode terms of the concatenation are bit-identical to the pieces'
-    assert seqmodel._mode_qe_sq(cat, 7) == seqmodel._mode_qe_sq(f1, 7)
-    assert seqmodel._mode_qe_sq(cat, 12) == seqmodel._mode_qe_sq(f2, 2)
+    cat_terms = seqmodel._term_table(cat, 25)
+    for got, head, tail in zip(cat_terms, seqmodel._term_table(f1, 10),
+                               seqmodel._term_table(f2, 15)):
+        assert np.array_equal(got, np.concatenate([head, tail]))
     lhs = seqmodel.partial_qe_sum(cat, 25)
     rhs = seqmodel.partial_qe_sum(f1, 10) + seqmodel.partial_qe_sum(f2, 15)
     assert abs(lhs - rhs) <= 2.0 * math.ulp(max(lhs, rhs))
