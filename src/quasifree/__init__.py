@@ -47,7 +47,6 @@ from .ccr import (  # noqa: E402
     canonical_sigma,
     char_value,
     classify_ccr,
-    condition3_distance,
     is_standard_ccr,
     qe_distance_ccr,
     thermal_covariance,
@@ -102,7 +101,6 @@ __all__ = [
     "char_value",
     "classify_ccr",
     "classify_sequence",
-    "condition3_distance",
     "covariance_of_density",
     "density_from_covariance",
     "fidelity_tr",

@@ -4,11 +4,18 @@ A state is represented by its covariance operator on the complexification: a
 Hermitian matrix S with 0 <= S <= I and S + conj(S) = I, where conj is
 entrywise conjugation (the extension of the real structure). Moments of the
 state are signed pairing sums (Pfaffians) of two-point values x^T S y.
+
+The relation forces S = I/2 + iA with A = Im S real antisymmetric. Each
+covariance is factorised once, by one real ``eigh`` of A^T A = -A^2 kept on
+the frozen :class:`CarCovariance`; sqrt(S) = G + iY and sqrt(I-S) = G - iY with
+G, Y real functions of it, so the overlap matrix M = 2(G_S G_T - Y_S Y_T) is
+real and one real SVD of it gives both the transition probability and the meet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,8 +45,8 @@ VALIDATION_TOL = 1e-10
 SINGULAR_TOL = 1e-10
 
 # spectrum within this distance of the endpoints {0, 1} is treated as exactly
-# degenerate when taking square roots (see _sqrt_both); two orders above the
-# worst-case eigensolver noise for the dimensions this package targets
+# degenerate when taking square roots (see CarCovariance.roots); two orders
+# above the worst-case eigensolver noise for the dimensions this package targets
 DEGENERACY_SNAP = 1e-12
 
 
@@ -48,6 +55,8 @@ class CarCovariance:
     """Validated fermionic covariance: Hermitian, 0 <= S <= I, S + conj(S) = I.
 
     ``matrix`` is one d x d covariance or a stack of them, shape (..., d, d).
+    The factorisation is computed once: by :func:`validate_car`, or on first
+    use for an instance built directly.
     """
 
     matrix: np.ndarray
@@ -56,13 +65,39 @@ class CarCovariance:
     def dim(self) -> int:
         return self.matrix.shape[-1]
 
+    @cached_property
+    def spectrum(self):
+        """``(x, v)``: real ``eigh`` of A^T A = -A^2, A = Im S; S has eigenvalues 1/2 +- sqrt(x)."""
+        a = self.matrix.imag
+        return np.linalg.eigh(a.swapaxes(-1, -2) @ a)
+
+    @cached_property
+    def roots(self):
+        """Real ``(G, Y)`` with sqrt(S) = G + iY and sqrt(I - S) = G - iY.
+
+        For eigenvalues lam = 1/2 +- r of S (r = sqrt x), G = (sqrt lam+ + sqrt lam-)/2
+        and Y = A h with the cancellation-free h = 1/(sqrt lam+ + sqrt lam-).
+        A lam- within DEGENERACY_SNAP of 0 is snapped to {0, 1} (with h = 1/(2r)):
+        the square root would amplify its ~dim*eps noise to ~1e-8 and drown the
+        singular-value cut that detects exactly-singular overlaps.
+        """
+        x, v = self.spectrum
+        r = np.sqrt(np.clip(x, 0.0, 0.25))
+        snap = 0.5 - r <= DEGENERACY_SNAP
+        total = np.where(snap, 1.0, np.sqrt(0.5 + r) + np.sqrt(np.maximum(0.5 - r, 0.0)))
+        h = np.where(snap, 0.5 / np.maximum(r, 0.25), 1.0 / total)  # r > 1/4 where snapped
+        vt = v.swapaxes(-1, -2)
+        g = (v * (0.5 * total)[..., None, :]) @ vt
+        return g, self.matrix.imag @ ((v * h[..., None, :]) @ vt)
+
 
 def validate_car(s, tol: float = VALIDATION_TOL) -> CarCovariance:
     """Check and normalize a candidate covariance matrix, or a stack of them.
 
     Symmetrizes within tolerance and enforces S + conj(S) = I exactly on the
     stored matrix; raises :class:`CovarianceError` with the violation
-    magnitude otherwise.
+    magnitude otherwise. Positivity is read from the real factorisation that
+    the returned covariance keeps: the smallest eigenvalue is 1/2 - sqrt(max x).
     """
     s = np.asarray(s, dtype=complex)
     if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
@@ -83,13 +118,13 @@ def validate_car(s, tol: float = VALIDATION_TOL) -> CarCovariance:
     # enforce the relation exactly: S + conj(S) = I means Re(S) = I/2, and
     # rebuilding from the imaginary part alone cancels without rounding
     s = 0.5 * np.eye(d) + 1j * np.imag(s)
+    s.setflags(write=False)
+    cov = CarCovariance(s)
 
-    w = np.linalg.eigvalsh(s)[..., :1]
+    w = 0.5 - np.sqrt(np.maximum(cov.spectrum[0][..., -1:], 0.0))
     raise_first(w < -tol * scale[..., None], w,
                 lambda v: CovarianceError(f"not PSD: eigenvalue {v:.6e}"))
-
-    s.setflags(write=False)
-    return CarCovariance(s)
+    return cov
 
 
 def mu_covariance(mu) -> CarCovariance:
@@ -105,20 +140,14 @@ def mu_covariance(mu) -> CarCovariance:
     return validate_car(m)
 
 
-def _as_matrix(s) -> np.ndarray:
-    if isinstance(s, CarCovariance):
-        return s.matrix
-    return hermitian_part(np.asarray(s, dtype=complex))
-
-
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise CovarianceError(f"dimension mismatch: {a.shape} vs {b.shape}")
+def _as_covariance(s) -> CarCovariance:
+    """A covariance as given, or a raw array through :func:`validate_car`."""
+    return s if isinstance(s, CarCovariance) else validate_car(s)
 
 
 def two_point(s, x, y) -> complex:
     """Second moment of the state at a pair of (complexified) vectors: x^T S y."""
-    m = _as_matrix(s)
+    m = _as_covariance(s).matrix
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if x.shape != (m.shape[0],) or y.shape != (m.shape[0],):
@@ -134,7 +163,7 @@ def wick_moment(s, vectors) -> complex:
     Odd-length products vanish; the empty product is 1. Equal to the signed
     sum over pair partitions of products of two-point values.
     """
-    m = _as_matrix(s)
+    m = _as_covariance(s).matrix
     vs = [np.asarray(v, dtype=complex) for v in vectors]
     for v in vs:
         if v.shape != (m.shape[0],):
@@ -153,42 +182,37 @@ def wick_moment(s, vectors) -> complex:
     return matcore.pfaffian(skew)
 
 
-def _sqrt_both(m: np.ndarray):
-    """sqrt(S) and sqrt(I - S) from one eigendecomposition, spectrum clipped to [0, 1].
+def _pair_roots(s, t):
+    """Real square-root parts ``((G_S, Y_S), (G_T, Y_T))`` of a same-shape pair."""
+    cs, ct = _as_covariance(s), _as_covariance(t)
+    if cs.matrix.shape != ct.matrix.shape:
+        raise CovarianceError(f"dimension mismatch: {cs.matrix.shape} vs {ct.matrix.shape}")
+    return cs.roots, ct.roots
 
-    Eigenvalues within DEGENERACY_SNAP of 0 or 1 are snapped exactly onto the
-    endpoint: eigenvalue noise sits at ~dim*eps, but the square root amplifies
-    a noisy near-zero eigenvalue to ~1e-8, which would drown the singular-value
-    cut that detects exactly-singular overlaps.  Snapping keeps kernel
-    directions exact while leaving every resolvable eigenvalue untouched.
-    """
-    w, v = eig_h(m)
-    w = np.clip(w, 0.0, 1.0)
-    w[w <= DEGENERACY_SNAP] = 0.0
-    w[w >= 1.0 - DEGENERACY_SNAP] = 1.0
-    vh = dagger(v)
-    return (v * np.sqrt(w)[..., None, :]) @ vh, (v * np.sqrt(1.0 - w)[..., None, :]) @ vh
+
+def _overlap_singular_values(s, t) -> np.ndarray:
+    """Singular values (descending) of the real overlap matrix 2(G_S G_T - Y_S Y_T)."""
+    (gs, ys), (gt, yt) = _pair_roots(s, t)
+    return np.linalg.svd(2.0 * (gs @ gt - ys @ yt), compute_uv=False)
+
+
+def _zero_count(sv: np.ndarray, singular_tol: float):
+    """How many singular values (descending) are exact zeros: <= singular_tol * max(1, largest)."""
+    return np.count_nonzero(sv <= singular_tol * np.maximum(1.0, sv[..., :1]), axis=-1)
 
 
 def trans_prob_car(s, t, singular_tol: float = SINGULAR_TOL):
     """Transition probability between the quasi-free states of two covariances.
 
     Computed as |det M|^(1/2) with M = sqrt(S) sqrt(T) + sqrt(I-S) sqrt(I-T),
-    via singular values; a singular value below ``singular_tol`` (relative)
-    collapses the result to exactly 0. Always in [0, 1], 1 iff S = T.
-    Stacked covariances give one value per pair.
+    a real matrix (see the module docstring), via singular values; a singular
+    value below ``singular_tol`` (relative) collapses the result to exactly 0.
+    Always in [0, 1], 1 iff S = T. Stacked covariances give one value per pair.
     """
-    ms, mt = _as_matrix(s), _as_matrix(t)
-    _check_same_dim(ms, mt)
-    rs, cs = _sqrt_both(ms)
-    rt, ct = _sqrt_both(mt)
-    sv = np.linalg.svd(rs @ rt + cs @ ct, compute_uv=False)
-    if sv.shape[-1] == 0:
-        return scalar(np.ones(sv.shape[:-1]))
-    zero = sv[..., -1] <= singular_tol * np.maximum(1.0, sv[..., 0])
+    sv = _overlap_singular_values(s, t)
     with np.errstate(divide="ignore"):
         val = np.exp(0.5 * np.sum(np.log(sv), axis=-1))
-    return scalar(np.where(zero, 0.0, np.minimum(val, 1.0)))
+    return scalar(np.where(_zero_count(sv, singular_tol) > 0, 0.0, np.minimum(val, 1.0)))
 
 
 def qe_distance_car(s, t):
@@ -196,29 +220,27 @@ def qe_distance_car(s, t):
 
     Finite-dimensional stand-in for the quasi-equivalence criterion: two
     sequences of states are quasi-equivalent iff these distances are square
-    summable mode by mode. Stacked covariances give one distance per pair.
+    summable mode by mode. Read from the real parts as
+    sqrt(||G_S - G_T||^2 + ||Y_S - Y_T||^2). Stacked covariances give one
+    distance per pair.
     """
-    ms, mt = _as_matrix(s), _as_matrix(t)
-    _check_same_dim(ms, mt)
-    return hs_norm(_sqrt_both(ms)[0] - _sqrt_both(mt)[0])
+    (gs, ys), (gt, yt) = _pair_roots(s, t)
+    return hs_norm(np.concatenate([gs - gt, ys - yt], axis=-1))
 
 
 def quadrature(s) -> np.ndarray:
     """Doubling of a covariance to a projection on the doubled space.
 
-    Returns the 2d x 2d block matrix [[S, C], [C, I-S]] with
-    C = sqrt(S(I-S)), which is idempotent and is again a valid covariance for
-    the doubled conjugation (:func:`doubled_conjugate`). Taking quadratures
-    squares transition probabilities (see
-    :func:`quadrature_identity_check`).
+    Returns the 2d x 2d block matrix [[S, C], [C, I-S]] with the real
+    C = sqrt(S(I-S)) = sqrt(I/4 - A^T A), which is idempotent and is again a
+    valid covariance for the doubled conjugation (:func:`doubled_conjugate`).
+    Taking quadratures squares transition probabilities.
     """
-    m = _as_matrix(s)
-    d = m.shape[0]
-    w, v = eig_h(m)
-    w = np.clip(w, 0.0, 1.0)
-    c = (v * np.sqrt(w * (1.0 - w))) @ v.conj().T
-    c = hermitian_part(c)
-    return np.block([[m, c], [c, np.eye(d) - m]])
+    cov = _as_covariance(s)
+    x, v = cov.spectrum
+    c = hermitian_part((v * np.sqrt(np.clip(0.25 - x, 0.0, None))[..., None, :])
+                       @ v.swapaxes(-1, -2))
+    return np.block([[cov.matrix, c], [c, np.eye(cov.dim) - cov.matrix]])
 
 
 def doubled_conjugate(x: np.ndarray) -> np.ndarray:
@@ -255,20 +277,29 @@ def validate_doubled_covariance(p: np.ndarray, tol: float = 1e-8) -> None:
 
 
 def quadrature_identity_check(s, t):
-    """(transition probability of the quadratures, squared transition probability)."""
-    p, q = quadrature(s), quadrature(t)
+    """(transition probability of the quadratures, squared transition probability).
+
+    U = diag(I, iI) turns the doubled conjugation into the standard one, so
+    U P U* is a covariance for :func:`validate_car`; the overlap matrix
+    becomes U M U*, with the same transition probability.
+    """
+    s, t = _as_covariance(s), _as_covariance(t)
+    u = np.repeat([1.0, 1.0j], s.dim)
+    p, q = (u[:, None] * quadrature(c) * u.conj() for c in (s, t))
     return trans_prob_car(p, q), trans_prob_car(s, t) ** 2
 
 
-def meet_criterion(s, t, tol: float = 1e-8) -> int:
-    """Rank of quadrature(S) ∧ (I - quadrature(T)).
+def meet_criterion(s, t, singular_tol: float = SINGULAR_TOL):
+    """Rank of quadrature(S) ∧ (I - quadrature(T)), from the overlap matrix.
 
-    For quasi-equivalent states this is nonzero exactly when the transition
-    probability vanishes.
+    V_S = [sqrt S; sqrt(I-S)] is an isometry with V_S V_S* = quadrature(S)
+    and V_T* V_S = M*, so ran quadrature(S) ∩ ker quadrature(T) is V_S ker M*:
+    the rank is the number of zero singular values of M, counted with the
+    zero rule of :func:`trans_prob_car`. Hence the rank is at least 1 exactly
+    when the transition probability is 0. Stacked covariances give one rank
+    per pair.
     """
-    p, q = quadrature(s), quadrature(t)
-    meet = matcore.projection_meet(p, np.eye(q.shape[0]) - q, tol)
-    return int(round(float(np.trace(meet).real)))
+    return scalar(_zero_count(_overlap_singular_values(s, t), singular_tol))
 
 
 def hamiltonian_of(s, tol: float = 1e-10) -> np.ndarray:
@@ -277,7 +308,7 @@ def hamiltonian_of(s, tol: float = 1e-10) -> np.ndarray:
     Only defined for non-degenerate covariances (spectrum in the open unit
     interval); satisfies conj(H) = -H.
     """
-    m = _as_matrix(s)
+    m = _as_covariance(s).matrix
     w, v = eig_h(m)
     if w.size == 0:
         return np.zeros_like(m)
@@ -290,6 +321,5 @@ def hamiltonian_of(s, tol: float = 1e-10) -> np.ndarray:
 
 def is_standard_car(s, tol: float = 1e-10) -> bool:
     """Whether the covariance has trivial kernel (cyclic vector is separating)."""
-    m = _as_matrix(s)
-    w = np.linalg.eigvalsh(m)
-    return bool(w.size == 0 or w[0] > tol)
+    x = _as_covariance(s).spectrum[0]
+    return bool(x.size == 0 or 0.5 - np.sqrt(max(x[-1], 0.0)) > tol)

@@ -8,12 +8,17 @@ nontrivial center and states can become disjoint through central elements.
 The transition probability between two such states is a determinant of
 support-restricted operator means; classification into quasi-equivalent vs
 disjoint reads off whether it vanishes.
+
+:func:`ab_form` and R are real symmetric, so the pair path past them runs real
+``eigh`` only. The form and the ``eigh`` of the metric 2R are computed once
+per frozen :class:`CcrCovariance` and cached on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +40,6 @@ __all__ = [
     "canonical_sigma",
     "char_value",
     "classify_ccr",
-    "condition3_distance",
     "is_standard_ccr",
     "qe_distance_ccr",
     "thermal_covariance",
@@ -79,6 +83,18 @@ class CcrCovariance:
     @property
     def conj_s_matrix(self) -> np.ndarray:
         return self.r - 0.5j * self.sigma
+
+    @cached_property
+    def metric_spectrum(self):
+        """``(w, v)``: real ``eigh`` of the metric form 2R = S + conj S, computed once."""
+        return eig_h(2.0 * self.r)
+
+    @cached_property
+    def _ab(self) -> np.ndarray:
+        gm = matcore.geometric_mean(self.s_matrix, self.conj_s_matrix)
+        a = hermitian_part(self.r + gm.real)
+        a.setflags(write=False)
+        return a
 
 
 def _as_real(m, name: str) -> np.ndarray:
@@ -153,10 +169,11 @@ def ab_form(cov: CcrCovariance) -> np.ndarray:
     """The symmetrized form A with 2A = S + 2*gm(S, conj S) + conj S.
 
     Equals R plus the operator geometric mean of S and its conjugate; real
-    symmetric PSD, and sandwiched between (S + conj S)/2 and S + conj S.
+    symmetric PSD, and sandwiched between (S + conj S)/2 and S + conj S;
+    returned as a real array (the mean of two conjugates is real) and cached
+    on the covariance, read-only.
     """
-    s = cov.s_matrix
-    return hermitian_part(cov.r + matcore.geometric_mean(s, cov.conj_s_matrix))
+    return cov._ab
 
 
 @dataclass(frozen=True)
@@ -295,14 +312,17 @@ def qe_distance_ccr(
     d, lead = cov_s.dim, cov_s.r.shape[:-2]
     gs = 2.0 * cov_s.r.reshape(-1, d, d)
     gt = 2.0 * cov_t.r.reshape(-1, d, d)
+    (ws, vs), (wt, vt) = ((w.reshape(-1, d), v.reshape(-1, d, d))
+                          for w, v in (cov_s.metric_spectrum, cov_t.metric_spectrum))
 
-    ps = matcore.support_projection(gs, support_tol)
-    pt = matcore.support_projection(gt, support_tol)
+    ps, pt = (matcore.support_projection(g, support_tol, eig=(w, v))
+              for g, w, v in ((gs, ws, vs), (gt, wt, vt)))
     equiv = ~(hs_norm(ps - pt) > 1e-6)
     sel = np.flatnonzero(equiv)
     if sel.size:
         rank = np.rint(np.trace(ps[sel], axis1=-2, axis2=-1).real).astype(int)
-        ratio_st, unsupported, _ = matcore.ratio_violations(gs[sel], gt[sel])
+        ratio_st, unsupported, _ = matcore.ratio_violations(
+            gs[sel], gt[sel], eig=(wt[sel], vt[sel]))
         wr = np.linalg.eigvalsh(ratio_st)
         lo = np.take_along_axis(wr, np.clip(d - rank, 0, d - 1)[:, None], -1)[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -313,31 +333,11 @@ def qe_distance_ccr(
 
     dist = np.full(equiv.shape, math.inf)
     if sel.size:
-        xs = sqrt_psd(matcore.ratio(cov_s.s_matrix.reshape(-1, d, d)[sel], gs[sel]))
-        xt = sqrt_psd(matcore.ratio(cov_t.s_matrix.reshape(-1, d, d)[sel], gt[sel]))
+        xs, xt = (sqrt_psd(matcore.ratio(c.s_matrix.reshape(-1, d, d)[sel], g[sel],
+                                         eig=(w[sel], v[sel])))
+                  for c, g, w, v in ((cov_s, gs, ws, vs), (cov_t, gt, wt, vt)))
         dist[sel] = hs_norm(xs - xt)
     return scalar(equiv.reshape(lead)), scalar(dist.reshape(lead))
-
-
-def condition3_distance(cov_s: CcrCovariance, cov_t: CcrCovariance) -> float:
-    """HS distance of the ratio roots of X = (sqrt S + sqrt conj S)^2.
-
-    Diagnostic companion to :func:`qe_distance_ccr` (same finiteness class on
-    sequences); classification never branches on it.
-    """
-    _check_same_space(cov_s, cov_t)
-
-    def x_form(cov: CcrCovariance) -> np.ndarray:
-        root = sqrt_psd(cov.s_matrix)
-        m = root + np.conj(root)
-        return hermitian_part(m @ m)
-
-    x = x_form(cov_s)
-    y = x_form(cov_t)
-    g = hermitian_part(x + y)
-    rx = matcore.ratio(x, g)
-    ry = matcore.ratio(y, g)
-    return hs_norm(sqrt_psd(rx) - sqrt_psd(ry))
 
 
 def is_standard_ccr(cov: CcrCovariance, tol: float = 1e-10) -> bool:
@@ -346,7 +346,7 @@ def is_standard_ccr(cov: CcrCovariance, tol: float = 1e-10) -> bool:
     Fails for states with a pure factor (e.g. the vacuum), holds for fully
     thermal states; on a trivial metric support it holds vacuously.
     """
-    w, v = eig_h(2.0 * cov.r)
+    w, v = cov.metric_spectrum
     standard = np.ones(w.shape[:-1], dtype=bool)
     for sel, wk, basis, _ in support_groups(w, v, matcore.abs_support(w, 1e-10)):
         if basis.shape[-1]:

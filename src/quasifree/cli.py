@@ -19,13 +19,7 @@ import time
 import numpy as np
 
 from . import __version__, car, car_oracle, ccr, ccr_oracle, matcore, seqmodel
-from .errors import (
-    CovarianceError,
-    InconclusiveError,
-    NotPositiveError,
-    SizeCapError,
-    SupportError,
-)
+from .errors import CovarianceError, InconclusiveError, SizeCapError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -45,13 +39,9 @@ def _log(msg: str) -> None:
 
 
 def _parse_entry(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)):
+    if _is_number(entry):
         return complex(entry)
-    if (
-        isinstance(entry, list)
-        and len(entry) == 2
-        and all(isinstance(x, (int, float)) for x in entry)
-    ):
+    if isinstance(entry, list) and len(entry) == 2 and all(_is_number(x) for x in entry):
         return complex(entry[0], entry[1])
     raise ScenarioError(f"{where}: matrix entries must be numbers or [re, im] pairs")
 
@@ -111,7 +101,9 @@ def _ccr_pair(scenario) -> tuple:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A JSON number a float can hold: not a boolean, not an out-of-range integer."""
+    return isinstance(x, float) or (
+        isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max)
 
 
 def _exponent(fam: dict) -> float:
@@ -204,24 +196,12 @@ def _require_kind(scenario, allowed, command: str) -> None:
 
 def _cmd_validate(scenario, opts):
     results = {}
-    if scenario["kind"] == "car-pair":
-        s, t = _car_pair(scenario)
-        for name, cov in (("S", s), ("T", t)):
-            w = np.linalg.eigvalsh(cov.matrix)
-            results[name] = {
-                "dim": cov.dim,
-                "min_eigenvalue": float(w[0]),
-                "max_eigenvalue": float(w[-1]),
-            }
-    elif scenario["kind"] == "ccr-pair":
-        s, t = _ccr_pair(scenario)
-        for name, cov in (("S", s), ("T", t)):
-            w = np.linalg.eigvalsh(cov.s_matrix)
-            results[name] = {
-                "dim": cov.dim,
-                "min_eigenvalue": float(w[0]),
-                "max_eigenvalue": float(w[-1]),
-            }
+    if scenario["kind"] in _PAIR_KINDS:
+        is_car = scenario["kind"] == "car-pair"
+        for name, cov in zip("ST", (_car_pair if is_car else _ccr_pair)(scenario)):
+            w = np.linalg.eigvalsh(cov.matrix if is_car else cov.s_matrix)
+            results[name] = {"dim": cov.dim, "min_eigenvalue": float(w[0]),
+                             "max_eigenvalue": float(w[-1])}
     else:
         fam = _family(scenario)
         fam.stack(1, 8)  # the family's covariances validate as they are built
@@ -232,18 +212,11 @@ def _cmd_validate(scenario, opts):
 
 def _cmd_trans_prob(scenario, opts):
     _require_kind(scenario, _PAIR_KINDS, "trans-prob")
-    if scenario["kind"] == "car-pair":
-        s, t = _car_pair(scenario)
-        tp = car.trans_prob_car(s, t)
-        results = {
-            "transition_probability": tp,
-            "abs_det_overlap_matrix": tp**2,
-        }
-    else:
-        s, t = _ccr_pair(scenario)
-        tp = ccr.trans_prob_ccr(s, t)
-        results = {"transition_probability": tp, "det_factor": tp**2}
-    return results, EXIT_OK
+    is_car = scenario["kind"] == "car-pair"
+    s, t = (_car_pair if is_car else _ccr_pair)(scenario)
+    tp = (car.trans_prob_car if is_car else ccr.trans_prob_ccr)(s, t)
+    return {"transition_probability": tp,
+            "abs_det_overlap_matrix" if is_car else "det_factor": tp**2}, EXIT_OK
 
 
 def _cmd_classify(scenario, opts):
@@ -357,8 +330,14 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        """Usage errors become validation errors with a JSON report, not a bare exit."""
+        raise ScenarioError(f"usage: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="qf",
         description="Quasi-free state calculus: transition probabilities, "
         "quasi-equivalence classification, and oracle cross-checks.",
@@ -371,12 +350,17 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="max truncated-Fock cutoff (default 80)")
     parser.add_argument("--n-max", type=int, default=None,
                         help="sequence scan length (default 4096)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed echoed into the report (reserved)")
     return parser
 
 
-_DEFAULT_OPTS = {"tol": 1e-8, "cutoff": 80, "n_max": 4096, "seed": None}
+# exception -> (exit code, log prefix), first match wins: SizeCapError and the
+# validation errors (ScenarioError, CovarianceError, ...) all subclass ValueError
+_FAILURES = (
+    (InconclusiveError, EXIT_INCONCLUSIVE, "inconclusive"),
+    (SizeCapError, EXIT_RESOURCE, "resource cap"),
+    (ValueError, EXIT_VALIDATION, "validation error"),
+)
+_DEFAULT_OPTS = {"tol": 1e-8, "cutoff": 80, "n_max": 4096}
 _NUMERIC_OPTS = {"tol": float, "cutoff": int, "n_max": int}
 
 
@@ -390,11 +374,8 @@ def _numeric_option(key: str, value, kind):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handler, needs_scenario = _COMMANDS[args.command]
-
     started = time.monotonic()
-    report = {"command": args.command, "tool_version": __version__}
+    report = {"command": None, "tool_version": __version__}
 
     def emit(code: int) -> int:
         report["timing_seconds"] = round(time.monotonic() - started, 6)
@@ -403,6 +384,9 @@ def main(argv=None) -> int:
 
     scenario = None
     try:
+        args = _build_parser().parse_args(argv)
+        report["command"] = args.command
+        handler, needs_scenario = _COMMANDS[args.command]
         opts = dict(_DEFAULT_OPTS)
         if needs_scenario:
             if not args.scenario:
@@ -423,22 +407,12 @@ def main(argv=None) -> int:
             opts[key] = _numeric_option(key, opts[key], kind)
 
         results, code = handler(scenario, opts)
-    except InconclusiveError as exc:
-        _log(f"inconclusive: {exc}")
+    except (InconclusiveError, ValueError) as exc:
+        code, what = next((c, w) for cls, c, w in _FAILURES if isinstance(exc, cls))
+        _log(f"{what}: {exc}")
         report["error"] = str(exc)
-        report["exit_code"] = EXIT_INCONCLUSIVE
-        return emit(EXIT_INCONCLUSIVE)
-    except SizeCapError as exc:
-        _log(f"resource cap: {exc}")
-        report["error"] = str(exc)
-        report["exit_code"] = EXIT_RESOURCE
-        return emit(EXIT_RESOURCE)
-    # SizeCapError subclasses ValueError, so this clause must come last
-    except (ScenarioError, CovarianceError, NotPositiveError, SupportError, ValueError) as exc:
-        _log(f"validation error: {exc}")
-        report["error"] = str(exc)
-        report["exit_code"] = EXIT_VALIDATION
-        return emit(EXIT_VALIDATION)
+        report["exit_code"] = code
+        return emit(code)
 
     report["results"] = results
     report["exit_code"] = code

@@ -1,8 +1,9 @@
 """Dense matrix calculus: Hermitian eigenroutines, Pfaffians, operator means.
 
-Everything operates on plain complex numpy arrays. Inputs are explicitly
-symmetrized (Hermitian ops) or antisymmetrized (skew ops) before use, all
-spectral computations go through ``numpy.linalg.eigh``, and eigenvalues below
+Everything operates on plain numpy arrays; real input stays real (and its
+spectra come from real ``eigh``), anything else is complex. Inputs are
+explicitly symmetrized (Hermitian ops) or antisymmetrized (skew ops) before
+use, all spectral computations go through ``numpy.linalg.eigh``, and eigenvalues below
 a relative clamp threshold are treated as structural zeros. Results are
 deterministic for identical input bits.
 
@@ -23,7 +24,6 @@ __all__ = [
     "PSD_CLAMP_TOL",
     "SUPPORT_TOL",
     "GeometricMeanInfo",
-    "conj_matrix",
     "eig_h",
     "geometric_mean",
     "hermitian_part",
@@ -46,18 +46,15 @@ SUPPORT_TOL = 1e-10
 _PAIRING_DIM_CAP = 12
 
 
-def conj_matrix(x: np.ndarray) -> np.ndarray:
-    """Entrywise complex conjugate (the conjugation V^C -> V^C fixing V)."""
-    return np.conj(np.asarray(x))
-
-
 def dagger(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return x.swapaxes(-1, -2).conj()
 
 
 def hermitian_part(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
+    """(x + x^*)/2; real (float64) input stays real, anything else becomes complex."""
+    x = np.asarray(x)
+    x = x.astype(float if x.dtype.kind in "biuf" else complex, copy=False)
     return 0.5 * (x + dagger(x))
 
 
@@ -124,9 +121,9 @@ def abs_support(w: np.ndarray, tol: float) -> np.ndarray:
     return (np.abs(w) > tol * scale) & (scale > 0.0)
 
 
-def support_projection(h: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
-    """Orthogonal projection onto the span of eigenvectors with |eigenvalue| above tol*||h||."""
-    w, v = eig_h(h)
+def support_projection(h: np.ndarray, tol: float = SUPPORT_TOL, eig=None) -> np.ndarray:
+    """Projection on eigenvectors with |eigenvalue| > tol*||h||; ``eig``: ``eig_h(h)`` if known."""
+    w, v = eig_h(h) if eig is None else eig
     return (v * abs_support(w, tol)[..., None, :]) @ dagger(v)
 
 
@@ -259,7 +256,7 @@ def geometric_mean(
     # common support = eigenvalue-2 space of the sum of the two support projections
     ww, vv = np.linalg.eigh(proj[0] + proj[1])
     common = ww >= 2.0 - 1e-8
-    g = np.zeros_like(a)
+    g = np.zeros(a.shape, np.result_type(a, b))
     for sel, _, basis, _ in support_groups(ww, vv, common):
         if basis.shape[-1]:
             wa, va = np.linalg.eigh(sandwich(basis, a[sel]))
@@ -275,28 +272,29 @@ def geometric_mean(
     return g
 
 
-def ratio(x: np.ndarray, g: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
+def ratio(x: np.ndarray, g: np.ndarray, tol: float = SUPPORT_TOL, eig=None) -> np.ndarray:
     """``g^{-1/2} x g^{-1/2}`` with the pseudo-inverse root, zero off supp(g).
 
     Requires supp(x) contained in supp(g); a violating direction raises
-    :class:`SupportError` carrying a witness vector.
+    :class:`SupportError` carrying a witness vector. ``eig``, if given, is
+    ``eig_h(g)`` already computed by the caller.
     """
-    out, _, errors = ratio_violations(x, g, tol)
+    out, _, errors = ratio_violations(x, g, tol, eig)
     if errors:
         raise errors[0]
     return out
 
 
-def ratio_violations(x: np.ndarray, g: np.ndarray, tol: float = SUPPORT_TOL):
+def ratio_violations(x: np.ndarray, g: np.ndarray, tol: float = SUPPORT_TOL, eig=None):
     """:func:`ratio` without raising: ``(ratio, bad, errors)`` with a mask
     ``bad`` of the matrices that violate the support condition and the
     SupportError that :func:`ratio` raises for each of them."""
     x = hermitian_part(_check_square(x, "numerator", stack=True))
     g = _check_square(g, "denominator", stack=True)
     _check_pair(x, g)
-    w, v = eig_h(g)
+    w, v = eig_h(g) if eig is None else eig
     scale = np.max(np.abs(w), axis=-1, initial=0.0, keepdims=True)
-    out = np.zeros_like(x)
+    out = np.zeros(x.shape, np.result_type(x, v))
     bad = np.zeros(x.shape[:-2], dtype=bool)
     errors = []
     for sel, wk, basis, null in support_groups(w, v, (w > tol * scale) & (scale > 0.0)):

@@ -94,8 +94,8 @@ def _group_pairs(kind: str, keys, pairs) -> list:
     """Stack pairs by dimension: a list of (keys, S stack, T stack)."""
     groups: dict = {}
     for key, pair in zip(keys, pairs):
-        # CAR pair functions also take bare matrices; wrap them as the pair API reads them
-        pair = [car.CarCovariance(car._as_matrix(c)) if kind == CAR else c for c in pair]
+        # CAR pair functions also take bare matrices; validate them as the pair API does
+        pair = [car._as_covariance(c) if kind == CAR else c for c in pair]
         groups.setdefault((pair[0].dim, pair[1].dim), []).append((key, *pair))
     return [(np.array([g[0] for g in grp]), _stack([g[1] for g in grp]),
              _stack([g[2] for g in grp])) for grp in groups.values()]

@@ -229,8 +229,9 @@ def test_meet_criterion_detects_orthogonality():
 
 
 def test_meet_criterion_engineered_pair(rng):
-    s, t = sampling.singular_overlap_car_pair(rng, 6)
-    assert car.meet_criterion(s, t) >= 1
+    for d in (2, 4, 6, 8):
+        s, t = sampling.singular_overlap_car_pair(rng, d)
+        assert car.meet_criterion(s, t) >= 1 and car.trans_prob_car(s, t) == 0.0
 
 
 # -------------------------------------------------------------- hamiltonian
@@ -274,3 +275,115 @@ def test_random_car_covariance_is_valid(rng):
 def test_singular_pair_requires_even_dimension(rng):
     with pytest.raises(ValueError):
         sampling.singular_overlap_car_pair(rng, 3)
+
+
+# ------------------------------------------- real kernels vs the complex route
+
+
+def _block_pair(rng, d, delta=None):
+    """S, T = O (+) mu blocks O^T; with ``delta`` every |mu| is 1/2 - delta (near-pure)."""
+    o = sampling.random_orthogonal(rng, d)
+    if delta is None:
+        mus, nus = rng.uniform(-0.45, 0.45, (2, d // 2))
+    else:
+        mus, nus = (0.5 - delta) * rng.choice([-1.0, 1.0], (2, d // 2))
+    s, t = (scipy.linalg.block_diag(*car.mu_covariance(m).matrix) for m in (mus, nus))
+    return car.validate_car(o @ s @ o.T), car.validate_car(o @ t @ o.T)
+
+
+def _complex_route(s, t, meet_tol):
+    """tp, qe, quadratures and meet rank from complex eigh of S, as the code once did.
+
+    Shares nothing with the real factorisation: square roots of S and I - S
+    from one complex eigh (spectrum clipped and snapped as production does),
+    a complex SVD of the overlap, and the meet as the eigenvalue-2 space of
+    quadrature(S) + I - quadrature(T).
+    """
+    roots, quads = [], []
+    for m in (s.matrix, t.matrix):
+        w, v = np.linalg.eigh(m)
+        w = np.clip(w, 0.0, 1.0)
+        vh = v.conj().T
+        c = (v * np.sqrt(w * (1.0 - w))) @ vh  # quadratures are not snapped
+        quads.append(np.block([[m, c], [c, np.eye(len(m)) - m]]))
+        w[w <= car.DEGENERACY_SNAP] = 0.0
+        w[w >= 1.0 - car.DEGENERACY_SNAP] = 1.0
+        roots.append(((v * np.sqrt(w)) @ vh, (v * np.sqrt(1.0 - w)) @ vh))
+    (rs, cs), (rt, ct) = roots
+    sv = np.linalg.svd(rs @ rt + cs @ ct, compute_uv=False)
+    tp = 0.0 if sv[-1] <= car.SINGULAR_TOL * max(1.0, sv[0]) else math.sqrt(np.prod(sv))
+    meet = matcore.projection_meet(quads[0], np.eye(len(quads[1])) - quads[1], meet_tol)
+    return tp, np.linalg.norm(rs - rt), quads, int(round(np.trace(meet).real))
+
+
+@pytest.mark.parametrize("d", [2, 8, 64])
+def test_real_kernels_match_complex_route(rng, d):
+    # projection_meet counts eigenvalues of P + I - Q at or above 2 - tol, which are
+    # 1 + sqrt(1 - sigma^2) for the singular values sigma of M: the same cut on M is
+    # sigma <= sqrt(tol (2 - tol))
+    meet_tol = 1e-8
+    cut = math.sqrt(meet_tol * (2.0 - meet_tol))
+    cases = [("random", None, sampling.random_car_pair(rng, d)) for _ in range(3)]
+    cases += [("block", None, _block_pair(rng, d)),
+              ("singular", 0.0, sampling.singular_overlap_car_pair(rng, d))]
+    # near-pure: eigenvalues within delta of {0, 1}, on both sides of DEGENERACY_SNAP
+    cases += [("near", delta, _block_pair(rng, d, delta)) for delta in (1e-6, 1e-9, 1e-11, 1e-13)]
+    for kind, delta, (s, t) in cases:
+        tp, qe, (p, q), meet = _complex_route(s, t, meet_tol)
+        # both routes resolve an eigenvalue delta from an endpoint to noise ~d*eps,
+        # which a square root turns into ~noise/sqrt(delta), at most sqrt(noise);
+        # snapped roots are exact, quadratures are not snapped
+        noise = d * 2.2e-16
+        floor = 0.0 if delta is None else (
+            noise / math.sqrt(delta) if delta > noise else math.sqrt(noise))
+        tol = 1e-12 + (floor if delta is not None and delta > car.DEGENERACY_SNAP else 0.0)
+        assert abs(car.trans_prob_car(s, t) - tp) <= tol, (kind, delta)
+        assert abs(car.qe_distance_car(s, t) - qe) <= tol, (kind, delta)
+        assert np.max(np.abs(car.quadrature(s) - p)) <= 1e-12 + floor, (kind, delta)
+        car.validate_doubled_covariance(car.quadrature(s))
+        assert car.meet_criterion(s, t, singular_tol=cut) == meet, (kind, delta)
+        assert (car.meet_criterion(s, t) >= 1) == (car.trans_prob_car(s, t) == 0.0)
+        if kind == "singular":
+            assert car.meet_criterion(s, t) == meet >= 1
+
+
+def test_real_kernels_stacked_match_single_bitwise(rng):
+    pairs = [sampling.random_car_pair(rng, 6) for _ in range(3)]
+    pairs += [sampling.singular_overlap_car_pair(rng, 6), _block_pair(rng, 6, 1e-13)]
+    s = car.validate_car(np.stack([a.matrix for a, _ in pairs]))
+    t = car.validate_car(np.stack([b.matrix for _, b in pairs]))
+    meet, quad = car.meet_criterion(s, t), car.quadrature(s)
+    for i, (a, b) in enumerate(pairs):
+        for got, want in zip(s.spectrum + s.roots, a.spectrum + a.roots):
+            assert np.array_equal(got[i], want)
+        assert meet[i] == car.meet_criterion(a, b)
+        assert np.array_equal(quad[i], car.quadrature(a))
+
+
+def test_factorisation_is_lazy_for_direct_instances():
+    s = car.mu_covariance(0.3)
+    direct = car.CarCovariance(s.matrix)
+    assert "spectrum" not in vars(direct) and "spectrum" in vars(s)
+    assert car.trans_prob_car(direct, s) == 1.0
+    assert all(np.array_equal(x, y) for x, y in zip(direct.roots, s.roots))
+
+
+def test_meet_agrees_with_tp_zero_rule():
+    # a transition probability of 1e-4 is far above the zero rule: no meet
+    s, t = car.mu_covariance(0.5), car.mu_covariance(-0.5 + 1e-8)
+    assert car.trans_prob_car(s, t) == pytest.approx(1e-4, rel=1e-6)
+    assert car.meet_criterion(s, t) == 0
+    # delta = 0: orthogonal pure states, both directions in the meet
+    t = car.mu_covariance(-0.5)
+    assert car.trans_prob_car(s, t) == 0.0 and car.meet_criterion(s, t) == 2
+
+
+def test_raw_arrays_are_validated():
+    good = car.mu_covariance(0.2).matrix
+    bad = np.array([[0.6, -0.2j], [0.2j, 0.5]])  # Hermitian, but S + conj S != I
+    for fn in (car.trans_prob_car, car.qe_distance_car, car.meet_criterion):
+        with pytest.raises(CovarianceError, match=r"S \+ conj\(S\) != I"):
+            fn(bad, good)
+        with pytest.raises(CovarianceError, match=r"S \+ conj\(S\) != I"):
+            fn(good, bad)
+    assert car.trans_prob_car(good, good) == pytest.approx(1.0, abs=1e-15)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from quasifree import ccr, sampling
+from quasifree import ccr, matcore, sampling
 from quasifree.errors import CovarianceError
 
 
@@ -121,6 +121,56 @@ def test_ab_form_sandwich(rng):
         high = np.linalg.eigvalsh(2.0 * cov.r - a)
         assert low[0] >= -1e-8 * scale
         assert high[0] >= -1e-8 * scale
+
+
+def test_ab_form_is_real_and_cached(rng):
+    cov = sampling.random_ccr_covariance(rng, ccr.canonical_sigma(2))
+    a = ccr.ab_form(cov)
+    assert a.dtype == np.float64 and not a.flags.writeable
+    assert ccr.ab_form(cov) is a
+    gm = matcore.geometric_mean(cov.s_matrix, cov.conj_s_matrix)
+    assert np.max(np.abs(gm.imag)) <= 1e-12 * np.linalg.norm(gm)
+
+
+def test_pair_path_after_ab_form_is_real(rng, monkeypatch):
+    s, t = sampling.random_ccr_pair(rng, ccr.canonical_sigma(3))
+    ccr.ab_form(s), ccr.ab_form(t)
+    dtypes = []
+    for name in ("eigh", "eigvalsh"):
+        def spy(a, *args, _f=getattr(np.linalg, name), **kwargs):
+            dtypes.append(np.asarray(a).dtype)
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    ccr.trans_prob_ccr(s, t)
+    s.metric_spectrum, t.metric_spectrum
+    ccr.qe_distance_ccr(s, t)
+    # only the two square roots of the complex ratios ratio(S, 2R) stay complex
+    assert dtypes and dtypes.count(np.dtype(complex)) == 2
+    assert set(dtypes) <= {np.dtype(float), np.dtype(complex)}
+
+
+def test_classify_after_trans_prob_factorises_once(rng, monkeypatch):
+    s, t = sampling.random_ccr_pair(rng, ccr.canonical_sigma(2))
+    means, metric_eighs = [], []
+    real_gm, real_eig_h = matcore.geometric_mean, ccr.eig_h
+
+    def gm_spy(a, b, *args, **kwargs):
+        means.append(np.iscomplexobj(a))
+        return real_gm(a, b, *args, **kwargs)
+
+    def eig_spy(h):
+        metric_eighs.extend(c for c in (s, t) if np.array_equal(h, 2.0 * c.r))
+        return real_eig_h(h)
+
+    monkeypatch.setattr(matcore, "geometric_mean", gm_spy)
+    monkeypatch.setattr(ccr, "eig_h", eig_spy)
+    tp = ccr.trans_prob_ccr(s, t)
+    verdict = ccr.classify_ccr(s, t)
+    ccr.is_standard_ccr(s)
+    assert verdict.transition_probability == tp
+    # ab_form's mean gm(S, conj S) once per covariance; gm(A, B) once per call
+    assert means.count(True) == 2 and means.count(False) == 2
+    assert len(metric_eighs) == 2 and metric_eighs[0] is not metric_eighs[1]
 
 
 # ---------------------------------------------------- transition probability
@@ -258,14 +308,6 @@ def test_qe_distance_condition_bound():
     flag, dist = ccr.qe_distance_ccr(s, t)
     assert not flag
     assert math.isinf(dist)
-
-
-def test_condition3_same_finiteness(rng):
-    # diagnostic distance is finite and zero iff the states coincide
-    s = ccr.thermal_covariance(3.0)
-    t = ccr.thermal_covariance(2.0)
-    assert ccr.condition3_distance(s, s) == pytest.approx(0.0, abs=1e-12)
-    assert ccr.condition3_distance(s, t) > 0.0
 
 
 # ------------------------------------------------------------------ standard

@@ -1,10 +1,16 @@
 """End-to-end CLI tests: scenario files in, JSON reports out, exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quasifree import cli
 
@@ -356,3 +362,86 @@ def test_n_max_above_cap_is_resource_error(tmp_path, capsys):
     code, report, _ = run_cli(capsys, ["classify", write_scenario(tmp_path, sc)])
     assert code == 4 and report["exit_code"] == 4
     assert "cap" in report["error"]
+
+
+# ------------------------------------------------------------------ fuzzing
+
+_NUMBERS = st.one_of(
+    st.integers(-3, 3), st.floats(-2.0, 2.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, 10**400, -(10**400)]),
+)
+_SCALARS = st.one_of(st.none(), st.booleans(), _NUMBERS, st.text(max_size=4))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=10,
+)
+_ENTRY = st.one_of(_NUMBERS, st.lists(_NUMBERS, min_size=2, max_size=2), _SCALARS)
+_MATRIX = st.one_of(
+    st.sampled_from([MU_03, MU_01, SIGMA_1, thermal_r(1.5), thermal_r(0.5), [[0.5]]]),
+    st.lists(st.lists(_ENTRY, min_size=1, max_size=3), min_size=1, max_size=3),
+    _JSON,
+)
+# n_max stays small or lands above the cap, so that no example scans thousands of modes
+_OPTION = st.one_of(
+    st.integers(-2, 200), st.sampled_from([64.0, 100.5, 1 << 21, 1e300, 10**400]),
+    _SCALARS,
+)
+_OPTIONS = st.fixed_dictionaries(
+    {"n_max": _OPTION}, optional={"tol": _OPTION, "cutoff": _OPTION, "extra": _JSON})
+_FAMILY = st.fixed_dictionaries(
+    {"rule": st.sampled_from(["car_mu_power", "ccr_thermal_power", "counterexample",
+                              "literal", "other"]) | _SCALARS},
+    optional={
+        "p": _OPTION,
+        "pairs": st.lists(st.lists(_MATRIX, max_size=3), max_size=3) | _JSON,
+        "tail": st.lists(_MATRIX, max_size=3) | _JSON,
+        "sigma": _MATRIX,
+        "label": _JSON,
+    },
+)
+_SCENARIO = st.one_of(
+    _JSON,
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["car-pair", "ccr-pair", "car-sequence", "ccr-sequence"])
+         | _SCALARS, "options": _OPTIONS | _JSON},
+        optional={"S": _MATRIX, "T": _MATRIX, "sigma": _MATRIX, "R_S": _MATRIX,
+                  "R_T": _MATRIX, "family": _FAMILY},
+    ),
+)
+_ARGS = st.lists(
+    st.tuples(st.sampled_from(["--tol", "--cutoff", "--n-max", "--bogus"]),
+              st.sampled_from(["1e-6", "nan", "-inf", "70", "2.5", "1e999", "x", ""])),
+    max_size=1,
+)
+# scenario file text: mostly JSON, sometimes arbitrary text; None means no file argument
+_CONTENT = st.one_of(_SCENARIO.map(json.dumps), _SCENARIO.map(json.dumps),
+                     st.text(max_size=12), st.none())
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(sorted(cli._COMMANDS)), content=_CONTENT, args=_ARGS)
+def test_fuzz_main_emits_one_json_object(command, content, args):
+    """Any scenario and option values: one strict JSON object on stdout, exit 0/2/3/4."""
+    argv = [command] + [x for pair in args for x in pair]
+    if command == "demo-counterexample":
+        argv += ["--n-max", "64"]  # the demo ignores the scenario; keep its scan short
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if content is not None:
+            path = os.path.join(tmp, "scenario.json")
+            with open(path, "w") as fh:
+                fh.write(content)
+            argv.insert(1, path)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+    assert isinstance(report, dict)
+    assert code in (0, 2, 3, 4) and report["exit_code"] == code
+    assert "Traceback" not in err.getvalue()

@@ -172,7 +172,10 @@ def test_hermitian_part_and_conj():
     x = np.array([[1.0 + 1j, 2.0], [0.0, -1j]])
     h = matcore.hermitian_part(x)
     assert np.linalg.norm(h - h.conj().T) == 0.0
-    assert np.array_equal(matcore.conj_matrix(x), x.conj())
+    # real input keeps a real dtype (real eigh downstream); complex stays complex
+    hr = matcore.hermitian_part(x.real)
+    assert hr.dtype == np.float64 and np.array_equal(hr, h.real)
+    assert matcore.hermitian_part(np.eye(2, dtype=int)).dtype == np.float64
     assert matcore.hs_norm(np.eye(3)) == pytest.approx(np.sqrt(3.0))
 
 
