@@ -24,6 +24,7 @@ from .car import (  # noqa: E402
     CarCovariance,
     hamiltonian_of,
     is_standard_car,
+    log_trans_prob_car,
     meet_criterion,
     mu_covariance,
     qe_distance_car,
@@ -110,6 +111,7 @@ __all__ = [
     "is_standard_ccr",
     "jw_generators",
     "literal_family",
+    "log_trans_prob_car",
     "meet_criterion",
     "mu_covariance",
     "overlap",

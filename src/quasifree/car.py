@@ -28,6 +28,7 @@ __all__ = [
     "doubled_conjugate",
     "hamiltonian_of",
     "is_standard_car",
+    "log_trans_prob_car",
     "meet_criterion",
     "mu_covariance",
     "qe_distance_car",
@@ -201,18 +202,38 @@ def _zero_count(sv: np.ndarray, singular_tol: float):
     return np.count_nonzero(sv <= singular_tol * np.maximum(1.0, sv[..., :1]), axis=-1)
 
 
+def _log_tp(s, t, singular_tol: float) -> np.ndarray:
+    """(1/2) sum log sigma capped at 0, or -inf where a singular value is an exact zero."""
+    sv = _overlap_singular_values(s, t)
+    with np.errstate(divide="ignore"):
+        val = np.minimum(0.5 * np.sum(np.log(sv), axis=-1), 0.0)
+    return np.where(_zero_count(sv, singular_tol) > 0, -np.inf, val)
+
+
+def log_trans_prob_car(s, t, singular_tol: float = SINGULAR_TOL):
+    """Natural log of :func:`trans_prob_car`, which does not underflow.
+
+    (1/2) sum log sigma over the singular values sigma of the overlap matrix,
+    at most 0; exactly -inf when a singular value is an exact zero under the
+    rule of :func:`trans_prob_car`, so -inf iff :func:`meet_criterion` >= 1.
+    Many small factors (hundreds of modes at 0.1 each) stay finite here where
+    the probability itself underflows to 0.0. Stacked covariances give one
+    value per pair.
+    """
+    return scalar(_log_tp(s, t, singular_tol))
+
+
 def trans_prob_car(s, t, singular_tol: float = SINGULAR_TOL):
     """Transition probability between the quasi-free states of two covariances.
 
     Computed as |det M|^(1/2) with M = sqrt(S) sqrt(T) + sqrt(I-S) sqrt(I-T),
     a real matrix (see the module docstring), via singular values; a singular
     value below ``singular_tol`` (relative) collapses the result to exactly 0.
-    Always in [0, 1], 1 iff S = T. Stacked covariances give one value per pair.
+    Always in [0, 1], 1 iff S = T; the exp of :func:`log_trans_prob_car`, so
+    it can underflow to 0.0 where the log is finite. Stacked covariances give
+    one value per pair.
     """
-    sv = _overlap_singular_values(s, t)
-    with np.errstate(divide="ignore"):
-        val = np.exp(0.5 * np.sum(np.log(sv), axis=-1))
-    return scalar(np.where(_zero_count(sv, singular_tol) > 0, 0.0, np.minimum(val, 1.0)))
+    return scalar(np.exp(_log_tp(s, t, singular_tol)))
 
 
 def qe_distance_car(s, t):

@@ -194,14 +194,9 @@ def gaussian_density(h: QuadraticHamiltonian, cutoff: int) -> TruncatedState:
     rho = hermitian_part((v * (weights / z)) @ v.conj().T)
 
     m = cutoff + 1
-    occ = np.zeros(rho.shape[0], dtype=bool)
-    for idx in range(rho.shape[0]):
-        digits = []
-        rem = idx
-        for _ in range(h.n_modes):
-            digits.append(rem % m)
-            rem //= m
-        occ[idx] = max(digits) == cutoff
+    # basis index = sum_j n_j m^j; a state is on the boundary if any n_j = cutoff
+    digits = np.arange(rho.shape[0])[:, None] // m ** np.arange(h.n_modes) % m
+    occ = np.any(digits == cutoff, axis=1)
     boundary = float(np.sum(np.real(np.diag(rho))[occ]))
     if boundary > 0.01:
         raise InconclusiveError(
@@ -217,17 +212,14 @@ def gaussian_density(h: QuadraticHamiltonian, cutoff: int) -> TruncatedState:
 def covariance_of_density(state: TruncatedState) -> CcrCovariance:
     """Covariance (canonical sigma, R) extracted from second moments of rho.
 
-    R[j, k] = Re tr(rho x_j x_k) over the quadrature list (q..., p...);
-    validation of the result doubles as a truncation check.
+    R[j, k] = Re tr(rho x_j x_k) over the quadrature list (q..., p...), read
+    as the elementwise product sum of rho x_j with x_k^T: one matrix product
+    per quadrature; validation of the result doubles as a truncation check.
     """
     ops = boson_ops(state.n_modes, state.cutoff)
-    xs = list(ops.q) + list(ops.p)
+    xs = np.stack(ops.q + ops.p)
     d = len(xs)
-    r = np.zeros((d, d))
-    for j in range(d):
-        rx = state.rho @ xs[j]
-        for k in range(d):
-            r[j, k] = float(np.trace(rx @ xs[k]).real)
+    r = ((state.rho @ xs).reshape(d, -1) @ xs.swapaxes(-1, -2).reshape(d, -1).T).real
     return validate_ccr(canonical_sigma(state.n_modes), r)
 
 
@@ -244,8 +236,9 @@ def overlap_ccr(
 ) -> float:
     """tr(sqrt rho sqrt tau), recomputed on a doubling cutoff schedule.
 
-    Both states are regenerated from their Hamiltonians at each cutoff until
-    two successive values agree within ``tol``; exhausting the schedule (or
+    Both states are regenerated from their Hamiltonians at each cutoff (the
+    given states are used as they are at their own cutoff) until two
+    successive values agree within ``tol``; exhausting the schedule (or
     hitting the dimension cap first) raises :class:`InconclusiveError`.
     """
     if state1.n_modes != state2.n_modes:
@@ -260,8 +253,8 @@ def overlap_ccr(
     last_inc = None
     for n in schedule:
         try:
-            r1 = gaussian_density(state1.hamiltonian, n)
-            r2 = gaussian_density(state2.hamiltonian, n)
+            r1, r2 = (st if st.cutoff == n else gaussian_density(st.hamiltonian, n)
+                      for st in (state1, state2))
         except SizeCapError:
             break
         val = _overlap_value(r1.rho, r2.rho)

@@ -26,6 +26,11 @@ EXIT_VALIDATION = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_RESOURCE = 4
 
+# oracle-compare refuses CAR pairs above this dimension (exit 4). Kept at 8
+# (4 modes), below car_oracle.MAX_MODES, on purpose: perfbench's cli workload
+# runs a 10-dimensional pair (scenario car10) that must exit 4.
+CAR_ORACLE_COMPARE_MAX_DIM = 8
+
 _PAIR_KINDS = ("car-pair", "ccr-pair")
 _SEQ_KINDS = ("car-sequence", "ccr-sequence")
 
@@ -215,8 +220,11 @@ def _cmd_trans_prob(scenario, opts):
     is_car = scenario["kind"] == "car-pair"
     s, t = (_car_pair if is_car else _ccr_pair)(scenario)
     tp = (car.trans_prob_car if is_car else ccr.trans_prob_ccr)(s, t)
-    return {"transition_probability": tp,
-            "abs_det_overlap_matrix" if is_car else "det_factor": tp**2}, EXIT_OK
+    results = {"transition_probability": tp,
+               "abs_det_overlap_matrix" if is_car else "det_factor": tp**2}
+    if is_car:  # finite where tp underflows to 0; "-infinity" iff the meet is nonzero
+        results["log_transition_probability"] = car.log_trans_prob_car(s, t)
+    return results, EXIT_OK
 
 
 def _cmd_classify(scenario, opts):
@@ -265,8 +273,9 @@ def _cmd_oracle_compare(scenario, opts):
     tol = opts["tol"]
     if scenario["kind"] == "car-pair":
         s, t = _car_pair(scenario)
-        if s.dim > 8:
-            raise SizeCapError(f"car oracle comparison capped at dimension 8, got {s.dim}")
+        if s.dim > CAR_ORACLE_COMPARE_MAX_DIM:
+            raise SizeCapError(f"car oracle comparison capped at dimension "
+                               f"{CAR_ORACLE_COMPARE_MAX_DIM}, got {s.dim}")
         formula = car.trans_prob_car(s, t)
         oracle = car_oracle.overlap(
             car_oracle.density_from_covariance(s), car_oracle.density_from_covariance(t)

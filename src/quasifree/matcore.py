@@ -31,7 +31,6 @@ __all__ = [
     "pfaffian",
     "pfaffian_pairings",
     "projection_defect",
-    "projection_meet",
     "ratio",
     "sqrt_psd",
     "support_groups",
@@ -313,16 +312,6 @@ def ratio_violations(x: np.ndarray, g: np.ndarray, tol: float = SUPPORT_TOL, eig
                 ))
         out[sel] = hermitian_part(basis @ sandwich(basis, xs, wk) @ dagger(basis))
     return out, bad, errors
-
-
-def projection_meet(p: np.ndarray, r: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Projection onto ran(p) ∩ ran(r): the eigenvalue-2 space of p + r."""
-    p = _check_square(p, "first projection")
-    r = _check_square(r, "second projection")
-    _check_pair(p, r)
-    w, v = eig_h(np.asarray(p, dtype=complex) + np.asarray(r, dtype=complex))
-    basis = v[:, w >= 2.0 - tol]
-    return basis @ basis.conj().T
 
 
 def projection_defect(p: np.ndarray) -> float:

@@ -160,6 +160,36 @@ def test_trans_prob_engineered_singular_pair(rng):
     assert car.trans_prob_car(s, t) == 0.0
 
 
+def test_log_trans_prob_is_the_log_of_tp(rng):
+    pairs = [sampling.random_car_pair(rng, d) for d in (2, 4, 8, 16)]
+    pairs += [sampling.singular_overlap_car_pair(rng, 6),
+              (car.mu_covariance(0.5), car.mu_covariance(-0.5)),
+              (car.mu_covariance(0.2), car.mu_covariance(0.2))]
+    for s, t in pairs:
+        log_tp, tp = car.log_trans_prob_car(s, t), car.trans_prob_car(s, t)
+        assert log_tp <= 0.0
+        assert (log_tp == -math.inf) == (car.meet_criterion(s, t) >= 1) == (tp == 0.0)
+        assert np.exp(log_tp) == tp  # the same bits
+    mus = rng.uniform(-0.5, 0.5, (2, 5))
+    stacked = car.log_trans_prob_car(car.mu_covariance(mus[0]), car.mu_covariance(mus[1]))
+    assert stacked.shape == (5,)
+    assert np.array_equal(np.exp(stacked), car.trans_prob_car(
+        car.mu_covariance(mus[0]), car.mu_covariance(mus[1])))
+
+
+def test_log_trans_prob_survives_underflow():
+    # 400 copies of a block pair with tp 0.1 each: tp = 1e-400 underflows to 0.0,
+    # while the meet is empty and log tp = 400 log 0.1 is finite
+    block_s, block_t = car.mu_covariance(0.5), car.mu_covariance(-0.49)
+    assert car.trans_prob_car(block_s, block_t) == pytest.approx(0.1, rel=1e-12)
+    s = car.validate_car(scipy.linalg.block_diag(*[block_s.matrix] * 400))
+    t = car.validate_car(scipy.linalg.block_diag(*[block_t.matrix] * 400))
+    assert s.dim == 800
+    assert car.meet_criterion(s, t) == 0
+    assert car.log_trans_prob_car(s, t) == pytest.approx(400 * math.log(0.1), rel=1e-12)
+    assert car.trans_prob_car(s, t) == 0.0
+
+
 def test_trans_prob_range(rng):
     for _ in range(20):
         s, t = sampling.random_car_pair(rng, 4)
@@ -277,6 +307,41 @@ def test_singular_pair_requires_even_dimension(rng):
         sampling.singular_overlap_car_pair(rng, 3)
 
 
+# ------------------------------------------------ test-side meet reference
+
+
+def projection_meet(p: np.ndarray, r: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """Projection onto ran(p) ∩ ran(r): the eigenvalue-2 space of p + r."""
+    w, v = matcore.eig_h(np.asarray(p, dtype=complex) + np.asarray(r, dtype=complex))
+    basis = v[:, w >= 2.0 - tol]
+    return basis @ basis.conj().T
+
+
+def test_projection_meet_overlapping_ranges():
+    p = np.diag([1.0, 1.0, 0.0, 0.0])
+    r = np.diag([0.0, 1.0, 1.0, 0.0])
+    meet = projection_meet(p, r)
+    assert np.linalg.norm(meet - np.diag([0.0, 1.0, 0.0, 0.0])) <= 1e-10
+
+
+def test_projection_meet_disjoint_ranges_is_zero():
+    p = np.diag([1.0, 0.0])
+    r = np.diag([0.0, 1.0])
+    assert np.linalg.norm(projection_meet(p, r)) == 0.0
+
+
+def test_projection_meet_tilted(rng):
+    # two 2-planes in C^3 always intersect in at least a line
+    q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    p = q[:, :2] @ q[:, :2].T
+    r = np.diag([1.0, 1.0, 0.0])
+    meet = projection_meet(p, r)
+    rank = round(float(np.trace(meet).real))
+    assert rank >= 1
+    assert matcore.projection_defect(meet) <= 1e-8
+
+
+
 # ------------------------------------------- real kernels vs the complex route
 
 
@@ -312,7 +377,7 @@ def _complex_route(s, t, meet_tol):
     (rs, cs), (rt, ct) = roots
     sv = np.linalg.svd(rs @ rt + cs @ ct, compute_uv=False)
     tp = 0.0 if sv[-1] <= car.SINGULAR_TOL * max(1.0, sv[0]) else math.sqrt(np.prod(sv))
-    meet = matcore.projection_meet(quads[0], np.eye(len(quads[1])) - quads[1], meet_tol)
+    meet = projection_meet(quads[0], np.eye(len(quads[1])) - quads[1], meet_tol)
     return tp, np.linalg.norm(rs - rt), quads, int(round(np.trace(meet).real))
 
 

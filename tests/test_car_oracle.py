@@ -4,9 +4,47 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from quasifree import car, car_oracle, sampling
+from quasifree import car, car_oracle, matcore, sampling
 from quasifree.errors import SizeCapError
+
+
+def wick_walk_density(s) -> np.ndarray:
+    """Reference density: rho expanded over all 4^n ordered generator monomials.
+
+    The coefficient of each even monomial is its Wick moment (a Pfaffian of
+    the covariance); a depth-first walk extends the monomial one generator at
+    a time. It shares nothing with the product form but the generators, and
+    its 4^n small matrix products keep it to 4 modes here.
+    """
+    sm = s.matrix
+    d = s.dim
+    rep = car_oracle.jw_generators(d // 2)
+    gens = rep.generators
+    dim = rep.dim
+    rho = np.eye(dim, dtype=complex) / dim
+
+    def visit(start, indices, monomial):
+        k = len(indices)
+        if k and k % 2 == 0:
+            sub = sm[np.ix_(indices, indices)]
+            skew = np.triu(sub, 1)
+            moment = matcore.pfaffian(skew - skew.T)
+            sign = -1.0 if (k * (k - 1) // 2) % 2 else 1.0
+            rho[...] += (sign * 2.0 ** (k / 2.0) / dim * moment) * monomial
+        if k < d:
+            for j in range(start, d):
+                visit(j + 1, indices + [j], monomial @ gens[j])
+
+    visit(0, [], np.eye(dim, dtype=complex))
+    return matcore.hermitian_part(rho)
+
+
+def blocks(mus, o=None):
+    """Covariance O (+)_j mu_covariance(mu_j) O^T."""
+    m = scipy.linalg.block_diag(*car.mu_covariance(np.asarray(mus, dtype=float)).matrix)
+    return car.validate_car(m if o is None else o @ m @ o.T)
 
 
 def test_jw_generators_clifford_relations():
@@ -22,6 +60,18 @@ def test_jw_generators_clifford_relations():
             anti = gi @ gj + gj @ gi
             expect = 2.0 * eye if i == j else np.zeros((8, 8))
             assert np.max(np.abs(anti - expect)) == 0.0
+
+
+def test_jw_generators_are_cached_and_monomial():
+    rep = car_oracle.jw_generators(4)
+    assert car_oracle.jw_generators(4) is rep
+    rows = np.arange(rep.dim)
+    for flip, phase, g in zip(rep.flips, rep.phases, rep.generators):
+        expect = np.zeros((rep.dim, rep.dim), dtype=complex)
+        expect[rows, rows ^ flip] = phase
+        assert np.array_equal(g, expect)
+    with pytest.raises(ValueError):
+        rep.phases[0, 0] = 2.0
 
 
 def test_jw_generator_cap():
@@ -45,21 +95,71 @@ def test_density_pure_state_is_projection():
 
 def test_density_reproduces_all_wick_moments(rng):
     """Every generator-monomial expectation of rho matches the covariance side."""
-    n = 2
-    d = 2 * n
-    s = sampling.random_car_covariance(rng, d)
-    rep = car_oracle.jw_generators(n)
+    for n in (2, 3):
+        d = 2 * n
+        s = sampling.random_car_covariance(rng, d)
+        rep = car_oracle.jw_generators(n)
+        gens = rep.generators
+        rho = car_oracle.density_from_covariance(s, rep)
+        basis = np.eye(d)
+        for k in range(0, d + 1):
+            for idx in itertools.combinations(range(d), k):
+                mono = np.eye(rep.dim, dtype=complex)
+                for j in idx:
+                    mono = mono @ gens[j]
+                # generators are sqrt(2) times the orthonormal-basis elements
+                got = np.trace(rho @ mono) / 2.0 ** (k / 2.0)
+                want = car.wick_moment(s, [basis[j] for j in idx])
+                assert abs(got - want) <= 1e-10
+
+
+def test_density_matches_wick_walk(rng):
+    """The product form against the 4^n-monomial walk on edge-case covariances."""
+    cases = [("random", sampling.random_car_covariance(rng, 2 * n)) for n in (1, 2, 3, 4)
+             for _ in range(2)]
+    cases += [("tracial", car.validate_car(0.5 * np.eye(2 * n))) for n in (1, 2, 3, 4)]
+    o6, o8 = sampling.random_orthogonal(rng, 6), sampling.random_orthogonal(rng, 8)
+    cases += [
+        ("rank-2 A, d=6", blocks([0.3, 0.0, 0.0], o6)),
+        ("rank-2 A, d=8", blocks([-0.35, 0.0, 0.0, 0.0], o8)),
+        ("degenerate", blocks([0.2] * 4, o8)),
+        ("pure + kernel", blocks([0.5, 0.0, -0.5, 0.0], o8)),
+        ("pure degenerate", blocks([0.5, 0.5, 0.5], o6)),
+        ("tiny block", blocks([1e-13, 0.3, -0.1], o6)),
+    ]
+    for kind, s in cases:
+        got = car_oracle.density_from_covariance(s)
+        assert np.max(np.abs(got - wick_walk_density(s))) <= 1e-12, kind
+
+
+def test_density_pair_moments_match_dense_products(rng):
+    s = sampling.random_car_covariance(rng, 6)
+    rep = car_oracle.jw_generators(3)
     rho = car_oracle.density_from_covariance(s, rep)
-    basis = np.eye(d)
-    for k in range(0, d + 1):
-        for idx in itertools.combinations(range(d), k):
-            mono = np.eye(rep.dim, dtype=complex)
-            for j in idx:
-                mono = mono @ rep.generators[j]
-            # generators are sqrt(2) times the orthonormal-basis elements
-            got = np.trace(rho @ mono) / 2.0 ** (k / 2.0)
-            want = car.wick_moment(s, [basis[j] for j in idx])
-            assert abs(got - want) <= 1e-10
+    gens = rep.generators
+    dense = np.array([[np.trace(rho @ a @ b) for b in gens] for a in gens])
+    assert np.max(np.abs(rep.pair_moments(rho) - dense)) <= 1e-14
+    assert np.max(np.abs(dense - 2.0 * s.matrix)) <= 1e-12
+
+
+def test_density_moment_check_catches_a_wrong_pairing(monkeypatch, rng):
+    # the standard pairing ignores A's entries between the (2j, 2j+1) blocks:
+    # trace and positivity still hold, the two-point moments do not
+    s = sampling.random_car_covariance(rng, 6)
+    monkeypatch.setattr(car_oracle, "_pairing", lambda a: np.eye(len(a)))
+    with pytest.raises(RuntimeError, match="two-point moments"):
+        car_oracle.density_from_covariance(s)
+
+
+def test_density_does_not_use_the_car_factorisation(monkeypatch, rng):
+    """The oracle pairs modes with its own eigh; it must not read car's factors."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle called into the production factorisation")
+
+    monkeypatch.setattr(car, "_overlap_singular_values", refuse)
+    s = car.CarCovariance(sampling.random_car_covariance(rng, 8).matrix)
+    car_oracle.density_from_covariance(s)
+    assert "spectrum" not in vars(s) and "roots" not in vars(s)
 
 
 def test_density_is_even_parity(rng):
@@ -130,3 +230,13 @@ def test_formula_matches_oracle_small_sweep(rng):
                 car_oracle.density_from_covariance(t),
             )
             assert abs(formula - oracle) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_formula_matches_oracle_five_and_six_modes(rng, n):
+    for s, t in [sampling.random_car_pair(rng, 2 * n),
+                 (blocks([0.5, 0.2, 0.0] + [0.1] * (n - 3)),
+                  blocks([-0.4, 0.2, 0.3] + [0.1] * (n - 3)))]:
+        oracle = car_oracle.overlap(car_oracle.density_from_covariance(s),
+                                    car_oracle.density_from_covariance(t))
+        assert abs(car.trans_prob_car(s, t) - oracle) <= 1e-10

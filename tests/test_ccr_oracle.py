@@ -146,3 +146,52 @@ def test_two_mode_coupled_state():
     assert abs(cov.r[0, 1]) > 1e-6
     val = ccr_oracle.overlap_ccr(state, state, tol=1e-4, schedule=(12, 16))
     assert val == pytest.approx(1.0, abs=1e-6)
+
+
+# ------------------------------------------- loop references for the oracle
+
+
+def _boundary_by_digits(state):
+    """Weight on basis states with some mode at the cutoff, digit by digit."""
+    m = state.cutoff + 1
+    total = 0.0
+    for idx in range(state.dim):
+        digits, rem = [], idx
+        for _ in range(state.n_modes):
+            digits.append(rem % m)
+            rem //= m
+        if max(digits) == state.cutoff:
+            total += state.rho[idx, idx].real
+    return total
+
+
+def _second_moments_by_trace(state):
+    """R[j, k] = Re tr(rho x_j x_k), one full product per entry."""
+    ops = ccr_oracle.boson_ops(state.n_modes, state.cutoff)
+    xs = list(ops.q) + list(ops.p)
+    return np.array([[np.trace(state.rho @ a @ b).real for b in xs] for a in xs])
+
+
+def test_oracle_moments_and_boundary_match_loop_references():
+    omega = np.array([[1.5, 0.2], [0.2, 1.8]])
+    for h, cutoff in ((ccr_oracle.quadratic_hamiltonian(omega, [[0.0, 0.4], [0.4, 0.0]]), 9),
+                      (ccr_oracle.thermal_hamiltonian(0.4), 20),
+                      (ccr_oracle.quadratic_hamiltonian([[1.0]], [[0.3]]), 30)):
+        state = ccr_oracle.gaussian_density(h, cutoff)
+        assert state.boundary_occupation > 0.0
+        assert state.boundary_occupation == pytest.approx(_boundary_by_digits(state),
+                                                          rel=1e-12)
+        r = ccr_oracle.covariance_of_density(state).r
+        assert np.max(np.abs(r - _second_moments_by_trace(state))) <= 1e-13
+
+
+def test_overlap_uses_given_states_at_their_cutoff(monkeypatch):
+    s = ccr_oracle.gaussian_density(ccr_oracle.thermal_hamiltonian(0.3), 20)
+    t = ccr_oracle.gaussian_density(ccr_oracle.thermal_hamiltonian(0.1), 20)
+    want = ccr_oracle.overlap_ccr(s, t)
+    built = []
+    real = ccr_oracle.gaussian_density
+    monkeypatch.setattr(ccr_oracle, "gaussian_density",
+                        lambda h, cutoff: built.append(cutoff) or real(h, cutoff))
+    assert ccr_oracle.overlap_ccr(s, t) == want
+    assert built and 20 not in built

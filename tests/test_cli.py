@@ -121,6 +121,20 @@ def test_trans_prob_car_anchor(tmp_path, capsys):
     assert report["results"]["abs_det_overlap_matrix"] == pytest.approx(tp**2)
 
 
+def test_trans_prob_car_reports_log(tmp_path, capsys):
+    path = write_scenario(tmp_path, car_pair_scenario())
+    code, report, _ = run_cli(capsys, ["trans-prob", path])
+    assert code == 0
+    assert report["results"]["log_transition_probability"] == pytest.approx(
+        math.log(TP_MU_03_01), abs=1e-12)
+    fock, cofock = [[0.5, [0.0, -0.5]], [[0.0, 0.5], 0.5]], [[0.5, [0.0, 0.5]], [[0.0, -0.5], 0.5]]
+    path = write_scenario(tmp_path, car_pair_scenario(fock, cofock))
+    code, report, _ = run_cli(capsys, ["trans-prob", path])
+    assert code == 0
+    assert report["results"]["transition_probability"] == 0.0
+    assert report["results"]["log_transition_probability"] == "-infinity"
+
+
 def test_trans_prob_rejects_sequences(tmp_path, capsys):
     sc = {"kind": "car-sequence", "family": {"rule": "car_mu_power", "p": 2.0}}
     path = write_scenario(tmp_path, sc)

@@ -270,30 +270,6 @@ def test_ratio_zero_off_support():
 # ------------------------------------------------------------ projections
 
 
-def test_projection_meet_overlapping_ranges():
-    p = np.diag([1.0, 1.0, 0.0, 0.0])
-    r = np.diag([0.0, 1.0, 1.0, 0.0])
-    meet = matcore.projection_meet(p, r)
-    assert np.linalg.norm(meet - np.diag([0.0, 1.0, 0.0, 0.0])) <= 1e-10
-
-
-def test_projection_meet_disjoint_ranges_is_zero():
-    p = np.diag([1.0, 0.0])
-    r = np.diag([0.0, 1.0])
-    assert np.linalg.norm(matcore.projection_meet(p, r)) == 0.0
-
-
-def test_projection_meet_tilted(rng):
-    # two 2-planes in C^3 always intersect in at least a line
-    q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-    p = q[:, :2] @ q[:, :2].T
-    r = np.diag([1.0, 1.0, 0.0])
-    meet = matcore.projection_meet(p, r)
-    rank = round(float(np.trace(meet).real))
-    assert rank >= 1
-    assert matcore.projection_defect(meet) <= 1e-8
-
-
 def test_projection_defect():
     assert matcore.projection_defect(np.diag([1.0, 0.0])) == 0.0
     assert matcore.projection_defect(np.diag([0.5, 0.0])) == pytest.approx(0.25)
