@@ -341,6 +341,9 @@ def hamiltonian_of(s, tol: float = 1e-10) -> np.ndarray:
 
 
 def is_standard_car(s, tol: float = 1e-10) -> bool:
-    """Whether the covariance has trivial kernel (cyclic vector is separating)."""
+    """Whether the covariance has trivial kernel (cyclic vector is separating).
+
+    Stacked covariances give one flag per matrix.
+    """
     x = _as_covariance(s).spectrum[0]
-    return bool(x.size == 0 or 0.5 - np.sqrt(max(x[-1], 0.0)) > tol)
+    return scalar(0.5 - np.sqrt(np.max(x, axis=-1, initial=0.0)) > tol)

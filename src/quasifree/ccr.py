@@ -9,9 +9,11 @@ The transition probability between two such states is a determinant of
 support-restricted operator means; classification into quasi-equivalent vs
 disjoint reads off whether it vanishes.
 
-:func:`ab_form` and R are real symmetric, so the pair path past them runs real
-``eigh`` only. The form and the ``eigh`` of the metric 2R are computed once
-per frozen :class:`CcrCovariance` and cached on it.
+Each covariance is factorised once, by real ``eigh`` calls kept on the frozen
+:class:`CcrCovariance`: on supp R, ratio(S, 2R) = I/2 + i*a with a real
+antisymmetric, and gm(S, conj S) (:func:`ab_form`), the ratio's square root
+(:func:`qe_distance_ccr`) and its kernel (:func:`is_standard_ccr`) are real
+functions of a^T a. Past validation the pair path runs no complex kernel.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from . import matcore
 from .errors import CovarianceError
 from .matcore import (
-    eig_h, hermitian_part, hs_norm, raise_first, scalar, sqrt_psd, support_groups,
+    SUPPORT_TOL, eig_h, hermitian_part, hs_norm, raise_first, scalar, support_groups,
 )
 
 __all__ = [
@@ -80,19 +82,49 @@ class CcrCovariance:
         """The sesquilinear covariance form S = R + i*sigma/2."""
         return self.r + 0.5j * self.sigma
 
-    @property
-    def conj_s_matrix(self) -> np.ndarray:
-        return self.r - 0.5j * self.sigma
-
     @cached_property
     def metric_spectrum(self):
         """``(w, v)``: real ``eigh`` of the metric form 2R = S + conj S, computed once."""
         return eig_h(2.0 * self.r)
 
     @cached_property
+    def spectrum(self):
+        """``(a, x, u, p)``: a = w^(-1/2) v^T sigma v w^(-1/2) / 2 in the eigenbasis
+        (w, v) of 2R, zero off supp R; the real ``eigh`` (x, u) of a^T a; and p,
+        the columns of v on supp R (zero elsewhere). So ratio(S, 2R) =
+        p (I/2 + i*a) p^T, with eigenvalues 1/2 +- sqrt(x) on supp R.
+        """
+        w, v = self.metric_spectrum
+        keep = w > SUPPORT_TOL * np.max(np.abs(w), axis=-1, keepdims=True, initial=0.0)
+        inv = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
+        a = 0.5 * inv[..., :, None] * (v.swapaxes(-1, -2) @ self.sigma @ v) * inv[..., None, :]
+        x, u = np.linalg.eigh(a.swapaxes(-1, -2) @ a)
+        return a, x, u, v * keep[..., None, :]
+
+    @cached_property
+    def roots(self):
+        """Real ``(G, Y)`` with sqrt(ratio(S, 2R)) = G + iY, both zero off supp R.
+
+        With r = sqrt x and t = sqrt(1/2 + r) + sqrt(1/2 - r): G = t/2 and
+        Y = a/t in the basis p. No eigenvalue is snapped (unlike
+        :attr:`quasifree.car.CarCovariance.roots`): near the vacuum 1/2 - r is
+        the distance from it.
+        """
+        a, x, u, p = self.spectrum
+        r = np.sqrt(np.clip(x, 0.0, 0.25))
+        t = np.sqrt(0.5 + r) + np.sqrt(0.5 - r)
+        ut, pt = u.swapaxes(-1, -2), p.swapaxes(-1, -2)
+        g = (u * (0.5 * t)[..., None, :]) @ ut
+        y = a @ ((u * (1.0 / t)[..., None, :]) @ ut)
+        return p @ g @ pt, p @ y @ pt
+
+    @cached_property
     def _ab(self) -> np.ndarray:
-        gm = matcore.geometric_mean(self.s_matrix, self.conj_s_matrix)
-        a = hermitian_part(self.r + gm.real)
+        # gm(S, conj S) = (2R)^(1/2) sqrt(I/4 - a^T a) (2R)^(1/2) on supp R
+        _, x, u, p = self.spectrum
+        root = p * np.sqrt(np.maximum(self.metric_spectrum[0], 0.0))[..., None, :]
+        mean = (u * np.sqrt(np.maximum(0.25 - x, 0.0))[..., None, :]) @ u.swapaxes(-1, -2)
+        a = hermitian_part(self.r + root @ mean @ root.swapaxes(-1, -2))
         a.setflags(write=False)
         return a
 
@@ -109,9 +141,11 @@ def _as_real(m, name: str) -> np.ndarray:
 def validate_ccr(sigma, r, tol: float = VALIDATION_TOL) -> CcrCovariance:
     """Check that R + i*sigma/2 is PSD; antisymmetrize/symmetrize exactly.
 
-    Also takes a stack of forms R, shape (..., d, d), on one sigma or a stack
-    of them. The error message carries the minimal eigenvalue when positivity
-    fails.
+    sigma must be antisymmetric and R symmetric within ``tol`` times the
+    entry scale (as :func:`quasifree.car.validate_car` checks Hermiticity);
+    deviations within it are removed exactly. Also takes a stack of forms R,
+    shape (..., d, d), on one sigma or a stack of them. The error message
+    carries the minimal eigenvalue when positivity fails.
     """
     sigma = _as_real(sigma, "sigma")
     r = _as_real(r, "R")
@@ -122,11 +156,15 @@ def validate_ccr(sigma, r, tol: float = VALIDATION_TOL) -> CcrCovariance:
     if not (np.all(np.isfinite(sigma)) and np.all(np.isfinite(r))):
         raise CovarianceError("sigma and R must have finite entries")
     sigma, r = np.broadcast_arrays(sigma, r)
+    scale = 1.0 + np.max(np.abs(r + 0.5j * sigma), axis=(-2, -1), initial=0.0)
+    for m, sign, what in ((sigma, 1.0, "sigma is not antisymmetric"),
+                          (r, -1.0, "R is not symmetric")):
+        defect = np.max(np.abs(m + sign * np.swapaxes(m, -1, -2)), axis=(-2, -1), initial=0.0)
+        raise_first(defect > tol * scale, defect,
+                    lambda v, what=what: CovarianceError(f"{what}: max deviation {v:.3e}"))
     sigma = 0.5 * (sigma - np.swapaxes(sigma, -1, -2))
     r = 0.5 * (r + np.swapaxes(r, -1, -2))
-    s = r + 0.5j * sigma
-    w = np.linalg.eigvalsh(s)[..., :1]
-    scale = 1.0 + np.max(np.abs(s), axis=(-2, -1), initial=0.0)
+    w = np.linalg.eigvalsh(r + 0.5j * sigma)[..., :1]
     raise_first(w < -tol * scale[..., None], w, lambda v: CovarianceError(
         f"not a covariance form: minimal eigenvalue of R + i*sigma/2 is {v:.6e}"))
     sigma.setflags(write=False)
@@ -168,10 +206,11 @@ def char_value(cov: CcrCovariance, x) -> float:
 def ab_form(cov: CcrCovariance) -> np.ndarray:
     """The symmetrized form A with 2A = S + 2*gm(S, conj S) + conj S.
 
-    Equals R plus the operator geometric mean of S and its conjugate; real
-    symmetric PSD, and sandwiched between (S + conj S)/2 and S + conj S;
-    returned as a real array (the mean of two conjugates is real) and cached
-    on the covariance, read-only.
+    Equals R plus the operator geometric mean of S and its conjugate, which
+    has the closed form (2R)^(1/2) sqrt(I/4 - a^T a) (2R)^(1/2) on supp R
+    (:attr:`CcrCovariance.spectrum`): real symmetric PSD, sandwiched between
+    (S + conj S)/2 and S + conj S, and exactly R at the vacuum. Read from the
+    covariance's one real factorisation and cached on it, read-only.
     """
     return cov._ab
 
@@ -199,25 +238,28 @@ def _transition_analysis(
     b = ab_form(cov_t).reshape(-1, d, d)
     g = hermitian_part(a + b)
     w, v = eig_h(g)
-    keep = w > support_tol * np.maximum(np.trace(g, axis1=-2, axis2=-1).real, 0.0)[:, None]
+    keep = w > support_tol * np.maximum(np.trace(g, axis1=-2, axis2=-1), 0.0)[:, None]
     t = np.ones(a.shape[0])
     central = np.zeros(a.shape[0], dtype=bool)
     diagnostics = [{"support_dim": int(r)} for r in np.count_nonzero(keep, axis=-1)]
-    pending = []  # (pairs, support bases, eigenvalues) still without a verdict
+    pending = []  # (pairs, support bases, eigenvalues, mismatch flags) without a verdict
     for sel, wk, basis, _ in support_groups(w, v, keep):
         idx = np.flatnonzero(sel)
         if basis.shape[-1] == 0:
             continue  # both forms vanish entirely: the states coincide (trivial character)
+        # whitened by A + B the forms are A' and B' = I - A': one eigh gives
+        # both spectra on common eigenvectors
+        wa, va = np.linalg.eigh(matcore.sandwich(basis, a[idx], wk))
+        mismatch = np.any((wa < KERNEL_TOL) | (1.0 - wa < KERNEL_TOL), axis=-1)
         # central-element detection: a kernel direction of one form inside
         # supp(G) on which the other form is positive makes the states disjoint
-        for label, this, other in (("A", a, b), ("B", b, a)):
-            wt, vt = np.linalg.eigh(matcore.sandwich(basis, this[idx], wk))
+        for label, wt, other in (("A", wa, b), ("B", 1.0 - wa, a)):
             kernel = wt < KERNEL_TOL
             cand = np.flatnonzero(kernel.any(axis=-1) & ~central[idx])
             if cand.size == 0:
                 continue
-            h = basis[cand] @ vt[cand]
-            other_val = np.sum(h.conj() * (other[idx[cand]] @ h), axis=-2).real
+            h = basis[cand] @ va[cand]
+            other_val = np.sum(h * (other[idx[cand]] @ h), axis=-2)
             hit = kernel[cand] & (other_val > FORM_POSITIVE_TOL)
             for m in np.flatnonzero(hit.any(axis=-1)).tolist():
                 j, i = int(np.argmax(hit[m])), idx[cand[m]]
@@ -231,14 +273,13 @@ def _transition_analysis(
                 break
         t[idx[central[idx]]] = 0.0
         keep_on = ~central[idx]
-        pending.append((idx[keep_on], basis[keep_on], wk[keep_on]))
+        pending.append((idx[keep_on], basis[keep_on], wk[keep_on], mismatch[keep_on]))
 
     need = np.concatenate([p[0] for p in pending] + [np.zeros(0, dtype=int)])
     if need.size:
         gm = np.zeros_like(a)
-        gm[need], info = matcore.geometric_mean(a[need], b[need], return_info=True)
-        mismatch = dict(zip(need.tolist(), info.support_mismatch.tolist()))
-        for idx, basis, wk in pending:
+        gm[need] = matcore.geometric_mean(a[need], b[need])
+        for idx, basis, wk, mismatch in pending:
             core = matcore.sandwich(basis, 2.0 * gm[idx], wk)
             wc = np.clip(np.linalg.eigvalsh(core), 0.0, 1.0)
             # a vanishing determinant factor that escaped the witness check above
@@ -248,8 +289,8 @@ def _transition_analysis(
             # math.exp (not np.exp, which can differ in the last bit) as for one pair
             t[idx] = np.where(zero, 0.0, [min(math.exp(x), 1.0) for x in half_log.tolist()])
             central[idx] = zero
-            for i, row in zip(idx.tolist(), wc.tolist()):
-                diagnostics[i]["ab_support_mismatch"] = mismatch[i]
+            for i, row, differ in zip(idx.tolist(), wc.tolist(), mismatch.tolist()):
+                diagnostics[i]["ab_support_mismatch"] = differ
                 diagnostics[i]["det_eigenvalues"] = row
     return t, central, diagnostics
 
@@ -305,8 +346,10 @@ def qe_distance_ccr(
     and T + conj T induce equivalent inner products (equal supports, mutual
     domination within ``cond_bound``); the distance is
     ||sqrt(ratio(S, S + conj S)) - sqrt(ratio(T, T + conj T))||. When the flag
-    is False the distance slot is +inf (the criterion fails outright).
-    Stacked covariances give one flag and one distance per pair.
+    is False the distance slot is +inf (the criterion fails outright). The
+    roots are the real parts G + iY of :attr:`CcrCovariance.roots`, so the
+    distance is sqrt(||G_S - G_T||^2 + ||Y_S - Y_T||^2). Stacked covariances
+    give one flag and one distance per pair.
     """
     _check_same_space(cov_s, cov_t)
     d, lead = cov_s.dim, cov_s.r.shape[:-2]
@@ -333,23 +376,19 @@ def qe_distance_ccr(
 
     dist = np.full(equiv.shape, math.inf)
     if sel.size:
-        xs, xt = (sqrt_psd(matcore.ratio(c.s_matrix.reshape(-1, d, d)[sel], g[sel],
-                                         eig=(w[sel], v[sel])))
-                  for c, g, w, v in ((cov_s, gs, ws, vs), (cov_t, gt, wt, vt)))
-        dist[sel] = hs_norm(xs - xt)
+        (g_s, y_s), (g_t, y_t) = ((m.reshape(-1, d, d)[sel] for m in c.roots)
+                                  for c in (cov_s, cov_t))
+        dist[sel] = hs_norm(np.concatenate([g_s - g_t, y_s - y_t], axis=-1))
     return scalar(equiv.reshape(lead)), scalar(dist.reshape(lead))
 
 
 def is_standard_ccr(cov: CcrCovariance, tol: float = 1e-10) -> bool:
     """Whether ratio(S, S + conj S) has trivial kernel on the metric support.
 
-    Fails for states with a pure factor (e.g. the vacuum), holds for fully
-    thermal states; on a trivial metric support it holds vacuously.
+    Its smallest eigenvalue there is 1/2 - sqrt(max x), read from the
+    covariance's real factorisation. Fails for states with a pure factor
+    (e.g. the vacuum), holds for fully thermal states; on a trivial metric
+    support it holds vacuously.
     """
-    w, v = cov.metric_spectrum
-    standard = np.ones(w.shape[:-1], dtype=bool)
-    for sel, wk, basis, _ in support_groups(w, v, matcore.abs_support(w, 1e-10)):
-        if basis.shape[-1]:
-            core = matcore.sandwich(basis, cov.s_matrix[sel], wk)
-            standard[sel] = np.linalg.eigvalsh(core)[:, 0] > tol
-    return scalar(standard)
+    x = cov.spectrum[1]
+    return scalar(0.5 - np.sqrt(np.max(x, axis=-1, initial=0.0)) > tol)

@@ -14,8 +14,6 @@ support rank split the stack by rank with :func:`support_groups`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NotPositiveError, SupportError
@@ -23,15 +21,12 @@ from .errors import NotPositiveError, SupportError
 __all__ = [
     "PSD_CLAMP_TOL",
     "SUPPORT_TOL",
-    "GeometricMeanInfo",
     "eig_h",
     "geometric_mean",
     "hermitian_part",
     "hs_norm",
     "pfaffian",
-    "pfaffian_pairings",
     "projection_defect",
-    "ratio",
     "sqrt_psd",
     "support_groups",
     "support_projection",
@@ -41,8 +36,6 @@ __all__ = [
 PSD_CLAMP_TOL = 1e-10
 # Relative threshold for membership in the support (range) of a PSD operator.
 SUPPORT_TOL = 1e-10
-
-_PAIRING_DIM_CAP = 12
 
 
 def dagger(x: np.ndarray) -> np.ndarray:
@@ -185,71 +178,23 @@ def pfaffian(a: np.ndarray) -> complex:
     return complex(val)
 
 
-def pfaffian_pairings(a: np.ndarray) -> complex:
-    """Pfaffian as the exhaustive signed sum over pair partitions, O((d-1)!!).
-
-    Brute-force cross-check for :func:`pfaffian`; refuses dimensions above
-    12 where the enumeration explodes.
-    """
-    a = _check_square(np.asarray(a, dtype=complex), "skew matrix")
-    d = a.shape[0]
-    if d % 2:
-        raise ValueError(f"pfaffian needs even dimension, got {d}")
-    if d > _PAIRING_DIM_CAP:
-        raise ValueError(
-            f"pairing enumeration is exponential; dimension {d} exceeds cap "
-            f"{_PAIRING_DIM_CAP}, use pfaffian()"
-        )
-    a = 0.5 * (a - a.T)
-
-    def expand(idx: tuple) -> complex:
-        if not idx:
-            return 1.0 + 0.0j
-        first, rest = idx[0], idx[1:]
-        total = 0.0 + 0.0j
-        sign = 1.0
-        for pos, j in enumerate(rest):
-            sub = rest[:pos] + rest[pos + 1 :]
-            total += sign * a[first, j] * expand(sub)
-            sign = -sign
-        return total
-
-    return complex(expand(tuple(range(d))))
-
-
-@dataclass(frozen=True)
-class GeometricMeanInfo:
-    """Support metadata from a geometric-mean computation (per matrix for a stack)."""
-
-    support_mismatch: bool
-    support_dim: int
-
-
-def geometric_mean(
-    a: np.ndarray,
-    b: np.ndarray,
-    reg: float = PSD_CLAMP_TOL,
-    return_info: bool = False,
-):
+def geometric_mean(a: np.ndarray, b: np.ndarray, reg: float = PSD_CLAMP_TOL) -> np.ndarray:
     """Operator geometric mean of two PSD matrices, restricted to their common support.
 
     On the common support this is the usual
     ``a^{1/2} (a^{-1/2} b a^{-1/2})^{1/2} a^{1/2}`` (the variational operator
     mean); off the common support the result is zero. Eigenvalues at or below
-    ``reg * trace`` count as outside the support. With ``return_info=True``
-    also returns a :class:`GeometricMeanInfo` flagging whether the two
-    supports differ.
+    ``reg * trace`` count as outside the support.
     """
     a = hermitian_part(_check_square(a, "first matrix", stack=True))
     b = hermitian_part(_check_square(b, "second matrix", stack=True))
     _check_pair(a, b)
 
-    proj, ranks = [], []
+    proj = []
     for m, name in ((a, "first matrix"), (b, "second matrix")):
         w, v = np.linalg.eigh(m)
         _require_psd(w, reg, name)
         keep = w > reg * np.maximum(np.trace(m, axis1=-2, axis2=-1).real, 0.0)[..., None]
-        ranks.append(np.count_nonzero(keep, axis=-1))
         proj.append((v * keep[..., None, :]) @ dagger(v))
 
     # common support = eigenvalue-2 space of the sum of the two support projections
@@ -264,30 +209,17 @@ def geometric_mean(
             mid = sqrt_psd(inv_root @ sandwich(basis, b[sel]) @ inv_root)
             g[sel] = basis @ hermitian_part(root @ mid @ root) @ dagger(basis)
 
-    g = hermitian_part(g)
-    if return_info:
-        r = np.count_nonzero(common, axis=-1)
-        return g, GeometricMeanInfo(scalar(r < np.maximum(*ranks)), scalar(r))
-    return g
-
-
-def ratio(x: np.ndarray, g: np.ndarray, tol: float = SUPPORT_TOL, eig=None) -> np.ndarray:
-    """``g^{-1/2} x g^{-1/2}`` with the pseudo-inverse root, zero off supp(g).
-
-    Requires supp(x) contained in supp(g); a violating direction raises
-    :class:`SupportError` carrying a witness vector. ``eig``, if given, is
-    ``eig_h(g)`` already computed by the caller.
-    """
-    out, _, errors = ratio_violations(x, g, tol, eig)
-    if errors:
-        raise errors[0]
-    return out
+    return hermitian_part(g)
 
 
 def ratio_violations(x: np.ndarray, g: np.ndarray, tol: float = SUPPORT_TOL, eig=None):
-    """:func:`ratio` without raising: ``(ratio, bad, errors)`` with a mask
-    ``bad`` of the matrices that violate the support condition and the
-    SupportError that :func:`ratio` raises for each of them."""
+    """``g^{-1/2} x g^{-1/2}`` with the pseudo-inverse root, zero off supp(g).
+
+    The ratio needs supp(x) inside supp(g). Returns ``(ratio, bad, errors)``:
+    a mask ``bad`` of the matrices with a violating direction, and for each of
+    them a :class:`SupportError` carrying a witness vector. ``eig``, if given,
+    is ``eig_h(g)`` already computed by the caller.
+    """
     x = hermitian_part(_check_square(x, "numerator", stack=True))
     g = _check_square(g, "denominator", stack=True)
     _check_pair(x, g)

@@ -292,6 +292,13 @@ def test_is_standard():
     assert not car.is_standard_car(car.mu_covariance(0.5))
 
 
+def test_is_standard_on_a_stack():
+    mus = [0.1, 0.5, 0.3, -0.5]
+    flags = car.is_standard_car(car.mu_covariance(mus))
+    assert flags.tolist() == [car.is_standard_car(car.mu_covariance(m)) for m in mus]
+    assert flags.tolist() == [True, False, True, False]
+
+
 # ----------------------------------------------------------------- sampling
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from quasifree import ccr, matcore, sampling
+from quasifree import ccr, matcore, sampling, seqmodel
 from quasifree.errors import CovarianceError
 
 
@@ -18,6 +18,31 @@ def width_of(q):
 def thermal_overlap(q1, q2):
     """Closed-form transition probability between thermal states."""
     return math.sqrt((1.0 - q1) * (1.0 - q2)) / (1.0 - math.sqrt(q1 * q2))
+
+
+# Cancellation-free closed forms in the widths c >= 1 as given (c - 1 is exact
+# for c in [1, 2]); per mode, ratio(S, 2R) has eigenvalues (c +- 1)/(2c).
+
+
+def thermal_ab(c):
+    """ab_form of width c: (c + sqrt(c^2 - 1))/2 per mode."""
+    return 0.5 * (c + math.sqrt((c - 1.0) * (c + 1.0)))
+
+
+def thermal_neg_log_tp(c1, c2):
+    """-log tp from widths: 1 - q = 2/(c + 1) with q = (c - 1)/(c + 1)."""
+    q1, q2 = (c1 - 1.0) / (c1 + 1.0), (c2 - 1.0) / (c2 + 1.0)
+    return (0.5 * math.log1p(0.5 * (c1 - 1.0)) + 0.5 * math.log1p(0.5 * (c2 - 1.0))
+            + math.log1p(-math.sqrt(q1 * q2)))
+
+
+def thermal_qe(c1, c2):
+    """||sqrt(ratio(S, 2R)) - sqrt(ratio(T, 2R_T))|| from widths."""
+    def gap_sq(x, y):  # (sqrt x - sqrt y)^2 as (x - y)^2 / (sqrt x + sqrt y)^2
+        den = math.sqrt(x) + math.sqrt(y)
+        return 0.0 if den == 0.0 else ((x - y) / den) ** 2
+    return math.sqrt(gap_sq((c1 + 1.0) / (2.0 * c1), (c2 + 1.0) / (2.0 * c2))
+                     + gap_sq((c1 - 1.0) / (2.0 * c1), (c2 - 1.0) / (2.0 * c2)))
 
 
 # -------------------------------------------------------------- validation
@@ -66,6 +91,17 @@ def test_stacked_pair_api_matches_pairs_bitwise(rng):
     assert list(ccr.is_standard_ccr(s)) == [ccr.is_standard_ccr(a) for a, _ in pairs]
 
 
+def test_validate_rejects_asymmetric_forms():
+    sigma, r = ccr.canonical_sigma(1), np.eye(2)
+    with pytest.raises(CovarianceError, match="sigma is not antisymmetric"):
+        ccr.validate_ccr([[0.0, 1.0], [0.0, 0.0]], [[2.0, 5.0], [-3.0, 2.0]])
+    with pytest.raises(CovarianceError, match="R is not symmetric"):
+        ccr.validate_ccr(sigma, [[2.0, 5.0], [-3.0, 2.0]])
+    stack = np.stack([r, r + [[0.0, 1e-3], [0.0, 0.0]]])
+    with pytest.raises(CovarianceError, match=r"R is not symmetric: max deviation 1\.000e-03"):
+        ccr.validate_ccr(sigma, stack)
+
+
 def test_validate_shape_guards():
     with pytest.raises(CovarianceError, match="square"):
         ccr.validate_ccr(np.zeros((2, 3)), np.zeros((2, 3)))
@@ -111,6 +147,43 @@ def test_ab_form_vacuum_degenerates_to_r():
     assert np.linalg.norm(ccr.ab_form(v) - 0.5 * np.eye(2)) <= 1e-12
 
 
+def test_near_vacuum_sweep_matches_closed_forms():
+    """Widths 1 + delta against closed forms, to the eps/delta floor of the input.
+
+    Relative errors (of -log tp for tp); the vacuum pair's wider factor is
+    the gm(A, B) step of the transition probability.
+    """
+    eps = np.finfo(float).eps
+    c = 1.0 + np.logspace(-14, -2, 61)
+    floor = eps / (c - 1.0)
+    near = ccr.thermal_covariance(c)
+    ab = ccr.ab_form(near)
+    expect = np.array([thermal_ab(x) for x in c])
+    err = np.max(np.abs(ab - expect[:, None, None] * np.eye(2)), axis=(1, 2)) / expect
+    assert np.all(err <= 1e-12 + 4.0 * floor)
+    for width, tp_factor in ((3.0, 4.0), (1.0, 32.0)):
+        other = ccr.thermal_covariance(np.full(c.shape, width))
+        nlt = -np.log(ccr.trans_prob_ccr(other, near))
+        expect = np.array([thermal_neg_log_tp(width, x) for x in c])
+        assert np.all(np.abs(nlt - expect) / expect <= 1e-12 + tp_factor * floor)
+        qe = ccr.qe_distance_ccr(other, near)[1]
+        expect = np.array([thermal_qe(width, x) for x in c])
+        assert np.all(np.abs(qe - expect) / expect <= 1e-12 + 4.0 * floor)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_thermal_power_sums_match_closed_form(p):
+    """Both sums of the built-in family at n = 4096, whose widths run down to 1 + 4096^-p."""
+    n = 4096
+    verdict = seqmodel.classify_sequence(seqmodel.ccr_thermal_power_family(p), n_max=n)
+    widths = [1.0 + k**-p for k in range(1, n + 1)]
+    nlt = math.fsum(thermal_neg_log_tp(c, 1.0) for c in widths)
+    qe_sq = math.fsum(thermal_qe(c, 1.0) ** 2 for c in widths)
+    assert verdict.kind == ccr.QUASI_EQUIVALENT
+    assert abs(verdict.neg_log_tp_partial_sums[-1] - nlt) <= 1e-12 * nlt
+    assert abs(verdict.qe_partial_sums[-1] - qe_sq) <= 1e-12 * qe_sq
+
+
 def test_ab_form_sandwich(rng):
     sigma = ccr.canonical_sigma(2)
     for _ in range(10):
@@ -123,36 +196,64 @@ def test_ab_form_sandwich(rng):
         assert high[0] >= -1e-8 * scale
 
 
+def complex_route_ab_form(cov):
+    """Reference for ab_form by the complex mean: R + Re gm(S, conj S)."""
+    s = cov.s_matrix
+    return cov.r + matcore.geometric_mean(s, s.conj()).real
+
+
 def test_ab_form_is_real_and_cached(rng):
-    cov = sampling.random_ccr_covariance(rng, ccr.canonical_sigma(2))
-    a = ccr.ab_form(cov)
-    assert a.dtype == np.float64 and not a.flags.writeable
-    assert ccr.ab_form(cov) is a
-    gm = matcore.geometric_mean(cov.s_matrix, cov.conj_s_matrix)
-    assert np.max(np.abs(gm.imag)) <= 1e-12 * np.linalg.norm(gm)
+    covs = [sampling.random_ccr_covariance(rng, ccr.canonical_sigma(n))
+            for n in (1, 2, 4) for _ in range(8)]
+    # a degenerate sigma with a central direction, a rank-deficient R, the vacuum
+    z = np.zeros((3, 3))
+    z[0, 1], z[1, 0] = 1.0, -1.0
+    covs += [ccr.validate_ccr(z, np.diag([1.0, 1.0, 0.7])),
+             ccr.validate_ccr(z, np.diag([0.5, 0.5, 0.0])),
+             ccr.thermal_covariance(1.0, 3)]
+    for cov in covs:
+        a = ccr.ab_form(cov)
+        assert a.dtype == np.float64 and not a.flags.writeable
+        assert ccr.ab_form(cov) is a
+        ref = complex_route_ab_form(cov)
+        assert np.max(np.abs(a - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_roots_square_to_the_complex_ratio(rng):
+    covs = [sampling.random_ccr_covariance(rng, ccr.canonical_sigma(n))
+            for n in (1, 2, 4) for _ in range(8)]
+    z = np.zeros((3, 3))
+    z[0, 1], z[1, 0] = 1.0, -1.0
+    covs += [ccr.validate_ccr(z, np.diag([0.5, 0.5, 0.0])), ccr.thermal_covariance(1.0, 3)]
+    for cov in covs:
+        g, y = cov.roots
+        root = g + 1j * y
+        ratio = matcore.ratio_violations(cov.s_matrix, 2.0 * cov.r)[0]
+        assert np.max(np.abs(root @ root - ratio)) <= 1e-12
+        assert np.linalg.eigvalsh(root)[0] >= -1e-12
 
 
 def test_pair_path_after_ab_form_is_real(rng, monkeypatch):
     s, t = sampling.random_ccr_pair(rng, ccr.canonical_sigma(3))
-    ccr.ab_form(s), ccr.ab_form(t)
     dtypes = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "svd"):
         def spy(a, *args, _f=getattr(np.linalg, name), **kwargs):
             dtypes.append(np.asarray(a).dtype)
             return _f(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, spy)
+    # everything after validation: the factorisation, ab_form and all pair functions
+    ccr.ab_form(s), ccr.ab_form(t)
     ccr.trans_prob_ccr(s, t)
-    s.metric_spectrum, t.metric_spectrum
     ccr.qe_distance_ccr(s, t)
-    # only the two square roots of the complex ratios ratio(S, 2R) stay complex
-    assert dtypes and dtypes.count(np.dtype(complex)) == 2
-    assert set(dtypes) <= {np.dtype(float), np.dtype(complex)}
+    ccr.classify_ccr(s, t)
+    ccr.is_standard_ccr(s)
+    assert dtypes and set(dtypes) == {np.dtype(float)}
 
 
 def test_classify_after_trans_prob_factorises_once(rng, monkeypatch):
     s, t = sampling.random_ccr_pair(rng, ccr.canonical_sigma(2))
-    means, metric_eighs = [], []
-    real_gm, real_eig_h = matcore.geometric_mean, ccr.eig_h
+    means, metric_eighs, form_eighs = [], [], []
+    real_gm, real_eig_h, real_eigh = matcore.geometric_mean, ccr.eig_h, np.linalg.eigh
 
     def gm_spy(a, b, *args, **kwargs):
         means.append(np.iscomplexobj(a))
@@ -162,15 +263,24 @@ def test_classify_after_trans_prob_factorises_once(rng, monkeypatch):
         metric_eighs.extend(c for c in (s, t) if np.array_equal(h, 2.0 * c.r))
         return real_eig_h(h)
 
+    def eigh_spy(h, *args, **kwargs):
+        form_eighs.append(np.array(h))
+        return real_eigh(h, *args, **kwargs)
+
     monkeypatch.setattr(matcore, "geometric_mean", gm_spy)
     monkeypatch.setattr(ccr, "eig_h", eig_spy)
+    monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
     tp = ccr.trans_prob_ccr(s, t)
     verdict = ccr.classify_ccr(s, t)
     ccr.is_standard_ccr(s)
     assert verdict.transition_probability == tp
-    # ab_form's mean gm(S, conj S) once per covariance; gm(A, B) once per call
-    assert means.count(True) == 2 and means.count(False) == 2
+    # gm(A, B) once per call and gm(S, conj S) never
+    assert means == [False, False]
     assert len(metric_eighs) == 2 and metric_eighs[0] is not metric_eighs[1]
+    # one eigh of a^T a per covariance
+    for c in (s, t):
+        a = c.spectrum[0]
+        assert sum(np.array_equal(h, a.T @ a) for h in form_eighs) == 1
 
 
 # ---------------------------------------------------- transition probability
@@ -247,6 +357,7 @@ def test_classify_thermal_pair_quasi_equivalent():
     v = ccr.classify_ccr(ccr.thermal_covariance(1.5), ccr.thermal_covariance(4.0))
     assert v.kind == ccr.QUASI_EQUIVALENT
     assert 0.0 < v.transition_probability < 1.0
+    assert v.diagnostics["ab_support_mismatch"] is False
 
 
 def test_classify_central_element_disjoint():
@@ -262,6 +373,18 @@ def test_classify_central_element_disjoint():
     wit = v.diagnostics["central_witness"]
     assert wit["other_form_value"] > 0.5
     assert ccr.trans_prob_ccr(s, t) == 0.0
+
+
+def test_classify_reports_form_support_mismatch():
+    # A = 2 R_S vanishes on e2, where B = 2 R_T is positive but below the
+    # witness threshold: no central witness, and the determinant vanishes
+    z = np.zeros((2, 2))
+    s = ccr.validate_ccr(z, np.diag([1.0, 0.0]))
+    t = ccr.validate_ccr(z, np.diag([1.0, 1e-9]))
+    v = ccr.classify_ccr(s, t)
+    assert v.kind == ccr.DISJOINT and "central_witness" not in v.diagnostics
+    assert v.diagnostics["ab_support_mismatch"] is True
+    assert v.diagnostics["support_dim"] == 2
 
 
 def test_classify_reports_metric_distance():

@@ -67,6 +67,15 @@ def test_validate_rejects_bad_covariance(tmp_path, capsys):
     assert "validation error" in err
 
 
+def test_validate_rejects_asymmetric_ccr_forms(tmp_path, capsys):
+    # not rewritten into sigma = [[0, .5], [-.5, 0]], R = [[2, 1], [1, 2]]
+    sc = {"kind": "ccr-pair", "sigma": [[0, 1], [0, 0]], "R_S": [[2, 5], [-3, 2]],
+          "R_T": thermal_r(1.0)}
+    code, report, err = run_cli(capsys, ["validate", write_scenario(tmp_path, sc)])
+    assert code == 2 and "antisymmetric" in report["error"]
+    assert "validation error" in err
+
+
 def test_validate_ccr_pair(tmp_path, capsys):
     sc = {"kind": "ccr-pair", "sigma": SIGMA_1, "R_S": thermal_r(3.0), "R_T": thermal_r(1.0)}
     path = write_scenario(tmp_path, sc)
