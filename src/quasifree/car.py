@@ -10,6 +10,8 @@ covariance is factorised once, by one real ``eigh`` of A^T A = -A^2 kept on
 the frozen :class:`CarCovariance`; sqrt(S) = G + iY and sqrt(I-S) = G - iY with
 G, Y real functions of it, so the overlap matrix M = 2(G_S G_T - Y_S Y_T) is
 real and one real SVD of it gives both the transition probability and the meet.
+S keeps the singular values against its last partner T, so tp, log tp, the
+meet and the quadrature check on the same pair of objects run that SVD once.
 """
 
 from __future__ import annotations
@@ -192,9 +194,18 @@ def _pair_roots(s, t):
 
 
 def _overlap_singular_values(s, t) -> np.ndarray:
-    """Singular values (descending) of the real overlap matrix 2(G_S G_T - Y_S Y_T)."""
-    (gs, ys), (gt, yt) = _pair_roots(s, t)
-    return np.linalg.svd(2.0 * (gs @ gt - ys @ yt), compute_uv=False)
+    """Singular values (descending) of the real overlap matrix 2(G_S G_T - Y_S Y_T).
+
+    Kept read-only on S against T's matrix (by identity), one pair at a time.
+    """
+    s, t = _as_covariance(s), _as_covariance(t)
+    partner, sv = s.__dict__.get("_overlap", (None, None))
+    if partner is not t.matrix:
+        (gs, ys), (gt, yt) = _pair_roots(s, t)
+        sv = np.linalg.svd(2.0 * (gs @ gt - ys @ yt), compute_uv=False)
+        sv.setflags(write=False)
+        s.__dict__["_overlap"] = (t.matrix, sv)
+    return sv
 
 
 def _zero_count(sv: np.ndarray, singular_tol: float):
@@ -317,7 +328,8 @@ def meet_criterion(s, t, singular_tol: float = SINGULAR_TOL):
     and V_T* V_S = M*, so ran quadrature(S) ∩ ker quadrature(T) is V_S ker M*:
     the rank is the number of zero singular values of M, counted with the
     zero rule of :func:`trans_prob_car`. Hence the rank is at least 1 exactly
-    when the transition probability is 0. Stacked covariances give one rank
+    when the transition probability is 0; after :func:`trans_prob_car` on the
+    same pair of objects it reuses that SVD. Stacked covariances give one rank
     per pair.
     """
     return scalar(_zero_count(_overlap_singular_values(s, t), singular_tol))
@@ -327,9 +339,11 @@ def hamiltonian_of(s, tol: float = 1e-10) -> np.ndarray:
     """Logarithmic generator H with S = (I + exp(H))^{-1}.
 
     Only defined for non-degenerate covariances (spectrum in the open unit
-    interval); satisfies conj(H) = -H.
+    interval); satisfies conj(H) = -H. Takes one covariance, not a stack.
     """
     m = _as_covariance(s).matrix
+    if m.ndim != 2:
+        raise CovarianceError(f"hamiltonian_of takes one covariance, got shape {m.shape}")
     w, v = eig_h(m)
     if w.size == 0:
         return np.zeros_like(m)

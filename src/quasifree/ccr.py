@@ -14,10 +14,13 @@ Each covariance is factorised once, by real ``eigh`` calls kept on the frozen
 antisymmetric, and gm(S, conj S) (:func:`ab_form`), the ratio's square root
 (:func:`qe_distance_ccr`) and its kernel (:func:`is_standard_ccr`) are real
 functions of a^T a. Past validation the pair path runs no complex kernel.
+S keeps its last transition analysis against T, so trans_prob_ccr and
+classify_ccr on the same pair of objects run it once.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -196,7 +199,9 @@ def _check_same_space(a: CcrCovariance, b: CcrCovariance) -> None:
 
 
 def char_value(cov: CcrCovariance, x) -> float:
-    """Characteristic function at a real vector: exp(-R(x, x)/2)."""
+    """Characteristic function at a real vector: exp(-R(x, x)/2); one covariance, not a stack."""
+    if cov.r.ndim != 2:
+        raise CovarianceError(f"char_value takes one covariance, got shape {cov.r.shape}")
     x = _as_real(x, "x")
     if x.shape != (cov.dim,):
         raise CovarianceError(f"vector length {x.shape} does not match dim {cov.dim}")
@@ -223,22 +228,24 @@ class CcrVerdict:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _transition_analysis(
-    cov_s: CcrCovariance, cov_t: CcrCovariance, support_tol: float = 1e-10
-):
+def _transition_analysis(cov_s: CcrCovariance, cov_t: CcrCovariance):
     """Shared computation behind trans_prob_ccr and classify_ccr.
 
     Returns (t, central, diagnostics) for the flattened stack of pairs: the
     transition probabilities, whether a central element decided each, and
-    each pair's diagnostics dict.
+    each pair's diagnostics dict. Kept on S against T's arrays (by identity),
+    one pair at a time; callers copy what they change.
     """
+    memo = cov_s.__dict__.get("_transition", (None, None, None))
+    if memo[0] is cov_t.sigma and memo[1] is cov_t.r:
+        return memo[2]
     _check_same_space(cov_s, cov_t)
     d = cov_s.dim
     a = ab_form(cov_s).reshape(-1, d, d)
     b = ab_form(cov_t).reshape(-1, d, d)
     g = hermitian_part(a + b)
     w, v = eig_h(g)
-    keep = w > support_tol * np.maximum(np.trace(g, axis1=-2, axis2=-1), 0.0)[:, None]
+    keep = w > SUPPORT_TOL * np.maximum(np.trace(g, axis1=-2, axis2=-1), 0.0)[:, None]
     t = np.ones(a.shape[0])
     central = np.zeros(a.shape[0], dtype=bool)
     diagnostics = [{"support_dim": int(r)} for r in np.count_nonzero(keep, axis=-1)]
@@ -292,6 +299,9 @@ def _transition_analysis(
             for i, row, differ in zip(idx.tolist(), wc.tolist(), mismatch.tolist()):
                 diagnostics[i]["ab_support_mismatch"] = differ
                 diagnostics[i]["det_eigenvalues"] = row
+    t.setflags(write=False)
+    central.setflags(write=False)
+    cov_s.__dict__["_transition"] = (cov_t.sigma, cov_t.r, (t, central, diagnostics))
     return t, central, diagnostics
 
 
@@ -304,17 +314,21 @@ def trans_prob_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance):
     one value per pair.
     """
     t = _transition_analysis(cov_s, cov_t)[0]
-    return scalar(t.reshape(cov_s.r.shape[:-2]))
+    return scalar(t.reshape(cov_s.r.shape[:-2]).copy())
 
 
 def classify_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance, tol: float = 1e-12) -> CcrVerdict:
     """Quasi-equivalent vs disjoint dichotomy for a pair of states.
 
     In finite dimension the two states are quasi-equivalent exactly when the
-    transition probability is positive, otherwise disjoint.
+    transition probability is positive, otherwise disjoint. Takes one pair,
+    not a stack.
     """
+    if cov_s.r.ndim != 2 or cov_t.r.ndim != 2:
+        raise CovarianceError(
+            f"classify_ccr takes one pair, got shapes {cov_s.r.shape} and {cov_t.r.shape}")
     t, central, diagnostics = _transition_analysis(cov_s, cov_t)
-    t, diagnostics = float(t[0]), diagnostics[0]
+    t, diagnostics = float(t[0]), copy.deepcopy(diagnostics[0])
     reason = CENTRAL_ELEMENT_MISMATCH if central[0] else POSITIVE_TRANSITION_PROBABILITY
     equiv, hs_dist = qe_distance_ccr(cov_s, cov_t)
     diagnostics["metric_equivalent"] = equiv

@@ -318,9 +318,9 @@ def classify_sequence(
     fully degenerate families can genuinely split them, and refusing to
     answer is deliberate there.)
 
-    ``n_max`` above N_MAX_CAP = 2**20 raises :class:`SizeCapError`: the table
-    costs ~14 us/mode for the CAR built-ins and ~55 us/mode for the CCR
-    built-ins (2-vCPU x86_64 VM, one BLAS thread), ~15 s and ~60 s at the cap.
+    ``n_max`` above N_MAX_CAP = 2**20 raises :class:`SizeCapError`: the scan
+    costs ~10 us/mode for the CAR built-ins and ~35 us/mode for the CCR
+    built-ins (2-vCPU x86_64 VM, one BLAS thread), ~10 s and ~37 s at the cap.
     """
     if n_max < MIN_N_MAX:
         raise ValueError(f"n_max must be at least {MIN_N_MAX}, got {n_max}")

@@ -1,6 +1,7 @@
 """Unit tests for fermionic covariances and the overlap determinant formula."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -287,6 +288,11 @@ def test_hamiltonian_rejects_degenerate():
         car.hamiltonian_of(car.mu_covariance(0.5))
 
 
+def test_hamiltonian_rejects_a_stack():
+    with pytest.raises(CovarianceError, match="one covariance"):
+        car.hamiltonian_of(car.mu_covariance([0.1, 0.2]))
+
+
 def test_is_standard():
     assert car.is_standard_car(car.mu_covariance(0.3))
     assert not car.is_standard_car(car.mu_covariance(0.5))
@@ -459,3 +465,65 @@ def test_raw_arrays_are_validated():
         with pytest.raises(CovarianceError, match=r"S \+ conj\(S\) != I"):
             fn(good, bad)
     assert car.trans_prob_car(good, good) == pytest.approx(1.0, abs=1e-15)
+
+
+# ------------------------------------------------------------- pair reuse
+
+
+def _pair_values(s, t):
+    """Everything the overlap SVD of the ordered pair feeds."""
+    return (car.trans_prob_car(s, t), car.log_trans_prob_car(s, t), car.meet_criterion(s, t),
+            car.quadrature_identity_check(s, t)[1])
+
+
+def _fresh(c):
+    return car.validate_car(c.matrix.copy())
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_pair_functions_share_one_overlap_svd(rng, monkeypatch):
+    s, t = sampling.random_car_pair(rng, 6)
+    shapes, real_svd = [], np.linalg.svd
+
+    def svd_spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    car.trans_prob_car(s, t)
+    car.log_trans_prob_car(s, t)
+    car.meet_criterion(s, t)
+    car.quadrature_identity_check(s, t)
+    # the pair's overlap once, the quadratures' overlap once
+    assert shapes == [(6, 6), (12, 12)]
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_pair_reuse_matches_fresh_calls_bitwise(rng, stacked):
+    # the first pair has tp 0 and a nonempty meet
+    covs = [*sampling.singular_overlap_car_pair(rng, 6)]
+    covs += [sampling.random_car_covariance(rng, 6) for _ in range(7)]
+    if stacked:
+        covs = [car.validate_car(np.stack([a.matrix, b.matrix])) for a, b in zip(covs, covs[1:])]
+    s, t, u = covs[0], covs[1], covs[2]
+    twin = _fresh(t)  # a distinct partner with the same values
+    for x, y in ((s, t), (t, s), (s, t), (s, u), (s, t), (s, twin), (s, t), (s, s), (s, t)):
+        assert all(map(_same_bits, _pair_values(x, y), _pair_values(_fresh(x), _fresh(y))))
+    # partners freed after use: a new one may reuse a freed object's id
+    for m in [c.matrix for c in covs[3:]]:
+        partner = car.validate_car(m.copy())
+        want = _pair_values(_fresh(s), _fresh(partner))
+        assert all(map(_same_bits, _pair_values(s, partner), want))
+        del partner
+
+
+def test_covariances_pickle_after_pair_calls(rng):
+    s, t = sampling.random_car_pair(rng, 4)
+    want = _pair_values(s, t)
+    for s2, t2 in (pickle.loads(pickle.dumps((s, t))), (pickle.loads(pickle.dumps(s)), t)):
+        assert np.array_equal(s2.matrix, s.matrix) and np.array_equal(t2.matrix, t.matrix)
+        assert all(map(_same_bits, _pair_values(s2, t2), want))

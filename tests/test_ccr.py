@@ -1,6 +1,7 @@
 """Unit tests for bosonic covariance forms and the CCR overlap determinant."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -128,6 +129,8 @@ def test_char_value():
     assert ccr.char_value(cov, x) == pytest.approx(math.exp(-1.0), abs=1e-14)
     with pytest.raises(CovarianceError, match="length"):
         ccr.char_value(cov, np.ones(3))
+    with pytest.raises(CovarianceError, match="one covariance"):
+        ccr.char_value(ccr.thermal_covariance([2.0, 3.0]), x)
 
 
 # ----------------------------------------------------------- symmetrized form
@@ -274,8 +277,8 @@ def test_classify_after_trans_prob_factorises_once(rng, monkeypatch):
     verdict = ccr.classify_ccr(s, t)
     ccr.is_standard_ccr(s)
     assert verdict.transition_probability == tp
-    # gm(A, B) once per call and gm(S, conj S) never
-    assert means == [False, False]
+    # gm(A, B) once per pair (classify reuses the analysis) and gm(S, conj S) never
+    assert means == [False]
     assert len(metric_eighs) == 2 and metric_eighs[0] is not metric_eighs[1]
     # one eigh of a^T a per covariance
     for c in (s, t):
@@ -387,6 +390,13 @@ def test_classify_reports_form_support_mismatch():
     assert v.diagnostics["support_dim"] == 2
 
 
+def test_classify_rejects_stacked_pairs():
+    # pair 0 has tp 0.984 and pair 1 tp 1/sqrt(2): one verdict cannot report both
+    s, t = ccr.thermal_covariance([1.5, 3.0]), ccr.thermal_covariance([2.0, 1.0])
+    with pytest.raises(CovarianceError, match="one pair"):
+        ccr.classify_ccr(s, t)
+
+
 def test_classify_reports_metric_distance():
     s = ccr.thermal_covariance(3.0)
     t = ccr.thermal_covariance(2.0)
@@ -449,3 +459,63 @@ def test_random_ccr_covariance_validates(rng):
     for _ in range(5):
         cov = sampling.random_ccr_covariance(rng, sigma)
         ccr.validate_ccr(cov.sigma, cov.r)
+
+
+# ------------------------------------------------------------- pair reuse
+
+
+def _fresh(c):
+    return ccr.validate_ccr(c.sigma.copy(), c.r.copy())
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_pair_reuse_matches_fresh_calls_bitwise(rng, stacked):
+    sigma = ccr.canonical_sigma(2)
+    covs = [sampling.random_ccr_covariance(rng, sigma) for _ in range(7)]
+    covs.append(ccr.validate_ccr(sigma, 0.5 * np.eye(4)))  # the vacuum
+    if stacked:
+        covs = [ccr.validate_ccr(sigma, np.stack([a.r, b.r])) for a, b in zip(covs, covs[1:])]
+    s, t, u = covs[0], covs[1], covs[2]
+    twin = _fresh(t)  # a distinct partner with the same values
+
+    def check(x, y):
+        assert _same_bits(ccr.trans_prob_ccr(x, y), ccr.trans_prob_ccr(_fresh(x), _fresh(y)))
+        if not stacked:
+            assert ccr.classify_ccr(x, y) == ccr.classify_ccr(_fresh(x), _fresh(y))
+
+    for x, y in ((s, t), (t, s), (s, t), (s, u), (s, t), (s, twin), (s, t), (s, s), (s, t)):
+        check(x, y)
+    # partners freed after use: a new one may reuse a freed object's id
+    for c in covs[3:]:
+        partner = _fresh(c)
+        check(s, partner)
+        del partner
+
+
+def test_classify_twice_gives_unshared_diagnostics():
+    sigma = np.zeros((3, 3))
+    sigma[0, 1], sigma[1, 0] = 1.0, -1.0
+    s = ccr.validate_ccr(sigma, np.diag([1.0, 1.0, 0.0]))
+    t = ccr.validate_ccr(sigma, np.diag([1.0, 1.0, 1.0]))
+    first = ccr.classify_ccr(s, t)
+    first.diagnostics["central_witness"]["side"] = "changed"
+    first.diagnostics["extra"] = 1
+    second = ccr.classify_ccr(s, t)
+    assert second.diagnostics is not first.diagnostics
+    assert second.diagnostics["central_witness"]["side"] in ("A", "B")
+    assert "extra" not in second.diagnostics
+    assert second == ccr.classify_ccr(_fresh(s), _fresh(t))
+    assert ccr.trans_prob_ccr(s, t) == second.transition_probability == 0.0
+
+
+def test_covariances_pickle_after_pair_calls(rng):
+    s, t = sampling.random_ccr_pair(rng, ccr.canonical_sigma(2))
+    tp, verdict = ccr.trans_prob_ccr(s, t), ccr.classify_ccr(s, t)
+    for s2, t2 in (pickle.loads(pickle.dumps((s, t))), (pickle.loads(pickle.dumps(s)), t)):
+        assert np.array_equal(s2.r, s.r) and np.array_equal(t2.r, t.r)
+        assert ccr.trans_prob_ccr(s2, t2) == tp and ccr.classify_ccr(s2, t2) == verdict
