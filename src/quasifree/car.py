@@ -23,7 +23,9 @@ import numpy as np
 
 from . import matcore
 from .errors import CovarianceError
-from .matcore import dagger, eig_h, hermitian_part, hs_norm, raise_first, scalar
+from .matcore import (
+    dagger, eig_h, eigh, eigvalsh, hermitian_part, hs_norm, raise_first, scalar, svdvals,
+)
 
 __all__ = [
     "CarCovariance",
@@ -72,7 +74,7 @@ class CarCovariance:
     def spectrum(self):
         """``(x, v)``: real ``eigh`` of A^T A = -A^2, A = Im S; S has eigenvalues 1/2 +- sqrt(x)."""
         a = self.matrix.imag
-        return np.linalg.eigh(a.swapaxes(-1, -2) @ a)
+        return eigh(a.swapaxes(-1, -2) @ a)
 
     @cached_property
     def roots(self):
@@ -148,9 +150,20 @@ def _as_covariance(s) -> CarCovariance:
     return s if isinstance(s, CarCovariance) else validate_car(s)
 
 
-def two_point(s, x, y) -> complex:
-    """Second moment of the state at a pair of (complexified) vectors: x^T S y."""
+def _single(s, name: str) -> np.ndarray:
+    """The matrix of one covariance; CovarianceError naming the shape of a stack."""
     m = _as_covariance(s).matrix
+    if m.ndim != 2:
+        raise CovarianceError(f"{name} takes one covariance, got shape {m.shape}")
+    return m
+
+
+def two_point(s, x, y) -> complex:
+    """Second moment of the state at a pair of (complexified) vectors: x^T S y.
+
+    Takes one covariance, not a stack.
+    """
+    m = _single(s, "two_point")
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if x.shape != (m.shape[0],) or y.shape != (m.shape[0],):
@@ -164,9 +177,10 @@ def wick_moment(s, vectors) -> complex:
     """Moment of a product of generators: the Pfaffian of the two-point matrix.
 
     Odd-length products vanish; the empty product is 1. Equal to the signed
-    sum over pair partitions of products of two-point values.
+    sum over pair partitions of products of two-point values. Takes one
+    covariance, not a stack.
     """
-    m = _as_covariance(s).matrix
+    m = _single(s, "wick_moment")
     vs = [np.asarray(v, dtype=complex) for v in vectors]
     for v in vs:
         if v.shape != (m.shape[0],):
@@ -202,7 +216,7 @@ def _overlap_singular_values(s, t) -> np.ndarray:
     partner, sv = s.__dict__.get("_overlap", (None, None))
     if partner is not t.matrix:
         (gs, ys), (gt, yt) = _pair_roots(s, t)
-        sv = np.linalg.svd(2.0 * (gs @ gt - ys @ yt), compute_uv=False)
+        sv = svdvals(2.0 * (gs @ gt - ys @ yt))
         sv.setflags(write=False)
         s.__dict__["_overlap"] = (t.matrix, sv)
     return sv
@@ -293,12 +307,15 @@ def doubled_conjugate(x: np.ndarray) -> np.ndarray:
 
 def validate_doubled_covariance(p: np.ndarray, tol: float = 1e-8) -> None:
     """Assert that p is a covariance for the doubled conjugation: Hermitian,
-    0 <= p <= I, and p + doubled_conjugate(p) = I. Raises CovarianceError."""
+    0 <= p <= I, and p + doubled_conjugate(p) = I. Raises CovarianceError,
+    also for anything but one square matrix."""
     p = np.asarray(p, dtype=complex)
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise CovarianceError(f"doubled covariance must be one square matrix, got shape {p.shape}")
     herm = float(np.max(np.abs(p - p.conj().T), initial=0.0))
     if herm > tol:
         raise CovarianceError(f"doubled covariance not Hermitian: {herm:.3e}")
-    w = np.linalg.eigvalsh(hermitian_part(p))
+    w = eigvalsh(hermitian_part(p))
     if w.size and (w[0] < -tol or w[-1] > 1.0 + tol):
         raise CovarianceError(
             f"doubled covariance spectrum outside [0, 1]: [{w[0]:.3e}, {w[-1]:.6f}]"
@@ -341,9 +358,7 @@ def hamiltonian_of(s, tol: float = 1e-10) -> np.ndarray:
     Only defined for non-degenerate covariances (spectrum in the open unit
     interval); satisfies conj(H) = -H. Takes one covariance, not a stack.
     """
-    m = _as_covariance(s).matrix
-    if m.ndim != 2:
-        raise CovarianceError(f"hamiltonian_of takes one covariance, got shape {m.shape}")
+    m = _single(s, "hamiltonian_of")
     w, v = eig_h(m)
     if w.size == 0:
         return np.zeros_like(m)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .car import CarCovariance, validate_car
 from .errors import SizeCapError
-from .matcore import hermitian_part, sqrt_psd
+from .matcore import PSD_CLAMP_TOL, hermitian_part, require_psd
 
 __all__ = [
     "CliffordRep",
@@ -159,13 +159,26 @@ def density_from_covariance(s, rep: CliffordRep | None = None) -> np.ndarray:
     return rho
 
 
+def sqrt_density(rho: np.ndarray) -> np.ndarray:
+    """Square root of a density matrix by ``numpy.linalg.eigh``, for both oracles.
+
+    The oracles take their spectra from numpy, not from the closed-form
+    kernels of :mod:`quasifree.matcore` that the formulas use. Eigenvalues in
+    ``[-PSD_CLAMP_TOL * ||rho||, 0)`` are clipped to zero; below that
+    :class:`~quasifree.errors.NotPositiveError` is raised.
+    """
+    w, v = np.linalg.eigh(hermitian_part(rho))
+    require_psd(w, PSD_CLAMP_TOL, "density")
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
 def overlap(rho: np.ndarray, tau: np.ndarray) -> float:
     """tr(sqrt(rho) sqrt(tau)) for two density matrices, clipped to [0, 1]."""
     rho = np.asarray(rho, dtype=complex)
     tau = np.asarray(tau, dtype=complex)
     if rho.shape != tau.shape:
         raise ValueError(f"shape mismatch: {rho.shape} vs {tau.shape}")
-    val = float(np.trace(sqrt_psd(rho) @ sqrt_psd(tau)).real)
+    val = float(np.trace(sqrt_density(rho) @ sqrt_density(tau)).real)
     return float(np.clip(val, 0.0, 1.0))
 
 
@@ -178,5 +191,5 @@ def fidelity_tr(rho: np.ndarray, tau: np.ndarray) -> float:
     tau = np.asarray(tau, dtype=complex)
     if rho.shape != tau.shape:
         raise ValueError(f"shape mismatch: {rho.shape} vs {tau.shape}")
-    sv = np.linalg.svd(sqrt_psd(rho) @ sqrt_psd(tau), compute_uv=False)
+    sv = np.linalg.svd(sqrt_density(rho) @ sqrt_density(tau), compute_uv=False)
     return float(np.clip(float(np.sum(sv)), 0.0, 1.0))

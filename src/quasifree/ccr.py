@@ -30,7 +30,8 @@ import numpy as np
 from . import matcore
 from .errors import CovarianceError
 from .matcore import (
-    SUPPORT_TOL, eig_h, hermitian_part, hs_norm, raise_first, scalar, support_groups,
+    SUPPORT_TOL, eig_h, eigh, eigvalsh, hermitian_part, hs_norm, raise_first, scalar,
+    support_groups,
 )
 
 __all__ = [
@@ -101,7 +102,7 @@ class CcrCovariance:
         keep = w > SUPPORT_TOL * np.max(np.abs(w), axis=-1, keepdims=True, initial=0.0)
         inv = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
         a = 0.5 * inv[..., :, None] * (v.swapaxes(-1, -2) @ self.sigma @ v) * inv[..., None, :]
-        x, u = np.linalg.eigh(a.swapaxes(-1, -2) @ a)
+        x, u = eigh(a.swapaxes(-1, -2) @ a)
         return a, x, u, v * keep[..., None, :]
 
     @cached_property
@@ -167,7 +168,7 @@ def validate_ccr(sigma, r, tol: float = VALIDATION_TOL) -> CcrCovariance:
                     lambda v, what=what: CovarianceError(f"{what}: max deviation {v:.3e}"))
     sigma = 0.5 * (sigma - np.swapaxes(sigma, -1, -2))
     r = 0.5 * (r + np.swapaxes(r, -1, -2))
-    w = np.linalg.eigvalsh(r + 0.5j * sigma)[..., :1]
+    w = eigvalsh(r + 0.5j * sigma)[..., :1]
     raise_first(w < -tol * scale[..., None], w, lambda v: CovarianceError(
         f"not a covariance form: minimal eigenvalue of R + i*sigma/2 is {v:.6e}"))
     sigma.setflags(write=False)
@@ -240,9 +241,9 @@ def _transition_analysis(cov_s: CcrCovariance, cov_t: CcrCovariance):
     if memo[0] is cov_t.sigma and memo[1] is cov_t.r:
         return memo[2]
     _check_same_space(cov_s, cov_t)
-    d = cov_s.dim
-    a = ab_form(cov_s).reshape(-1, d, d)
-    b = ab_form(cov_t).reshape(-1, d, d)
+    n, d = math.prod(cov_s.r.shape[:-2]), cov_s.dim  # (n, 0, 0) has no -1 reshape
+    a = ab_form(cov_s).reshape(n, d, d)
+    b = ab_form(cov_t).reshape(n, d, d)
     g = hermitian_part(a + b)
     w, v = eig_h(g)
     keep = w > SUPPORT_TOL * np.maximum(np.trace(g, axis1=-2, axis2=-1), 0.0)[:, None]
@@ -256,7 +257,7 @@ def _transition_analysis(cov_s: CcrCovariance, cov_t: CcrCovariance):
             continue  # both forms vanish entirely: the states coincide (trivial character)
         # whitened by A + B the forms are A' and B' = I - A': one eigh gives
         # both spectra on common eigenvectors
-        wa, va = np.linalg.eigh(matcore.sandwich(basis, a[idx], wk))
+        wa, va = eigh(matcore.sandwich(basis, a[idx], wk))
         mismatch = np.any((wa < KERNEL_TOL) | (1.0 - wa < KERNEL_TOL), axis=-1)
         # central-element detection: a kernel direction of one form inside
         # supp(G) on which the other form is positive makes the states disjoint
@@ -288,7 +289,7 @@ def _transition_analysis(cov_s: CcrCovariance, cov_t: CcrCovariance):
         gm[need] = matcore.geometric_mean(a[need], b[need])
         for idx, basis, wk, mismatch in pending:
             core = matcore.sandwich(basis, 2.0 * gm[idx], wk)
-            wc = np.clip(np.linalg.eigvalsh(core), 0.0, 1.0)
+            wc = np.clip(eigvalsh(core), 0.0, 1.0)
             # a vanishing determinant factor that escaped the witness check above
             zero = np.any(wc <= 1e-13, axis=-1)
             with np.errstate(divide="ignore"):
@@ -367,20 +368,21 @@ def qe_distance_ccr(
     """
     _check_same_space(cov_s, cov_t)
     d, lead = cov_s.dim, cov_s.r.shape[:-2]
-    gs = 2.0 * cov_s.r.reshape(-1, d, d)
-    gt = 2.0 * cov_t.r.reshape(-1, d, d)
-    (ws, vs), (wt, vt) = ((w.reshape(-1, d), v.reshape(-1, d, d))
+    n = math.prod(lead)
+    gs = 2.0 * cov_s.r.reshape(n, d, d)
+    gt = 2.0 * cov_t.r.reshape(n, d, d)
+    (ws, vs), (wt, vt) = ((w.reshape(n, d), v.reshape(n, d, d))
                           for w, v in (cov_s.metric_spectrum, cov_t.metric_spectrum))
 
     ps, pt = (matcore.support_projection(g, support_tol, eig=(w, v))
               for g, w, v in ((gs, ws, vs), (gt, wt, vt)))
     equiv = ~(hs_norm(ps - pt) > 1e-6)
     sel = np.flatnonzero(equiv)
-    if sel.size:
+    if sel.size and d:  # on d = 0 both supports are empty: equivalent
         rank = np.rint(np.trace(ps[sel], axis1=-2, axis2=-1).real).astype(int)
         ratio_st, unsupported, _ = matcore.ratio_violations(
             gs[sel], gt[sel], eig=(wt[sel], vt[sel]))
-        wr = np.linalg.eigvalsh(ratio_st)
+        wr = eigvalsh(ratio_st)
         lo = np.take_along_axis(wr, np.clip(d - rank, 0, d - 1)[:, None], -1)[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             dominated = ~(wr[:, -1] / lo > cond_bound)
@@ -390,7 +392,7 @@ def qe_distance_ccr(
 
     dist = np.full(equiv.shape, math.inf)
     if sel.size:
-        (g_s, y_s), (g_t, y_t) = ((m.reshape(-1, d, d)[sel] for m in c.roots)
+        (g_s, y_s), (g_t, y_t) = ((m.reshape(n, d, d)[sel] for m in c.roots)
                                   for c in (cov_s, cov_t))
         dist[sel] = hs_norm(np.concatenate([g_s - g_t, y_s - y_t], axis=-1))
     return scalar(equiv.reshape(lead)), scalar(dist.reshape(lead))

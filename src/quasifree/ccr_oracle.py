@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .car_oracle import sqrt_density
 from .ccr import CcrCovariance, canonical_sigma, validate_ccr
 from .errors import InconclusiveError, SizeCapError
-from .matcore import hermitian_part, sqrt_psd
+from .matcore import hermitian_part
 
 __all__ = [
     "BosonOps",
@@ -224,7 +225,7 @@ def covariance_of_density(state: TruncatedState) -> CcrCovariance:
 
 
 def _overlap_value(r1: np.ndarray, r2: np.ndarray) -> float:
-    val = float(np.trace(sqrt_psd(r1) @ sqrt_psd(r2)).real)
+    val = float(np.trace(sqrt_density(r1) @ sqrt_density(r2)).real)
     return float(np.clip(val, 0.0, 1.0))
 
 

@@ -3,9 +3,14 @@
 Everything operates on plain numpy arrays; real input stays real (and its
 spectra come from real ``eigh``), anything else is complex. Inputs are
 explicitly symmetrized (Hermitian ops) or antisymmetrized (skew ops) before
-use, all spectral computations go through ``numpy.linalg.eigh``, and eigenvalues below
-a relative clamp threshold are treated as structural zeros. Results are
-deterministic for identical input bits.
+use, and eigenvalues below a relative clamp threshold are treated as
+structural zeros. Results are deterministic for identical input bits.
+
+The spectral kernels :func:`eigh`, :func:`eigvalsh` and :func:`svdvals` are
+what the pair functions of :mod:`quasifree.car` and :mod:`quasifree.ccr`
+call. On 2 x 2 matrices, the size every single-mode sequence term has, they
+evaluate LAPACK's closed forms (``dlaev2``, ``dlas2``) elementwise; on any
+other shape they call ``numpy.linalg`` unchanged.
 
 The spectral helpers also take stacks of matrices, shape ``(..., d, d)``,
 and give each matrix the same bits as alone; steps whose shapes depend on a
@@ -79,12 +84,134 @@ def _check_pair(x: np.ndarray, y: np.ndarray) -> None:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
 
 
-def _require_psd(w: np.ndarray, clamp_tol: float, name: str) -> None:
+def require_psd(w: np.ndarray, clamp_tol: float, name: str) -> None:
     """NotPositiveError unless each spectrum (ascending) is above -clamp_tol * its max |w|."""
     if w.shape[-1]:
         low, msg = w[..., 0], f"{name} is not PSD: minimal eigenvalue {{:.6e}}"
         raise_first(low < -clamp_tol * np.max(np.abs(w), axis=-1), low,
                     lambda v: NotPositiveError(msg.format(v), v))
+
+
+# The 2 x 2 closed forms round only in +, -, *, / and sqrt (besides abs,
+# copysign, comparisons and selection, which are exact). These are correctly
+# rounded in numpy's vector and scalar loops alike, so each matrix of a stack
+# gets the bits it gets alone. No product of two entries is formed: they
+# neither overflow nor underflow where the matrix does not.
+
+
+def _nonzero(x):
+    """x with exact zeros replaced by 1, as a divisor."""
+    return x + (x == 0.0)
+
+
+def _hypot(p, q):
+    """sqrt(p^2 + q^2), scaled by the larger magnitude."""
+    p, q = np.abs(p), np.abs(q)
+    big, small = np.maximum(p, q), np.minimum(p, q)
+    ratio = small / _nonzero(big)
+    return big * np.sqrt(1.0 + ratio * ratio)
+
+
+def _eig2(a, c, b, vectors: bool):
+    """``dlaev2`` on [[a, b], [b, c]]: ascending eigenvalues and, if asked, eigenvectors.
+
+    rt1, the eigenvalue of larger magnitude, adds terms of one sign, and
+    rt2 = det/rt1; the eigenvectors are the rotation dlaev2 derives from the
+    same square root.
+    """
+    sm, df, tb = a + c, a - c, b + b
+    rt = _hypot(df, tb)
+    rt1 = 0.5 * (sm + np.copysign(rt, sm))
+    larger = np.abs(a) > np.abs(c)
+    acmx, acmn = np.where(larger, a, c), np.where(larger, c, a)
+    den = _nonzero(rt1)  # rt1 = 0 only for the zero matrix
+    rt2 = (acmx / den) * acmn - (b / den) * b
+    w = np.empty(rt.shape + (2,))
+    np.minimum(rt1, rt2, out=w[..., 0])
+    np.maximum(rt1, rt2, out=w[..., 1])
+    if not vectors:
+        return w
+    cs = df + np.copysign(rt, df)
+    steep = np.abs(cs) > np.abs(tb)
+    t = -np.where(steep, tb, cs) / _nonzero(np.where(steep, cs, tb))
+    u = 1.0 / np.sqrt(1.0 + t * t)
+    tu = t * u
+    # (cs1, sn1) = (tu, u) if steep else (u, tu), turned by 90 degrees when
+    # sm and df have the same sign, is the eigenvector of rt1; the eigenvector
+    # (p, q) of the lower eigenvalue is it turned once more when rt1 is higher
+    turn = (np.signbit(sm) == np.signbit(df)) ^ (rt1 >= rt2)
+    swap = turn ^ steep
+    p, q = np.where(swap, tu, u), np.where(swap, u, tu)
+    np.negative(p, out=p, where=turn)
+    v = np.empty(rt.shape + (2, 2))
+    v[..., 0, 0] = v[..., 1, 1] = p
+    v[..., 1, 0] = q
+    np.negative(q, out=v[..., 0, 1])
+    return w, v
+
+
+def eigh(x: np.ndarray):
+    """``numpy.linalg.eigh`` (lower triangle) of a matrix or a stack of them.
+
+    Real 2 x 2 matrices take the closed form of LAPACK's ``dlaev2``: ascending
+    eigenvalues and a rotation of orthonormal eigenvectors. Every other shape,
+    and complex input, goes to ``numpy.linalg.eigh`` unchanged.
+    """
+    x = np.asarray(x)
+    if x.shape[-2:] != (2, 2) or x.dtype.kind == "c":
+        return np.linalg.eigh(x)
+    x = x.astype(float, copy=False)
+    return _eig2(x[..., 0, 0], x[..., 1, 1], x[..., 1, 0], vectors=True)
+
+
+def eigvalsh(x: np.ndarray) -> np.ndarray:
+    """``numpy.linalg.eigvalsh`` (lower triangle) of a matrix or a stack of them.
+
+    On 2 x 2 input the ``dlaev2`` closed form, with the eigenvalues
+    :func:`eigh` gives; a complex Hermitian matrix has those of its real
+    reduction [[a, |b|], [|b|, c]], as ``zhetrd`` forms it. Every other shape
+    goes to ``numpy.linalg.eigvalsh`` unchanged.
+    """
+    x = np.asarray(x)
+    if x.shape[-2:] != (2, 2):
+        return np.linalg.eigvalsh(x)
+    if x.dtype.kind == "c":
+        b = x[..., 1, 0]
+        return _eig2(x[..., 0, 0].real, x[..., 1, 1].real, _hypot(b.real, b.imag), vectors=False)
+    x = x.astype(float, copy=False)
+    return _eig2(x[..., 0, 0], x[..., 1, 1], x[..., 1, 0], vectors=False)
+
+
+def svdvals(x: np.ndarray) -> np.ndarray:
+    """Singular values, descending, of a matrix or a stack of them.
+
+    A real 2 x 2 matrix is rotated to upper-triangular [[f, g], [0, h]] and
+    takes the closed form of LAPACK's ``dlas2``; every other shape, and
+    complex input, goes to ``numpy.linalg.svd(x, compute_uv=False)`` unchanged.
+    """
+    x = np.asarray(x)
+    if x.shape[-2:] != (2, 2) or x.dtype.kind == "c":
+        return np.linalg.svd(x, compute_uv=False)
+    x = x.astype(float, copy=False)
+    a, b, c, d = x[..., 0, 0], x[..., 0, 1], x[..., 1, 0], x[..., 1, 1]
+    f = _hypot(a, c)
+    scale = _nonzero(f)
+    co, si = a / scale + (f == 0.0), c / scale
+    ga, ha = np.abs(co * b + si * d), np.abs(co * d - si * b)
+    lo, hi = np.minimum(f, ha), np.maximum(f, ha)
+    # dlas2's two branches (|g| below or above hi) are one formula scaled by
+    # top = max(hi, |g|): with m = hi/top and n = |g|/top, the sum of roots
+    # D = sqrt(((1 + lo/hi) m)^2 + n^2) + sqrt(((hi - lo)/hi m)^2 + n^2)
+    # gives smax = top D/2 and smin = lo 2m/D
+    top = _nonzero(np.maximum(hi, ga))
+    m, n = hi / top, ga / top
+    hi = _nonzero(hi)
+    p, q = (1.0 + lo / hi) * m, ((hi - lo) / hi) * m
+    root = np.sqrt(p * p + n * n) + np.sqrt(q * q + n * n)
+    out = np.empty(f.shape + (2,))
+    np.multiply(0.5 * root, top, out=out[..., 0])
+    np.multiply(lo, (m + m) / _nonzero(root), out=out[..., 1])
+    return out
 
 
 def eig_h(h: np.ndarray):
@@ -93,7 +220,7 @@ def eig_h(h: np.ndarray):
     Returns ``(w, v)`` with eigenvalues ascending and orthonormal eigenvector
     columns, so ``(v * w) @ v.conj().T`` reconstructs the Hermitian part.
     """
-    return np.linalg.eigh(hermitian_part(_check_square(h, "matrix", stack=True)))
+    return eigh(hermitian_part(_check_square(h, "matrix", stack=True)))
 
 
 def sqrt_psd(h: np.ndarray, clamp_tol: float = PSD_CLAMP_TOL) -> np.ndarray:
@@ -103,7 +230,7 @@ def sqrt_psd(h: np.ndarray, clamp_tol: float = PSD_CLAMP_TOL) -> np.ndarray:
     below that raises :class:`NotPositiveError`.
     """
     w, v = eig_h(h)
-    _require_psd(w, clamp_tol, "matrix")
+    require_psd(w, clamp_tol, "matrix")
     return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dagger(v)
 
 
@@ -192,18 +319,18 @@ def geometric_mean(a: np.ndarray, b: np.ndarray, reg: float = PSD_CLAMP_TOL) -> 
 
     proj = []
     for m, name in ((a, "first matrix"), (b, "second matrix")):
-        w, v = np.linalg.eigh(m)
-        _require_psd(w, reg, name)
+        w, v = eigh(m)
+        require_psd(w, reg, name)
         keep = w > reg * np.maximum(np.trace(m, axis1=-2, axis2=-1).real, 0.0)[..., None]
         proj.append((v * keep[..., None, :]) @ dagger(v))
 
     # common support = eigenvalue-2 space of the sum of the two support projections
-    ww, vv = np.linalg.eigh(proj[0] + proj[1])
+    ww, vv = eigh(proj[0] + proj[1])
     common = ww >= 2.0 - 1e-8
     g = np.zeros(a.shape, np.result_type(a, b))
     for sel, _, basis, _ in support_groups(ww, vv, common):
         if basis.shape[-1]:
-            wa, va = np.linalg.eigh(sandwich(basis, a[sel]))
+            wa, va = eigh(sandwich(basis, a[sel]))
             root = (va * np.sqrt(wa)[:, None, :]) @ dagger(va)
             inv_root = (va * (1.0 / np.sqrt(wa))[:, None, :]) @ dagger(va)
             mid = sqrt_psd(inv_root @ sandwich(basis, b[sel]) @ inv_root)

@@ -319,8 +319,8 @@ def classify_sequence(
     answer is deliberate there.)
 
     ``n_max`` above N_MAX_CAP = 2**20 raises :class:`SizeCapError`: the scan
-    costs ~10 us/mode for the CAR built-ins and ~35 us/mode for the CCR
-    built-ins (2-vCPU x86_64 VM, one BLAS thread), ~10 s and ~37 s at the cap.
+    costs ~4 us/mode for the CAR built-ins and ~14 us/mode for the CCR
+    built-ins (2-vCPU x86_64 VM, one BLAS thread), ~4.3 s and ~15 s at the cap.
     """
     if n_max < MIN_N_MAX:
         raise ValueError(f"n_max must be at least {MIN_N_MAX}, got {n_max}")

@@ -293,6 +293,16 @@ def test_hamiltonian_rejects_a_stack():
         car.hamiltonian_of(car.mu_covariance([0.1, 0.2]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda s: car.two_point(s, [1.0, 0.0], [0.0, 1.0]),
+    lambda s: car.wick_moment(s, [[1.0, 0.0], [0.0, 1.0]]),
+    lambda s: car.validate_doubled_covariance(car.quadrature(s)),
+], ids=["two_point", "wick_moment", "validate_doubled_covariance"])
+def test_single_covariance_functions_reject_a_stack(call):
+    with pytest.raises(CovarianceError, match=r"\(2, [24], [24]\)"):
+        call(car.mu_covariance(np.array([0.1, 0.2])))
+
+
 def test_is_standard():
     assert car.is_standard_car(car.mu_covariance(0.3))
     assert not car.is_standard_car(car.mu_covariance(0.5))

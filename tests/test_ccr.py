@@ -397,6 +397,19 @@ def test_classify_rejects_stacked_pairs():
         ccr.classify_ccr(s, t)
 
 
+def test_zero_dimensional_covariances_are_equivalent():
+    # the CAR functions read an empty pair as tp 1 with an empty meet; CCR agrees
+    empty = ccr.validate_ccr(np.zeros((0, 0)), np.zeros((0, 0)))
+    assert ccr.trans_prob_ccr(empty, empty) == 1.0
+    assert ccr.qe_distance_ccr(empty, empty) == (True, 0.0)
+    verdict = ccr.classify_ccr(empty, empty)
+    assert (verdict.kind, verdict.transition_probability) == (ccr.QUASI_EQUIVALENT, 1.0)
+    stack = ccr.validate_ccr(np.zeros((3, 0, 0)), np.zeros((3, 0, 0)))
+    assert ccr.trans_prob_ccr(stack, stack).tolist() == [1.0] * 3
+    equiv, dist = ccr.qe_distance_ccr(stack, stack)
+    assert equiv.tolist() == [True] * 3 and dist.tolist() == [0.0] * 3
+
+
 def test_classify_reports_metric_distance():
     s = ccr.thermal_covariance(3.0)
     t = ccr.thermal_covariance(2.0)

@@ -1,12 +1,15 @@
 """Unit tests for the dense matrix calculus layer."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quasifree import matcore
+from quasifree import car, car_oracle, ccr, ccr_oracle, matcore, sampling, seqmodel
 from quasifree.errors import NotPositiveError, SupportError
 
 
@@ -266,6 +269,208 @@ def test_geometric_mean_with_zero_is_zero(rng):
 def test_geometric_mean_rejects_indefinite(rng):
     with pytest.raises(NotPositiveError):
         matcore.geometric_mean(np.diag([1.0, -1.0]), np.eye(2))
+
+
+
+# ------------------------------------------------------- 2 x 2 closed forms
+
+EPS = np.finfo(float).eps
+
+
+def edge_2x2(rng) -> dict:
+    """Named stacks of real 2 x 2 matrices, general (not symmetric)."""
+    g = rng.standard_normal((64, 2, 2))
+    u, v = rng.standard_normal((2, 16, 2))
+    zero = np.zeros((2, 2, 2))
+    zero[1] = -0.0
+    diagonal = [[1.0, 3.0], [3.0, 1.0], [-1.0, 2.0], [2.0, -1.0], [0.0, 5.0],
+                [-5.0, 0.0], [1.0, 1.0], [-2.0, -2.0], [-0.0, 0.0], [1.0, -1.0]]
+    equal = [[[a, b], [b, a]] for a in (1.0, -1.0, 0.0, -0.0, 3.0)
+             for b in (1e-20, 0.5, -2.0, 1e10)]
+    integer_rank_one = [[[1.0, 2.0], [3.0, 6.0]], [[0.0, 1.0], [0.0, 0.0]],
+                        [[2.0, -4.0], [-1.0, 2.0]], [[0.0, 0.0], [5.0, 0.0]]]
+    # the overlap matrix of the 2-dim singular pair is exactly zero
+    s, t = sampling.singular_overlap_car_pair(rng, 2)
+    (gs, ys), (gt, yt) = (c.roots for c in (s, t))
+    return {
+        "random": g,
+        "zero": zero,
+        "diagonal": np.array([np.diag(d) for d in diagonal]),
+        "equal diagonal": np.array(equal),
+        "rank one": u[:, :, None] * v[:, None, :],
+        "symmetric rank one": u[:, :, None] * u[:, None, :],
+        "integer rank one": np.array(integer_rank_one),
+        "negative definite": -(g @ g.swapaxes(-1, -2)) - 1e-3 * np.eye(2),
+        "singular overlap": (2.0 * (gs @ gt - ys @ yt))[None],
+        "scaled 1e150": 1e150 * g,
+        "scaled 1e-150": 1e-150 * g,
+    }
+
+
+def _scale(x):
+    """Largest |entry| per matrix, within a factor 2 of the norm (no squares:
+    1e-150 entries would underflow)."""
+    return np.max(np.abs(x), axis=(-2, -1))
+
+
+# Both routes err by a few eps * ||x|| (LAPACK's complex eigvalsh by up to ~5)
+TOL = 8 * EPS
+EDGE_FAMILIES = tuple(edge_2x2(np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("family", EDGE_FAMILIES)
+def test_eigh_2x2_closed_form_matches_lapack(rng, family):
+    h = matcore.hermitian_part(edge_2x2(rng)[family])
+    w, v = matcore.eigh(h)
+    scale = _scale(h)[:, None]
+    assert np.all(np.abs(w - np.linalg.eigvalsh(h)) <= TOL * scale)
+    assert np.all(w[:, 0] <= w[:, 1])
+    unit = np.where(scale > 0, scale, 1.0)[..., None]
+    rebuilt = (v * (w[:, None, :] / unit)) @ v.swapaxes(-1, -2)
+    assert np.max(np.abs(rebuilt - h / unit)) <= 4 * EPS
+    assert np.max(np.abs(v.swapaxes(-1, -2) @ v - np.eye(2))) <= 2 * EPS
+    assert np.array_equal(matcore.eigvalsh(h), w)
+
+
+@pytest.mark.parametrize("family", EDGE_FAMILIES)
+def test_svdvals_2x2_closed_form_matches_lapack(rng, family):
+    x = edge_2x2(rng)[family]
+    sv = matcore.svdvals(x)
+    assert np.all(np.abs(sv - np.linalg.svd(x, compute_uv=False)) <= TOL * _scale(x)[:, None])
+    assert np.all(sv[:, 0] >= sv[:, 1]) and np.all(sv >= 0.0)
+    if family in ("zero", "singular overlap"):
+        assert not sv.any()
+
+
+def test_eigvalsh_2x2_complex_hermitian_matches_lapack(rng):
+    z = rng.standard_normal((64, 2, 2)) + 1j * rng.standard_normal((64, 2, 2))
+    z = matcore.hermitian_part(z)
+    imaginary = z.copy()
+    imaginary[:, 0, 1] = 1j * z[:, 0, 1].imag
+    imaginary[:, 1, 0] = imaginary[:, 0, 1].conj()
+    diagonal = z.copy()
+    diagonal[:, 0, 1] = diagonal[:, 1, 0] = 0.0
+    for h in (z, imaginary, diagonal, 1e150 * z, 1e-150 * z):
+        w = matcore.eigvalsh(h)
+        assert w.dtype == np.float64 and np.all(w[:, 0] <= w[:, 1])
+        assert np.all(np.abs(w - np.linalg.eigvalsh(h)) <= TOL * _scale(h)[:, None])
+    # the real reduction: the spectrum of [[a, |b|], [|b|, c]]
+    real = np.abs(z)
+    real[:, 0, 0], real[:, 1, 1] = z[:, 0, 0].real, z[:, 1, 1].real
+    assert np.all(np.abs(matcore.eigvalsh(z) - matcore.eigvalsh(real)) <= TOL * _scale(z)[:, None])
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_2x2_kernels_give_each_matrix_its_bits_alone(rng):
+    edges = np.concatenate(list(edge_2x2(rng).values()))
+    x = np.concatenate([edges, rng.standard_normal((1025 - len(edges), 2, 2))])
+    h = matcore.hermitian_part(x)
+    z = matcore.hermitian_part(x + 1j * rng.standard_normal(x.shape))
+    w, v = matcore.eigh(h)
+    wz, wr, sv = matcore.eigvalsh(z), matcore.eigvalsh(h), matcore.svdvals(x)
+    for i in range(x.shape[0]):
+        wi, vi = matcore.eigh(h[i])
+        assert _same_bits(wi, w[i]) and _same_bits(vi, v[i])
+        assert _same_bits(matcore.eigvalsh(h[i]), wr[i])
+        assert _same_bits(matcore.eigvalsh(z[i]), wz[i])
+        assert _same_bits(matcore.svdvals(x[i]), sv[i])
+
+
+def test_kernels_call_lapack_off_2x2(rng):
+    real = [rng.standard_normal(shape) for shape in ((1, 1), (3, 3), (5, 4, 4), (0, 0))]
+    cplx = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    for x in real + [cplx]:
+        h = matcore.hermitian_part(x)
+        for got, want in zip(matcore.eigh(h), np.linalg.eigh(h)):
+            assert _same_bits(got, want)
+        assert _same_bits(matcore.svdvals(x), np.linalg.svd(x, compute_uv=False))
+    for x in real:
+        h = matcore.hermitian_part(x)
+        assert _same_bits(matcore.eigvalsh(h), np.linalg.eigvalsh(h))
+
+
+
+@seed(20240817)
+@settings(max_examples=300, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        (2, 2),
+        elements=st.floats(min_value=-1e100, max_value=1e100, allow_subnormal=False),
+    )
+)
+def test_2x2_closed_forms_match_lapack_hypothesis(x):
+    h = matcore.hermitian_part(x)
+    w, v = matcore.eigh(h)
+    scale = max(float(_scale(h)), np.finfo(float).tiny)
+    assert np.all(np.abs(w - np.linalg.eigvalsh(h)) <= TOL * scale)
+    assert np.max(np.abs((v * (w / scale)) @ v.T - h / scale)) <= 4 * EPS
+    assert np.max(np.abs(v.T @ v - np.eye(2))) <= 2 * EPS
+    sv = matcore.svdvals(x)
+    assert np.all(np.abs(sv - np.linalg.svd(x, compute_uv=False)) <= TOL * _scale(x))
+
+
+# ---------------------------------------------------------- kernel routing
+
+
+def _lapack_spy(monkeypatch) -> list:
+    """Record (kernel, shape) of every numpy.linalg eigh/eigvalsh/svd call."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def spy(a, *args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("family", [seqmodel.car_power_family(2.0),
+                                    seqmodel.ccr_thermal_power_family(2.0),
+                                    seqmodel.car_counterexample()],
+                         ids=lambda fam: fam.label)
+def test_builtin_families_call_no_lapack_kernel(monkeypatch, family):
+    calls = _lapack_spy(monkeypatch)
+    seqmodel.classify_sequence(family, n_max=64)
+    assert calls == []
+
+
+def test_4x4_literal_family_still_calls_lapack(monkeypatch, rng):
+    family = seqmodel.literal_family(seqmodel.CAR, [sampling.random_car_pair(rng, 4)])
+    calls = _lapack_spy(monkeypatch)
+    seqmodel.classify_sequence(family, n_max=64)
+    assert {kernel for kernel, _ in calls} == {"eigh", "svd"}
+    assert all(shape[-2:] == (4, 4) for _, shape in calls)
+
+
+@pytest.mark.parametrize("module", [car, ccr])
+def test_pair_modules_reach_lapack_only_through_matcore(module):
+    tree = ast.parse(Path(module.__file__).read_text())
+    direct = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh", "svd")
+              and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"]
+    direct += [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")]
+    assert direct == []
+
+
+def test_oracles_take_their_spectra_from_numpy(monkeypatch):
+    """The oracles check the closed forms, so they must not run through them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle called a matcore spectral kernel")
+
+    for name in ("eigh", "eigvalsh", "svdvals", "eig_h", "sqrt_psd"):
+        monkeypatch.setattr(matcore, name, refuse)
+    rho, tau = (car_oracle.density_from_covariance(car.mu_covariance(mu)) for mu in (0.3, -0.1))
+    assert rho.shape == (2, 2)
+    car_oracle.overlap(rho, tau)
+    car_oracle.fidelity_tr(rho, tau)
+    states = [ccr_oracle.gaussian_density(ccr_oracle.thermal_hamiltonian(q), 20)
+              for q in (0.2, 0.4)]
+    ccr_oracle.overlap_ccr(*states)
 
 
 # ------------------------------------------------------------------ ratio
