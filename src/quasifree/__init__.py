@@ -67,7 +67,6 @@ from .errors import (  # noqa: E402
     InconclusiveError,
     NotPositiveError,
     SizeCapError,
-    SupportError,
 )
 from .seqmodel import (  # noqa: E402
     ModeFamily,
@@ -92,7 +91,6 @@ __all__ = [
     "NotPositiveError",
     "SequenceVerdict",
     "SizeCapError",
-    "SupportError",
     "__version__",
     "ab_form",
     "canonical_sigma",

@@ -80,20 +80,12 @@ class CarCovariance:
     def roots(self):
         """Real ``(G, Y)`` with sqrt(S) = G + iY and sqrt(I - S) = G - iY.
 
-        For eigenvalues lam = 1/2 +- r of S (r = sqrt x), G = (sqrt lam+ + sqrt lam-)/2
-        and Y = A h with the cancellation-free h = 1/(sqrt lam+ + sqrt lam-).
-        A lam- within DEGENERACY_SNAP of 0 is snapped to {0, 1} (with h = 1/(2r)):
+        :func:`quasifree.matcore.root_parts` of A = Im S. An eigenvalue 1/2 - r
+        of S within DEGENERACY_SNAP of 0 is snapped to 0 (Y = A/(2r) there):
         the square root would amplify its ~dim*eps noise to ~1e-8 and drown the
         singular-value cut that detects exactly-singular overlaps.
         """
-        x, v = self.spectrum
-        r = np.sqrt(np.clip(x, 0.0, 0.25))
-        snap = 0.5 - r <= DEGENERACY_SNAP
-        total = np.where(snap, 1.0, np.sqrt(0.5 + r) + np.sqrt(np.maximum(0.5 - r, 0.0)))
-        h = np.where(snap, 0.5 / np.maximum(r, 0.25), 1.0 / total)  # r > 1/4 where snapped
-        vt = v.swapaxes(-1, -2)
-        g = (v * (0.5 * total)[..., None, :]) @ vt
-        return g, self.matrix.imag @ ((v * h[..., None, :]) @ vt)
+        return matcore.root_parts(self.matrix.imag, *self.spectrum, DEGENERACY_SNAP)
 
 
 def validate_car(s, tol: float = VALIDATION_TOL) -> CarCovariance:

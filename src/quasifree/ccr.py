@@ -92,15 +92,22 @@ class CcrCovariance:
         return eig_h(2.0 * self.r)
 
     @cached_property
-    def spectrum(self):
-        """``(a, x, u, p)``: a = w^(-1/2) v^T sigma v w^(-1/2) / 2 in the eigenbasis
-        (w, v) of 2R, zero off supp R; the real ``eigh`` (x, u) of a^T a; and p,
-        the columns of v on supp R (zero elsewhere). So ratio(S, 2R) =
-        p (I/2 + i*a) p^T, with eigenvalues 1/2 +- sqrt(x) on supp R.
-        """
-        w, v = self.metric_spectrum
+    def support(self):
+        """``(keep, inv)``: the support mask of 2R over the columns of v, and
+        inv = w^(-1/2) on it, zero off it."""
+        w = self.metric_spectrum[0]
         keep = w > SUPPORT_TOL * np.max(np.abs(w), axis=-1, keepdims=True, initial=0.0)
-        inv = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
+        return keep, np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
+
+    @cached_property
+    def spectrum(self):
+        """``(a, x, u, p)``: a = inv v^T sigma v inv / 2 in the eigenbasis (w, v)
+        of 2R (:attr:`support`), so zero off supp R; the real ``eigh`` (x, u) of
+        a^T a; and p, the columns of v on supp R (zero elsewhere). So
+        ratio(S, 2R) = p (I/2 + i*a) p^T, with eigenvalues 1/2 +- sqrt(x) on supp R.
+        """
+        v = self.metric_spectrum[1]
+        keep, inv = self.support
         a = 0.5 * inv[..., :, None] * (v.swapaxes(-1, -2) @ self.sigma @ v) * inv[..., None, :]
         x, u = eigh(a.swapaxes(-1, -2) @ a)
         return a, x, u, v * keep[..., None, :]
@@ -109,17 +116,13 @@ class CcrCovariance:
     def roots(self):
         """Real ``(G, Y)`` with sqrt(ratio(S, 2R)) = G + iY, both zero off supp R.
 
-        With r = sqrt x and t = sqrt(1/2 + r) + sqrt(1/2 - r): G = t/2 and
-        Y = a/t in the basis p. No eigenvalue is snapped (unlike
-        :attr:`quasifree.car.CarCovariance.roots`): near the vacuum 1/2 - r is
-        the distance from it.
+        :func:`quasifree.matcore.root_parts` of a in the basis p. No eigenvalue
+        is snapped (unlike :attr:`quasifree.car.CarCovariance.roots`): near the
+        vacuum 1/2 - r is the distance from it.
         """
         a, x, u, p = self.spectrum
-        r = np.sqrt(np.clip(x, 0.0, 0.25))
-        t = np.sqrt(0.5 + r) + np.sqrt(0.5 - r)
-        ut, pt = u.swapaxes(-1, -2), p.swapaxes(-1, -2)
-        g = (u * (0.5 * t)[..., None, :]) @ ut
-        y = a @ ((u * (1.0 / t)[..., None, :]) @ ut)
+        g, y = matcore.root_parts(a, x, u, 0.0)
+        pt = p.swapaxes(-1, -2)
         return p @ g @ pt, p @ y @ pt
 
     @cached_property
@@ -318,76 +321,65 @@ def trans_prob_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance):
     return scalar(t.reshape(cov_s.r.shape[:-2]).copy())
 
 
-def classify_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance, tol: float = 1e-12) -> CcrVerdict:
+def classify_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance) -> CcrVerdict:
     """Quasi-equivalent vs disjoint dichotomy for a pair of states.
 
     In finite dimension the two states are quasi-equivalent exactly when the
-    transition probability is positive, otherwise disjoint. Takes one pair,
-    not a stack.
+    transition probability is positive, otherwise disjoint. The verdict reads
+    whether a central element or a vanishing determinant factor zeroes it, not
+    its value, which can be far below any cut (or underflow to 0.0) for
+    quasi-equivalent states on many modes. Takes one pair, not a stack.
     """
     if cov_s.r.ndim != 2 or cov_t.r.ndim != 2:
         raise CovarianceError(
             f"classify_ccr takes one pair, got shapes {cov_s.r.shape} and {cov_t.r.shape}")
     t, central, diagnostics = _transition_analysis(cov_s, cov_t)
-    t, diagnostics = float(t[0]), copy.deepcopy(diagnostics[0])
-    reason = CENTRAL_ELEMENT_MISMATCH if central[0] else POSITIVE_TRANSITION_PROBABILITY
-    equiv, hs_dist = qe_distance_ccr(cov_s, cov_t)
-    diagnostics["metric_equivalent"] = equiv
-    diagnostics["qe_hs_distance"] = hs_dist
-    if t > tol:
-        return CcrVerdict(
-            kind=QUASI_EQUIVALENT,
-            reason=POSITIVE_TRANSITION_PROBABILITY,
-            transition_probability=t,
-            diagnostics=diagnostics,
-        )
-    return CcrVerdict(
-        kind=DISJOINT,
-        reason=reason if reason != POSITIVE_TRANSITION_PROBABILITY else SUPPORT_MISMATCH,
-        transition_probability=t,
-        diagnostics=diagnostics,
-    )
+    diagnostics = copy.deepcopy(diagnostics[0])
+    diagnostics["metric_equivalent"], diagnostics["qe_hs_distance"] = qe_distance_ccr(cov_s, cov_t)
+    kind, reason = ((DISJOINT, CENTRAL_ELEMENT_MISMATCH) if central[0]
+                    else (QUASI_EQUIVALENT, POSITIVE_TRANSITION_PROBABILITY))
+    return CcrVerdict(kind=kind, reason=reason, transition_probability=float(t[0]),
+                      diagnostics=diagnostics)
 
 
-def qe_distance_ccr(
-    cov_s: CcrCovariance,
-    cov_t: CcrCovariance,
-    support_tol: float = 1e-10,
-    cond_bound: float = CONDITION_BOUND,
-):
+def qe_distance_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance):
     """Metric-equivalence flag and HS distance of covariance-ratio roots.
 
     Returns ``(equiv_metrics, hs_dist)``: the flag says whether S + conj S
-    and T + conj T induce equivalent inner products (equal supports, mutual
-    domination within ``cond_bound``); the distance is
-    ||sqrt(ratio(S, S + conj S)) - sqrt(ratio(T, T + conj T))||. When the flag
-    is False the distance slot is +inf (the criterion fails outright). The
-    roots are the real parts G + iY of :attr:`CcrCovariance.roots`, so the
-    distance is sqrt(||G_S - G_T||^2 + ||Y_S - Y_T||^2). Stacked covariances
-    give one flag and one distance per pair.
+    and T + conj T induce equivalent inner products (equal supports, 2R_S
+    vanishing off supp R_T, mutual domination within CONDITION_BOUND); the
+    distance is ||sqrt(ratio(S, S + conj S)) - sqrt(ratio(T, T + conj T))||.
+    When the flag is False the distance slot is +inf (the criterion fails
+    outright). Both read each covariance's own factorisation: the supports
+    compare as projections p p^T (:attr:`CcrCovariance.support`), domination
+    is the spectrum of 2R_S whitened by 2R_T in T's eigenbasis, and the roots
+    are the real parts G + iY of :attr:`CcrCovariance.roots`, so the distance
+    is sqrt(||G_S - G_T||^2 + ||Y_S - Y_T||^2). Stacked covariances give one
+    flag and one distance per pair.
     """
     _check_same_space(cov_s, cov_t)
     d, lead = cov_s.dim, cov_s.r.shape[:-2]
     n = math.prod(lead)
-    gs = 2.0 * cov_s.r.reshape(n, d, d)
-    gt = 2.0 * cov_t.r.reshape(n, d, d)
-    (ws, vs), (wt, vt) = ((w.reshape(n, d), v.reshape(n, d, d))
-                          for w, v in (cov_s.metric_spectrum, cov_t.metric_spectrum))
-
-    ps, pt = (matcore.support_projection(g, support_tol, eig=(w, v))
-              for g, w, v in ((gs, ws, vs), (gt, wt, vt)))
-    equiv = ~(hs_norm(ps - pt) > 1e-6)
+    (keep_s, _), (keep_t, inv_t) = ((k.reshape(n, d), i.reshape(n, d))
+                                    for k, i in (cov_s.support, cov_t.support))
+    v_s, v_t = (c.metric_spectrum[1].reshape(n, d, d) for c in (cov_s, cov_t))
+    p_s, p_t = v_s * keep_s[:, None, :], v_t * keep_t[:, None, :]
+    equiv = ~(hs_norm(p_s @ p_s.swapaxes(-1, -2) - p_t @ p_t.swapaxes(-1, -2)) > 1e-6)
     sel = np.flatnonzero(equiv)
     if sel.size and d:  # on d = 0 both supports are empty: equivalent
-        rank = np.rint(np.trace(ps[sel], axis1=-2, axis2=-1).real).astype(int)
-        ratio_st, unsupported, _ = matcore.ratio_violations(
-            gs[sel], gt[sel], eig=(wt[sel], vt[sel]))
-        wr = eigvalsh(ratio_st)
+        g = 2.0 * cov_s.r.reshape(n, d, d)[sel]
+        v, keep, inv = v_t[sel], keep_t[sel], inv_t[sel]
+        rank = np.count_nonzero(keep, axis=-1)
+        gv = g @ v
+        # 2R_S must vanish on the kernel of 2R_T
+        bound = 1e-8 * (1.0 + np.linalg.norm(g, axis=(-2, -1)))[:, None]
+        leak = np.any(~keep & (np.linalg.norm(gv, axis=-2) > bound), axis=-1)
+        wr = eigvalsh(inv[:, :, None] * (v.swapaxes(-1, -2) @ gv) * inv[:, None, :])
         lo = np.take_along_axis(wr, np.clip(d - rank, 0, d - 1)[:, None], -1)[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            dominated = ~(wr[:, -1] / lo > cond_bound)
+            dominated = ~(wr[:, -1] / lo > CONDITION_BOUND)
         ok = (np.count_nonzero(wr > 1e-15, axis=-1) == rank) & dominated
-        equiv[sel] = (rank == 0) | ok & ~unsupported
+        equiv[sel] = (rank == 0) | ok & ~leak
         sel = np.flatnonzero(equiv)
 
     dist = np.full(equiv.shape, math.inf)

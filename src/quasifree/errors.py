@@ -15,18 +15,6 @@ class NotPositiveError(ValueError):
         self.min_eigenvalue = min_eigenvalue
 
 
-class SupportError(ValueError):
-    """The support of one operator is not contained in the support of another.
-
-    ``witness`` is a unit vector annihilated by the dominating operator but not
-    by the dominated one.
-    """
-
-    def __init__(self, message: str, witness):
-        super().__init__(message)
-        self.witness = witness
-
-
 class SizeCapError(ValueError):
     """A brute-force oracle or a sequence scan was asked for a size beyond its hard cap."""
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotPositiveError, SupportError
+from .errors import NotPositiveError
 
 __all__ = [
     "PSD_CLAMP_TOL",
@@ -32,9 +32,9 @@ __all__ = [
     "hs_norm",
     "pfaffian",
     "projection_defect",
+    "root_parts",
     "sqrt_psd",
     "support_groups",
-    "support_projection",
 ]
 
 # Relative threshold below which eigenvalues count as exact zeros.
@@ -234,16 +234,20 @@ def sqrt_psd(h: np.ndarray, clamp_tol: float = PSD_CLAMP_TOL) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dagger(v)
 
 
-def abs_support(w: np.ndarray, tol: float) -> np.ndarray:
-    """Support mask: |eigenvalue| above tol times the largest |eigenvalue| of its spectrum."""
-    scale = np.max(np.abs(w), axis=-1, initial=0.0, keepdims=True)
-    return (np.abs(w) > tol * scale) & (scale > 0.0)
+def root_parts(a: np.ndarray, x: np.ndarray, u: np.ndarray, snap: float):
+    """Real ``(G, Y)`` with sqrt(I/2 + i*a) = G + iY, a real antisymmetric, ||a|| <= 1/2.
 
-
-def support_projection(h: np.ndarray, tol: float = SUPPORT_TOL, eig=None) -> np.ndarray:
-    """Projection on eigenvectors with |eigenvalue| > tol*||h||; ``eig``: ``eig_h(h)`` if known."""
-    w, v = eig_h(h) if eig is None else eig
-    return (v * abs_support(w, tol)[..., None, :]) @ dagger(v)
+    ``(x, u)`` is the ``eigh`` of a^T a. For the eigenvalues 1/2 +- r of
+    I/2 + i*a (r = sqrt x), G = t/2 and Y = a/t with t = sqrt(1/2 + r) +
+    sqrt(1/2 - r), free of cancellation. An r within ``snap`` of 1/2 counts as
+    exactly 1/2 (t = 1, Y = a/(2r)); ``snap = 0`` snaps nothing.
+    """
+    r = np.sqrt(np.clip(x, 0.0, 0.25))
+    hit = 0.5 - r <= snap
+    t = np.where(hit, 1.0, np.sqrt(0.5 + r) + np.sqrt(np.maximum(0.5 - r, 0.0)))
+    h = np.where(hit, 0.5 / np.maximum(r, 0.25), 1.0 / t)  # r > 1/4 where snapped
+    ut = u.swapaxes(-1, -2)
+    return (u * (0.5 * t)[..., None, :]) @ ut, a @ ((u * h[..., None, :]) @ ut)
 
 
 def support_groups(w: np.ndarray, v: np.ndarray, keep: np.ndarray):
@@ -337,40 +341,6 @@ def geometric_mean(a: np.ndarray, b: np.ndarray, reg: float = PSD_CLAMP_TOL) -> 
             g[sel] = basis @ hermitian_part(root @ mid @ root) @ dagger(basis)
 
     return hermitian_part(g)
-
-
-def ratio_violations(x: np.ndarray, g: np.ndarray, tol: float = SUPPORT_TOL, eig=None):
-    """``g^{-1/2} x g^{-1/2}`` with the pseudo-inverse root, zero off supp(g).
-
-    The ratio needs supp(x) inside supp(g). Returns ``(ratio, bad, errors)``:
-    a mask ``bad`` of the matrices with a violating direction, and for each of
-    them a :class:`SupportError` carrying a witness vector. ``eig``, if given,
-    is ``eig_h(g)`` already computed by the caller.
-    """
-    x = hermitian_part(_check_square(x, "numerator", stack=True))
-    g = _check_square(g, "denominator", stack=True)
-    _check_pair(x, g)
-    w, v = eig_h(g) if eig is None else eig
-    scale = np.max(np.abs(w), axis=-1, initial=0.0, keepdims=True)
-    out = np.zeros(x.shape, np.result_type(x, v))
-    bad = np.zeros(x.shape[:-2], dtype=bool)
-    errors = []
-    for sel, wk, basis, null in support_groups(w, v, (w > tol * scale) & (scale > 0.0)):
-        xs = x[sel]
-        if null.shape[-1]:
-            leak = np.linalg.norm(xs @ null, axis=-2)
-            bound = 1e-8 * (1.0 + np.linalg.norm(xs, axis=(-2, -1)))[:, None]
-            hit = np.any(leak > bound, axis=-1)
-            bad[sel] = hit
-            for m in np.flatnonzero(hit).tolist():
-                j = int(np.argmax(leak[m]))
-                errors.append(SupportError(
-                    f"support violation: |X v| = {leak[m, j]:.3e} on a kernel vector of "
-                    f"the denominator (bound {bound[m, 0]:.1e})",
-                    null[m, :, j].copy(),
-                ))
-        out[sel] = hermitian_part(basis @ sandwich(basis, xs, wk) @ dagger(basis))
-    return out, bad, errors
 
 
 def projection_defect(p: np.ndarray) -> float:

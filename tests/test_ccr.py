@@ -231,7 +231,11 @@ def test_roots_square_to_the_complex_ratio(rng):
     for cov in covs:
         g, y = cov.roots
         root = g + 1j * y
-        ratio = matcore.ratio_violations(cov.s_matrix, 2.0 * cov.r)[0]
+        # numpy reference: the pseudo-inverse root of 2R on both sides of S
+        w, v = np.linalg.eigh(2.0 * cov.r)
+        keep = w > 1e-10 * np.max(np.abs(w))
+        inv_root = (v * np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)) @ v.T
+        ratio = inv_root @ cov.s_matrix @ inv_root
         assert np.max(np.abs(root @ root - ratio)) <= 1e-12
         assert np.linalg.eigvalsh(root)[0] >= -1e-12
 
@@ -363,6 +367,17 @@ def test_classify_thermal_pair_quasi_equivalent():
     assert v.diagnostics["ab_support_mismatch"] is False
 
 
+def test_classify_reads_the_central_flag_not_the_value():
+    # vacuum against width 30 on 32 modes: tp = (2/31)^16 ~ 9e-20, and against
+    # width 1e9 on 80 modes tp underflows to 0.0; no central element separates
+    # either pair and the metrics are equivalent
+    for c, n, tp in ((30.0, 32, (2.0 / 31.0) ** 16), (1e9, 80, 0.0)):
+        v = ccr.classify_ccr(ccr.thermal_covariance(1.0, n), ccr.thermal_covariance(c, n))
+        assert v.transition_probability == pytest.approx(tp, rel=1e-9, abs=0.0)
+        assert "central_witness" not in v.diagnostics and v.diagnostics["metric_equivalent"]
+        assert (v.kind, v.reason) == (ccr.QUASI_EQUIVALENT, ccr.POSITIVE_TRANSITION_PROBABILITY)
+
+
 def test_classify_central_element_disjoint():
     """A central direction (sigma kernel) with different widths separates states."""
     sigma = np.zeros((3, 3))
@@ -445,6 +460,29 @@ def test_qe_distance_support_mismatch():
     flag, dist = ccr.qe_distance_ccr(s, t)
     assert not flag
     assert math.isinf(dist)
+
+
+def test_qe_distance_kernel_leak():
+    # supp R_S turned by theta off supp R_T: the supports are sqrt(2) theta
+    # apart, under the 1e-6 cut, and 2R_S has 2 theta on the kernel of R_T,
+    # against the bound 1e-8 (1 + ||2R_S||) = 3e-8
+    z = np.zeros((2, 2))
+    t = ccr.validate_ccr(z, np.diag([1.0, 0.0]))
+    for theta, flag in ((1e-7, False), (1e-9, True)):
+        u = np.array([math.cos(theta), math.sin(theta)])
+        got, dist = ccr.qe_distance_ccr(ccr.validate_ccr(z, np.outer(u, u)), t)
+        assert got == flag
+        assert dist == pytest.approx(theta, rel=1e-6) if flag else math.isinf(dist)
+
+
+def test_qe_distance_reads_the_support_the_roots_use():
+    # -1e-10 in 2R_S passes validation; the roots take it as kernel, so the
+    # supports compare equal and the roots coincide
+    z = np.zeros((2, 2))
+    s = ccr.validate_ccr(z, np.diag([1e-3, -5e-11]))
+    t = ccr.validate_ccr(z, np.diag([1e-3, 0.0]))
+    assert ccr.qe_distance_ccr(s, t) == (True, 0.0)
+    assert ccr.qe_distance_ccr(t, s) == (True, 0.0)
 
 
 def test_qe_distance_condition_bound():

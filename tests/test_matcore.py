@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from quasifree import car, car_oracle, ccr, ccr_oracle, matcore, sampling, seqmodel
-from quasifree.errors import NotPositiveError, SupportError
+from quasifree.errors import NotPositiveError
 
 
 def random_skew(rng, d, cplx=True):
@@ -58,13 +58,6 @@ def pfaffian_pairings(a: np.ndarray) -> complex:
         return total
 
     return complex(expand(tuple(range(d))))
-
-
-def ratio(x, g):
-    """The ratio of :func:`matcore.ratio_violations`, asserting no support violation."""
-    out, bad, errors = matcore.ratio_violations(x, g)
-    assert not np.any(bad) and not errors
-    return out
 
 
 # ---------------------------------------------------------------- pfaffian
@@ -122,7 +115,7 @@ def test_pfaffian_congruence(rng):
 
 
 @seed(20240817)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     arrays(
         np.float64,
@@ -177,17 +170,10 @@ def test_sqrt_psd_rejects_indefinite():
     assert exc.value.min_eigenvalue == pytest.approx(-0.1)
 
 
-def test_support_projection():
-    p = matcore.support_projection(np.diag([2.0, 0.0, 1e-16]))
-    assert np.linalg.norm(p - np.diag([1.0, 0.0, 0.0])) <= 1e-12
-    # zero matrix has empty support
-    assert np.linalg.norm(matcore.support_projection(np.zeros((3, 3)))) == 0.0
-
-
 def test_support_groups_split_by_rank_and_keep_order():
     w = np.array([[-2.0, 0.0, 1.0], [0.0, 1.0, 2.0], [0.0, 0.0, 3.0]])
     v = np.stack([np.eye(3), 2.0 * np.eye(3), 3.0 * np.eye(3)]).astype(complex)
-    groups = list(matcore.support_groups(w, v, matcore.abs_support(w, 1e-10)))
+    groups = list(matcore.support_groups(w, v, w != 0.0))
     assert [g[0].tolist() for g in groups] == [[False, False, True], [True, True, False]]
     _, w1, basis1, null1 = groups[0]
     assert w1.tolist() == [[3.0]] and np.array_equal(basis1[0], 3.0 * np.eye(3)[:, 2:])
@@ -204,10 +190,8 @@ def test_stacked_helpers_match_single_matrices_bitwise(rng):
     b = np.stack([random_pd(rng, 4) for _ in range(3)])
     b[1] = np.diag([1.0, 1.0, 0.0, 0.0])  # a rank-deficient support in the stack
     g = matcore.geometric_mean(a, b)
-    r = ratio(a, a + b)
     for i in range(3):
         assert np.array_equal(g[i], matcore.geometric_mean(a[i], b[i]))
-        assert np.array_equal(r[i], ratio(a[i], a[i] + b[i]))
         assert np.array_equal(matcore.sqrt_psd(a)[i], matcore.sqrt_psd(a[i]))
         assert matcore.hs_norm(a)[i] == matcore.hs_norm(a[i])
 
@@ -395,7 +379,7 @@ def test_kernels_call_lapack_off_2x2(rng):
 
 
 @seed(20240817)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     arrays(
         np.float64,
@@ -473,43 +457,6 @@ def test_oracles_take_their_spectra_from_numpy(monkeypatch):
     ccr_oracle.overlap_ccr(*states)
 
 
-# ------------------------------------------------------------------ ratio
-
-
-def test_ratio_invertible_denominator(rng):
-    x = random_pd(rng, 4)
-    g = random_pd(rng, 4)
-    r = ratio(x, g)
-    ginv_half = np.linalg.inv(matcore.sqrt_psd(g))
-    expect = ginv_half @ x @ ginv_half
-    assert np.linalg.norm(r - expect) <= 1e-8 * np.linalg.norm(expect)
-
-
-def test_ratio_partition_of_identity(rng):
-    x = random_pd(rng, 5)
-    y = random_pd(rng, 5)
-    g = x + y
-    total = ratio(x, g) + ratio(y, g)
-    assert np.linalg.norm(total - np.eye(5)) <= 1e-9
-
-
-def test_ratio_support_violation_carries_witness():
-    x = np.diag([1.0, 1.0])
-    g = np.diag([1.0, 0.0])
-    _, bad, errors = matcore.ratio_violations(x, g)
-    assert bad and len(errors) == 1 and isinstance(errors[0], SupportError)
-    v = errors[0].witness
-    assert np.linalg.norm(g @ v) <= 1e-12
-    assert np.linalg.norm(x @ v) > 0.5
-
-
-def test_ratio_zero_off_support():
-    x = np.diag([1.0, 0.0, 0.0])
-    g = np.diag([2.0, 1.0, 0.0])
-    r = ratio(x, g)
-    assert np.linalg.norm(r - np.diag([0.5, 0.0, 0.0])) <= 1e-12
-
-
 # ------------------------------------------------------------ projections
 
 
@@ -521,7 +468,5 @@ def test_projection_defect():
 def test_shape_guards():
     with pytest.raises(ValueError, match="square"):
         matcore.eig_h(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="shape mismatch"):
-        matcore.ratio_violations(np.eye(2), np.eye(3))
     with pytest.raises(ValueError, match="shape mismatch"):
         matcore.geometric_mean(np.eye(2), np.eye(3))
