@@ -23,13 +23,10 @@ import numpy as np
 
 from . import matcore
 from .errors import CovarianceError
-from .matcore import (
-    dagger, eig_h, eigh, eigvalsh, hermitian_part, hs_norm, raise_first, scalar, svdvals,
-)
+from .matcore import dagger, eig_h, eigh, hermitian_part, hs_norm, raise_first, scalar, svdvals
 
 __all__ = [
     "CarCovariance",
-    "doubled_conjugate",
     "hamiltonian_of",
     "is_standard_car",
     "log_trans_prob_car",
@@ -41,7 +38,6 @@ __all__ = [
     "trans_prob_car",
     "two_point",
     "validate_car",
-    "validate_doubled_covariance",
     "wick_moment",
 ]
 
@@ -88,10 +84,10 @@ class CarCovariance:
         return matcore.root_parts(self.matrix.imag, *self.spectrum, DEGENERACY_SNAP)
 
 
-def validate_car(s, tol: float = VALIDATION_TOL) -> CarCovariance:
+def validate_car(s) -> CarCovariance:
     """Check and normalize a candidate covariance matrix, or a stack of them.
 
-    Symmetrizes within tolerance and enforces S + conj(S) = I exactly on the
+    Symmetrizes within VALIDATION_TOL and enforces S + conj(S) = I exactly on the
     stored matrix; raises :class:`CovarianceError` with the violation
     magnitude otherwise. Positivity is read from the real factorisation that
     the returned covariance keeps: the smallest eigenvalue is 1/2 - sqrt(max x).
@@ -105,12 +101,12 @@ def validate_car(s, tol: float = VALIDATION_TOL) -> CarCovariance:
     scale = 1.0 + np.max(np.abs(s), axis=(-2, -1), initial=0.0)
 
     herm_defect = np.max(np.abs(s - dagger(s)), axis=(-2, -1), initial=0.0)
-    raise_first(herm_defect > tol * scale, herm_defect,
+    raise_first(herm_defect > VALIDATION_TOL * scale, herm_defect,
                 lambda v: CovarianceError(f"not Hermitian: max deviation {v:.3e}"))
     s = hermitian_part(s)
 
     rel_defect = np.max(np.abs(s + np.conj(s) - np.eye(d)), axis=(-2, -1), initial=0.0)
-    raise_first(rel_defect > tol * scale, rel_defect,
+    raise_first(rel_defect > VALIDATION_TOL * scale, rel_defect,
                 lambda v: CovarianceError(f"S + conj(S) != I: max deviation {v:.3e}"))
     # enforce the relation exactly: S + conj(S) = I means Re(S) = I/2, and
     # rebuilding from the imaginary part alone cancels without rounding
@@ -119,7 +115,7 @@ def validate_car(s, tol: float = VALIDATION_TOL) -> CarCovariance:
     cov = CarCovariance(s)
 
     w = 0.5 - np.sqrt(np.maximum(cov.spectrum[0][..., -1:], 0.0))
-    raise_first(w < -tol * scale[..., None], w,
+    raise_first(w < -VALIDATION_TOL * scale[..., None], w,
                 lambda v: CovarianceError(f"not PSD: eigenvalue {v:.6e}"))
     return cov
 
@@ -214,20 +210,20 @@ def _overlap_singular_values(s, t) -> np.ndarray:
     return sv
 
 
-def _zero_count(sv: np.ndarray, singular_tol: float):
-    """How many singular values (descending) are exact zeros: <= singular_tol * max(1, largest)."""
-    return np.count_nonzero(sv <= singular_tol * np.maximum(1.0, sv[..., :1]), axis=-1)
+def _zero_count(sv: np.ndarray):
+    """How many singular values (descending) are exact zeros: <= SINGULAR_TOL * max(1, largest)."""
+    return np.count_nonzero(sv <= SINGULAR_TOL * np.maximum(1.0, sv[..., :1]), axis=-1)
 
 
-def _log_tp(s, t, singular_tol: float) -> np.ndarray:
+def _log_tp(s, t) -> np.ndarray:
     """(1/2) sum log sigma capped at 0, or -inf where a singular value is an exact zero."""
     sv = _overlap_singular_values(s, t)
     with np.errstate(divide="ignore"):
         val = np.minimum(0.5 * np.sum(np.log(sv), axis=-1), 0.0)
-    return np.where(_zero_count(sv, singular_tol) > 0, -np.inf, val)
+    return np.where(_zero_count(sv) > 0, -np.inf, val)
 
 
-def log_trans_prob_car(s, t, singular_tol: float = SINGULAR_TOL):
+def log_trans_prob_car(s, t):
     """Natural log of :func:`trans_prob_car`, which does not underflow.
 
     (1/2) sum log sigma over the singular values sigma of the overlap matrix,
@@ -237,20 +233,20 @@ def log_trans_prob_car(s, t, singular_tol: float = SINGULAR_TOL):
     the probability itself underflows to 0.0. Stacked covariances give one
     value per pair.
     """
-    return scalar(_log_tp(s, t, singular_tol))
+    return scalar(_log_tp(s, t))
 
 
-def trans_prob_car(s, t, singular_tol: float = SINGULAR_TOL):
+def trans_prob_car(s, t):
     """Transition probability between the quasi-free states of two covariances.
 
     Computed as |det M|^(1/2) with M = sqrt(S) sqrt(T) + sqrt(I-S) sqrt(I-T),
     a real matrix (see the module docstring), via singular values; a singular
-    value below ``singular_tol`` (relative) collapses the result to exactly 0.
+    value at or below SINGULAR_TOL (relative) collapses the result to exactly 0.
     Always in [0, 1], 1 iff S = T; the exp of :func:`log_trans_prob_car`, so
     it can underflow to 0.0 where the log is finite. Stacked covariances give
     one value per pair.
     """
-    return scalar(np.exp(_log_tp(s, t, singular_tol)))
+    return scalar(np.exp(_log_tp(s, t)))
 
 
 def qe_distance_car(s, t):
@@ -271,8 +267,9 @@ def quadrature(s) -> np.ndarray:
 
     Returns the 2d x 2d block matrix [[S, C], [C, I-S]] with the real
     C = sqrt(S(I-S)) = sqrt(I/4 - A^T A), which is idempotent and is again a
-    valid covariance for the doubled conjugation (:func:`doubled_conjugate`).
-    Taking quadratures squares transition probabilities.
+    valid covariance for the doubled conjugation (entrywise conjugation with
+    the sign of the second summand flipped). Taking quadratures squares
+    transition probabilities.
     """
     cov = _as_covariance(s)
     x, v = cov.spectrum
@@ -281,56 +278,21 @@ def quadrature(s) -> np.ndarray:
     return np.block([[cov.matrix, c], [c, np.eye(cov.dim) - cov.matrix]])
 
 
-def doubled_conjugate(x: np.ndarray) -> np.ndarray:
-    """Entrywise conjugation twisted by the sign flip on the second summand.
-
-    This is the conjugation of the doubled real space underlying
-    :func:`quadrature`; a doubled covariance P satisfies
-    P + doubled_conjugate(P) = I.
-    """
-    x = np.asarray(x, dtype=complex)
-    d2 = x.shape[0]
-    if d2 % 2:
-        raise ValueError(f"doubled space must have even dimension, got {d2}")
-    signs = np.ones(d2)
-    signs[d2 // 2 :] = -1.0
-    return signs[:, None] * np.conj(x) * signs[None, :]
-
-
-def validate_doubled_covariance(p: np.ndarray, tol: float = 1e-8) -> None:
-    """Assert that p is a covariance for the doubled conjugation: Hermitian,
-    0 <= p <= I, and p + doubled_conjugate(p) = I. Raises CovarianceError,
-    also for anything but one square matrix."""
-    p = np.asarray(p, dtype=complex)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise CovarianceError(f"doubled covariance must be one square matrix, got shape {p.shape}")
-    herm = float(np.max(np.abs(p - p.conj().T), initial=0.0))
-    if herm > tol:
-        raise CovarianceError(f"doubled covariance not Hermitian: {herm:.3e}")
-    w = eigvalsh(hermitian_part(p))
-    if w.size and (w[0] < -tol or w[-1] > 1.0 + tol):
-        raise CovarianceError(
-            f"doubled covariance spectrum outside [0, 1]: [{w[0]:.3e}, {w[-1]:.6f}]"
-        )
-    rel = float(np.max(np.abs(p + doubled_conjugate(p) - np.eye(p.shape[0])), initial=0.0))
-    if rel > tol:
-        raise CovarianceError(f"doubled conjugation relation violated: {rel:.3e}")
-
-
 def quadrature_identity_check(s, t):
     """(transition probability of the quadratures, squared transition probability).
 
-    U = diag(I, iI) turns the doubled conjugation into the standard one, so
-    U P U* is a covariance for :func:`validate_car`; the overlap matrix
-    becomes U M U*, with the same transition probability.
+    U = diag(I, iI) turns the doubled conjugation into the standard one: U P U*
+    has real part exactly I/2 and an exactly antisymmetric imaginary part, so
+    it is built as a :class:`CarCovariance`, not re-validated. The overlap
+    matrix becomes U M U*, with the same transition probability.
     """
     s, t = _as_covariance(s), _as_covariance(t)
     u = np.repeat([1.0, 1.0j], s.dim)
-    p, q = (u[:, None] * quadrature(c) * u.conj() for c in (s, t))
+    p, q = (CarCovariance(u[:, None] * quadrature(c) * u.conj()) for c in (s, t))
     return trans_prob_car(p, q), trans_prob_car(s, t) ** 2
 
 
-def meet_criterion(s, t, singular_tol: float = SINGULAR_TOL):
+def meet_criterion(s, t):
     """Rank of quadrature(S) ∧ (I - quadrature(T)), from the overlap matrix.
 
     V_S = [sqrt S; sqrt(I-S)] is an isometry with V_S V_S* = quadrature(S)
@@ -341,10 +303,10 @@ def meet_criterion(s, t, singular_tol: float = SINGULAR_TOL):
     same pair of objects it reuses that SVD. Stacked covariances give one rank
     per pair.
     """
-    return scalar(_zero_count(_overlap_singular_values(s, t), singular_tol))
+    return scalar(_zero_count(_overlap_singular_values(s, t)))
 
 
-def hamiltonian_of(s, tol: float = 1e-10) -> np.ndarray:
+def hamiltonian_of(s) -> np.ndarray:
     """Logarithmic generator H with S = (I + exp(H))^{-1}.
 
     Only defined for non-degenerate covariances (spectrum in the open unit
@@ -354,17 +316,17 @@ def hamiltonian_of(s, tol: float = 1e-10) -> np.ndarray:
     w, v = eig_h(m)
     if w.size == 0:
         return np.zeros_like(m)
-    if w[0] <= tol:
+    if w[0] <= 1e-10:
         raise CovarianceError(f"degenerate covariance: eigenvalue {w[0]:.6e}")
-    if w[-1] >= 1.0 - tol:
+    if w[-1] >= 1.0 - 1e-10:
         raise CovarianceError(f"degenerate covariance: eigenvalue {w[-1]:.10f}")
     return hermitian_part((v * np.log((1.0 - w) / w)) @ v.conj().T)
 
 
-def is_standard_car(s, tol: float = 1e-10) -> bool:
+def is_standard_car(s) -> bool:
     """Whether the covariance has trivial kernel (cyclic vector is separating).
 
     Stacked covariances give one flag per matrix.
     """
     x = _as_covariance(s).spectrum[0]
-    return scalar(0.5 - np.sqrt(np.max(x, axis=-1, initial=0.0)) > tol)
+    return scalar(0.5 - np.sqrt(np.max(x, axis=-1, initial=0.0)) > 1e-10)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .car import CarCovariance, validate_car
 from .errors import SizeCapError
-from .matcore import PSD_CLAMP_TOL, hermitian_part, require_psd
+from .matcore import hermitian_part, require_psd
 
 __all__ = [
     "CliffordRep",
@@ -168,7 +168,7 @@ def sqrt_density(rho: np.ndarray) -> np.ndarray:
     :class:`~quasifree.errors.NotPositiveError` is raised.
     """
     w, v = np.linalg.eigh(hermitian_part(rho))
-    require_psd(w, PSD_CLAMP_TOL, "density")
+    require_psd(w, "density")
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 

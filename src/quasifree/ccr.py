@@ -14,8 +14,8 @@ Each covariance is factorised once, by real ``eigh`` calls kept on the frozen
 antisymmetric, and gm(S, conj S) (:func:`ab_form`), the ratio's square root
 (:func:`qe_distance_ccr`) and its kernel (:func:`is_standard_ccr`) are real
 functions of a^T a. Past validation the pair path runs no complex kernel.
-S keeps its last transition analysis against T, so trans_prob_ccr and
-classify_ccr on the same pair of objects run it once.
+S keeps its last transition analysis against T, so trans_prob_ccr,
+log_trans_prob_ccr and classify_ccr on the same pair of objects run it once.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ __all__ = [
     "char_value",
     "classify_ccr",
     "is_standard_ccr",
+    "log_trans_prob_ccr",
     "qe_distance_ccr",
     "thermal_covariance",
     "trans_prob_ccr",
@@ -145,10 +146,10 @@ def _as_real(m, name: str) -> np.ndarray:
     return np.asarray(m, dtype=float)
 
 
-def validate_ccr(sigma, r, tol: float = VALIDATION_TOL) -> CcrCovariance:
+def validate_ccr(sigma, r) -> CcrCovariance:
     """Check that R + i*sigma/2 is PSD; antisymmetrize/symmetrize exactly.
 
-    sigma must be antisymmetric and R symmetric within ``tol`` times the
+    sigma must be antisymmetric and R symmetric within VALIDATION_TOL times the
     entry scale (as :func:`quasifree.car.validate_car` checks Hermiticity);
     deviations within it are removed exactly. Also takes a stack of forms R,
     shape (..., d, d), on one sigma or a stack of them. The error message
@@ -167,12 +168,12 @@ def validate_ccr(sigma, r, tol: float = VALIDATION_TOL) -> CcrCovariance:
     for m, sign, what in ((sigma, 1.0, "sigma is not antisymmetric"),
                           (r, -1.0, "R is not symmetric")):
         defect = np.max(np.abs(m + sign * np.swapaxes(m, -1, -2)), axis=(-2, -1), initial=0.0)
-        raise_first(defect > tol * scale, defect,
+        raise_first(defect > VALIDATION_TOL * scale, defect,
                     lambda v, what=what: CovarianceError(f"{what}: max deviation {v:.3e}"))
     sigma = 0.5 * (sigma - np.swapaxes(sigma, -1, -2))
     r = 0.5 * (r + np.swapaxes(r, -1, -2))
     w = eigvalsh(r + 0.5j * sigma)[..., :1]
-    raise_first(w < -tol * scale[..., None], w, lambda v: CovarianceError(
+    raise_first(w < -VALIDATION_TOL * scale[..., None], w, lambda v: CovarianceError(
         f"not a covariance form: minimal eigenvalue of R + i*sigma/2 is {v:.6e}"))
     sigma.setflags(write=False)
     r.setflags(write=False)
@@ -233,12 +234,13 @@ class CcrVerdict:
 
 
 def _transition_analysis(cov_s: CcrCovariance, cov_t: CcrCovariance):
-    """Shared computation behind trans_prob_ccr and classify_ccr.
+    """Shared computation behind log_trans_prob_ccr, trans_prob_ccr and classify_ccr.
 
-    Returns (t, central, diagnostics) for the flattened stack of pairs: the
-    transition probabilities, whether a central element decided each, and
-    each pair's diagnostics dict. Kept on S against T's arrays (by identity),
-    one pair at a time; callers copy what they change.
+    Returns (log_t, central, diagnostics) for the flattened stack of pairs:
+    the log transition probabilities (at most 0), whether a central element
+    or a vanishing determinant factor zeroes each (log -inf there), and each
+    pair's diagnostics dict. Kept on S against T's arrays (by identity), one
+    pair at a time; callers copy what they change.
     """
     memo = cov_s.__dict__.get("_transition", (None, None, None))
     if memo[0] is cov_t.sigma and memo[1] is cov_t.r:
@@ -250,10 +252,9 @@ def _transition_analysis(cov_s: CcrCovariance, cov_t: CcrCovariance):
     g = hermitian_part(a + b)
     w, v = eig_h(g)
     keep = w > SUPPORT_TOL * np.maximum(np.trace(g, axis1=-2, axis2=-1), 0.0)[:, None]
-    t = np.ones(a.shape[0])
+    log_t = np.zeros(a.shape[0])
     central = np.zeros(a.shape[0], dtype=bool)
     diagnostics = [{"support_dim": int(r)} for r in np.count_nonzero(keep, axis=-1)]
-    pending = []  # (pairs, support bases, eigenvalues, mismatch flags) without a verdict
     for sel, wk, basis, _ in support_groups(w, v, keep):
         idx = np.flatnonzero(sel)
         if basis.shape[-1] == 0:
@@ -282,31 +283,38 @@ def _transition_analysis(cov_s: CcrCovariance, cov_t: CcrCovariance):
                 central[i] = True
             if central[idx].all():
                 break
-        t[idx[central[idx]]] = 0.0
-        keep_on = ~central[idx]
-        pending.append((idx[keep_on], basis[keep_on], wk[keep_on], mismatch[keep_on]))
-
-    need = np.concatenate([p[0] for p in pending] + [np.zeros(0, dtype=int)])
-    if need.size:
-        gm = np.zeros_like(a)
-        gm[need] = matcore.geometric_mean(a[need], b[need])
-        for idx, basis, wk, mismatch in pending:
-            core = matcore.sandwich(basis, 2.0 * gm[idx], wk)
-            wc = np.clip(eigvalsh(core), 0.0, 1.0)
-            # a vanishing determinant factor that escaped the witness check above
-            zero = np.any(wc <= 1e-13, axis=-1)
-            with np.errstate(divide="ignore"):
-                half_log = 0.5 * np.sum(np.log(wc), axis=-1)
-            # math.exp (not np.exp, which can differ in the last bit) as for one pair
-            t[idx] = np.where(zero, 0.0, [min(math.exp(x), 1.0) for x in half_log.tolist()])
-            central[idx] = zero
-            for i, row, differ in zip(idx.tolist(), wc.tolist(), mismatch.tolist()):
-                diagnostics[i]["ab_support_mismatch"] = differ
-                diagnostics[i]["det_eigenvalues"] = row
-    t.setflags(write=False)
+        log_t[idx[central[idx]]] = -np.inf
+        live = ~central[idx]
+        if not live.any():
+            continue
+        idx, basis, wk, mismatch = idx[live], basis[live], wk[live], mismatch[live]
+        core = matcore.sandwich(basis, 2.0 * matcore.geometric_mean(a[idx], b[idx]), wk)
+        wc = np.clip(eigvalsh(core), 0.0, 1.0)
+        # a vanishing determinant factor that escaped the witness check above
+        zero = np.any(wc <= 1e-13, axis=-1)
+        with np.errstate(divide="ignore"):
+            half_log = 0.5 * np.sum(np.log(wc), axis=-1)
+        log_t[idx] = np.where(zero, -np.inf, np.minimum(half_log, 0.0))
+        central[idx] = zero
+        for i, row, differ in zip(idx.tolist(), wc.tolist(), mismatch.tolist()):
+            diagnostics[i]["ab_support_mismatch"] = differ
+            diagnostics[i]["det_eigenvalues"] = row
+    log_t.setflags(write=False)
     central.setflags(write=False)
-    cov_s.__dict__["_transition"] = (cov_t.sigma, cov_t.r, (t, central, diagnostics))
-    return t, central, diagnostics
+    cov_s.__dict__["_transition"] = (cov_t.sigma, cov_t.r, (log_t, central, diagnostics))
+    return log_t, central, diagnostics
+
+
+def log_trans_prob_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance):
+    """Natural log of :func:`trans_prob_ccr`, which does not underflow.
+
+    (1/2) sum log of the determinant factors, at most 0; exactly -inf when a
+    central element or a vanishing determinant factor zeroes the probability,
+    which is when :func:`classify_ccr` says Disjoint. Quasi-equivalent states
+    on many modes stay finite here where the probability underflows to 0.0.
+    Stacked covariances give one value per pair.
+    """
+    return scalar(_transition_analysis(cov_s, cov_t)[0].reshape(cov_s.r.shape[:-2]).copy())
 
 
 def trans_prob_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance):
@@ -314,11 +322,14 @@ def trans_prob_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance):
 
     The square is det(2 * ratio(gm(A, B), A + B)) over the support of A + B,
     with A, B the symmetrized forms of :func:`ab_form`; it vanishes exactly
-    when a central element separates the states. Stacked covariances give
-    one value per pair.
+    when a central element separates the states. The math.exp of
+    :func:`log_trans_prob_ccr`, so it can underflow to 0.0 where the log is
+    finite. Stacked covariances give one value per pair.
     """
-    t = _transition_analysis(cov_s, cov_t)[0]
-    return scalar(t.reshape(cov_s.r.shape[:-2]).copy())
+    log_t = _transition_analysis(cov_s, cov_t)[0]
+    # math.exp (not np.exp, which can differ in the last bit) as for one pair
+    t = np.array([math.exp(x) for x in log_t.tolist()])
+    return scalar(t.reshape(cov_s.r.shape[:-2]))
 
 
 def classify_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance) -> CcrVerdict:
@@ -333,12 +344,12 @@ def classify_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance) -> CcrVerdict:
     if cov_s.r.ndim != 2 or cov_t.r.ndim != 2:
         raise CovarianceError(
             f"classify_ccr takes one pair, got shapes {cov_s.r.shape} and {cov_t.r.shape}")
-    t, central, diagnostics = _transition_analysis(cov_s, cov_t)
+    log_t, central, diagnostics = _transition_analysis(cov_s, cov_t)
     diagnostics = copy.deepcopy(diagnostics[0])
     diagnostics["metric_equivalent"], diagnostics["qe_hs_distance"] = qe_distance_ccr(cov_s, cov_t)
     kind, reason = ((DISJOINT, CENTRAL_ELEMENT_MISMATCH) if central[0]
                     else (QUASI_EQUIVALENT, POSITIVE_TRANSITION_PROBABILITY))
-    return CcrVerdict(kind=kind, reason=reason, transition_probability=float(t[0]),
+    return CcrVerdict(kind=kind, reason=reason, transition_probability=math.exp(log_t[0]),
                       diagnostics=diagnostics)
 
 
@@ -390,7 +401,7 @@ def qe_distance_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance):
     return scalar(equiv.reshape(lead)), scalar(dist.reshape(lead))
 
 
-def is_standard_ccr(cov: CcrCovariance, tol: float = 1e-10) -> bool:
+def is_standard_ccr(cov: CcrCovariance) -> bool:
     """Whether ratio(S, S + conj S) has trivial kernel on the metric support.
 
     Its smallest eigenvalue there is 1/2 - sqrt(max x), read from the
@@ -399,4 +410,4 @@ def is_standard_ccr(cov: CcrCovariance, tol: float = 1e-10) -> bool:
     support it holds vacuously.
     """
     x = cov.spectrum[1]
-    return scalar(0.5 - np.sqrt(np.max(x, axis=-1, initial=0.0)) > tol)
+    return scalar(0.5 - np.sqrt(np.max(x, axis=-1, initial=0.0)) > 1e-10)

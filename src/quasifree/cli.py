@@ -1,8 +1,8 @@
 """JSON-scenario command line front end.
 
 Commands read one scenario file, write a single JSON report to stdout, and
-log to stderr. Exit codes: 0 success, 2 validation failure, 3 inconclusive,
-4 resource cap.
+log to stderr. Exit codes: 0 success, 2 validation failure, 3 inconclusive
+(including criteria that disagree), 4 resource cap.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__, car, car_oracle, ccr, ccr_oracle, matcore, seqmodel
-from .errors import CovarianceError, InconclusiveError, SizeCapError
+from .errors import ConsistencyViolation, CovarianceError, InconclusiveError, SizeCapError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -219,12 +219,13 @@ def _cmd_trans_prob(scenario, opts):
     _require_kind(scenario, _PAIR_KINDS, "trans-prob")
     is_car = scenario["kind"] == "car-pair"
     s, t = (_car_pair if is_car else _ccr_pair)(scenario)
-    tp = (car.trans_prob_car if is_car else ccr.trans_prob_ccr)(s, t)
-    results = {"transition_probability": tp,
-               "abs_det_overlap_matrix" if is_car else "det_factor": tp**2}
-    if is_car:  # finite where tp underflows to 0; "-infinity" iff the meet is nonzero
-        results["log_transition_probability"] = car.log_trans_prob_car(s, t)
-    return results, EXIT_OK
+    tp_of, log_tp_of = ((car.trans_prob_car, car.log_trans_prob_car) if is_car
+                        else (ccr.trans_prob_ccr, ccr.log_trans_prob_ccr))
+    tp = tp_of(s, t)
+    # the log is finite where tp underflows to 0, and "-infinity" iff tp is an exact zero
+    return {"transition_probability": tp,
+            "abs_det_overlap_matrix" if is_car else "det_factor": tp**2,
+            "log_transition_probability": log_tp_of(s, t)}, EXIT_OK
 
 
 def _cmd_classify(scenario, opts):
@@ -243,8 +244,6 @@ def _cmd_quadrature_check(scenario, opts):
     _require_kind(scenario, ("car-pair",), "quadrature-check")
     s, t = _car_pair(scenario)
     p, q = car.quadrature(s), car.quadrature(t)
-    car.validate_doubled_covariance(p)
-    car.validate_doubled_covariance(q)
     lhs, rhs = car.quadrature_identity_check(s, t)
     return {
         "lhs_doubled_transition_probability": lhs,
@@ -366,6 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # validation errors (ScenarioError, CovarianceError, ...) all subclass ValueError
 _FAILURES = (
     (InconclusiveError, EXIT_INCONCLUSIVE, "inconclusive"),
+    (ConsistencyViolation, EXIT_INCONCLUSIVE, "criteria disagree"),
     (SizeCapError, EXIT_RESOURCE, "resource cap"),
     (ValueError, EXIT_VALIDATION, "validation error"),
 )
@@ -416,7 +416,7 @@ def main(argv=None) -> int:
             opts[key] = _numeric_option(key, opts[key], kind)
 
         results, code = handler(scenario, opts)
-    except (InconclusiveError, ValueError) as exc:
+    except tuple(cls for cls, _, _ in _FAILURES) as exc:
         code, what = next((c, w) for cls, c, w in _FAILURES if isinstance(exc, cls))
         _log(f"{what}: {exc}")
         report["error"] = str(exc)

@@ -84,11 +84,11 @@ def _check_pair(x: np.ndarray, y: np.ndarray) -> None:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
 
 
-def require_psd(w: np.ndarray, clamp_tol: float, name: str) -> None:
-    """NotPositiveError unless each spectrum (ascending) is above -clamp_tol * its max |w|."""
+def require_psd(w: np.ndarray, name: str) -> None:
+    """NotPositiveError unless each spectrum (ascending) is above -PSD_CLAMP_TOL * its max |w|."""
     if w.shape[-1]:
         low, msg = w[..., 0], f"{name} is not PSD: minimal eigenvalue {{:.6e}}"
-        raise_first(low < -clamp_tol * np.max(np.abs(w), axis=-1), low,
+        raise_first(low < -PSD_CLAMP_TOL * np.max(np.abs(w), axis=-1), low,
                     lambda v: NotPositiveError(msg.format(v), v))
 
 
@@ -223,14 +223,14 @@ def eig_h(h: np.ndarray):
     return eigh(hermitian_part(_check_square(h, "matrix", stack=True)))
 
 
-def sqrt_psd(h: np.ndarray, clamp_tol: float = PSD_CLAMP_TOL) -> np.ndarray:
+def sqrt_psd(h: np.ndarray) -> np.ndarray:
     """Positive-semidefinite square root via eigendecomposition.
 
-    Eigenvalues in ``[-clamp_tol * ||h||, 0)`` are clamped to zero; anything
+    Eigenvalues in ``[-PSD_CLAMP_TOL * ||h||, 0)`` are clamped to zero; anything
     below that raises :class:`NotPositiveError`.
     """
     w, v = eig_h(h)
-    require_psd(w, clamp_tol, "matrix")
+    require_psd(w, "matrix")
     return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dagger(v)
 
 
@@ -309,13 +309,13 @@ def pfaffian(a: np.ndarray) -> complex:
     return complex(val)
 
 
-def geometric_mean(a: np.ndarray, b: np.ndarray, reg: float = PSD_CLAMP_TOL) -> np.ndarray:
+def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Operator geometric mean of two PSD matrices, restricted to their common support.
 
     On the common support this is the usual
     ``a^{1/2} (a^{-1/2} b a^{-1/2})^{1/2} a^{1/2}`` (the variational operator
     mean); off the common support the result is zero. Eigenvalues at or below
-    ``reg * trace`` count as outside the support.
+    ``PSD_CLAMP_TOL * trace`` count as outside the support.
     """
     a = hermitian_part(_check_square(a, "first matrix", stack=True))
     b = hermitian_part(_check_square(b, "second matrix", stack=True))
@@ -324,8 +324,8 @@ def geometric_mean(a: np.ndarray, b: np.ndarray, reg: float = PSD_CLAMP_TOL) -> 
     proj = []
     for m, name in ((a, "first matrix"), (b, "second matrix")):
         w, v = eigh(m)
-        require_psd(w, reg, name)
-        keep = w > reg * np.maximum(np.trace(m, axis1=-2, axis2=-1).real, 0.0)[..., None]
+        require_psd(w, name)
+        keep = w > PSD_CLAMP_TOL * np.maximum(np.trace(m, axis1=-2, axis2=-1).real, 0.0)[..., None]
         proj.append((v * keep[..., None, :]) @ dagger(v))
 
     # common support = eigenvalue-2 space of the sum of the two support projections

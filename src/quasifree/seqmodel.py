@@ -48,11 +48,10 @@ INCONCLUSIVE = "Inconclusive"
 HS_CONVERGENT = "HSConvergent"
 HS_DIVERGENCE = "HSDivergence"
 
-# transition probabilities at or below this floor count as exact zero
-TP_FLOOR = 1e-14
 DEFAULT_N_MAX = 4096
 MIN_N_MAX = 64
-DEFAULT_EPS = 1e-3
+# a window of partial sums that adds less than this converges (see _series_class)
+WINDOW_EPS = 1e-3
 DIVERGENCE_FACTOR = 10.0
 # Modes per table block: bounds the stacked covariances held at once.
 BLOCK_MODES = 256
@@ -232,8 +231,10 @@ def _term_table(family: ModeFamily, n: int):
     """Arrays of qe^2 and -log tp for modes 1..n, computed BLOCK_MODES at a time.
 
     One pair-function call per stacked block gives each mode the bits of a
-    call on its own pair; squares and logs are taken in Python, as for one
-    pair. Failed metric equivalence or tp <= TP_FLOOR make a term +inf.
+    call on its own pair; squares are taken in Python, as for one pair. The
+    logs are the pair modules' own (``log_trans_prob_car``/``_ccr``), with no
+    floor here: a -log tp term is +inf exactly where that module's zero rule
+    holds, a qe^2 term where CCR metric equivalence fails.
     """
     if n > N_MAX_CAP:
         raise SizeCapError(f"{n} modes exceed the sequence cap of {N_MAX_CAP} modes")
@@ -241,12 +242,11 @@ def _term_table(family: ModeFamily, n: int):
     for lo in range(1, n + 1, BLOCK_MODES):
         for modes, s, t in family.stack(lo, min(lo + BLOCK_MODES - 1, n)):
             if family.kind == CAR:
-                dist, tp = car.qe_distance_car(s, t), car.trans_prob_car(s, t)
+                dist, log_tp = car.qe_distance_car(s, t), car.log_trans_prob_car(s, t)
             else:
-                dist, tp = ccr.qe_distance_ccr(s, t)[1], ccr.trans_prob_ccr(s, t)
+                dist, log_tp = ccr.qe_distance_ccr(s, t)[1], ccr.log_trans_prob_ccr(s, t)
             qe_sq[modes - 1] = [x**2 for x in dist.tolist()]
-            neg_log_tp[modes - 1] = [math.inf if x <= TP_FLOOR else -math.log(x)
-                                     for x in tp.tolist()]
+            neg_log_tp[modes - 1] = -log_tp
     return qe_sq, neg_log_tp
 
 
@@ -266,9 +266,9 @@ def partial_qe_sum(family: ModeFamily, n: int) -> float:
 def partial_log_tp(family: ModeFamily, n: int) -> float:
     """Sum over modes 1..n of -log of per-mode transition probabilities.
 
-    +inf as soon as any mode's transition probability hits the zero floor;
-    finite values mean the product of transition probabilities is
-    exp(-result).
+    +inf as soon as any mode's transition probability is an exact zero under
+    its pair module's rule; finite values mean the product of transition
+    probabilities is exp(-result), also where that product underflows.
     """
     if n < 1:
         raise ValueError(f"N must be >= 1, got {n}")
@@ -285,28 +285,26 @@ class SequenceVerdict:
     n_used: int
 
 
-def _series_class(sum_half: float, sum_full: float, last_term: float,
-                  window: int, eps: float) -> str:
+def _series_class(sum_half: float, sum_full: float, last_term: float, window: int) -> str:
     """'convergent' / 'divergent' / 'inconclusive' from a partial-sum window.
 
     A series is called convergent when the last window of partial sums added
-    less than eps; divergent when it added at least 10*eps AND the final term
-    has not collapsed below a tenth of the window average (so slowly decaying
-    but summable tails are not misread as divergence); inconclusive between.
+    less than eps = WINDOW_EPS; divergent when it added at least 10*eps AND
+    the final term has not collapsed below a tenth of the window average (so
+    slowly decaying but summable tails are not misread as divergence);
+    inconclusive between.
     """
     if math.isinf(sum_full):
         return "divergent"
     inc = sum_full - sum_half
-    if inc < eps:
+    if inc < WINDOW_EPS:
         return "convergent"
-    if inc >= DIVERGENCE_FACTOR * eps and last_term >= inc / (DIVERGENCE_FACTOR * window):
+    if inc >= DIVERGENCE_FACTOR * WINDOW_EPS and last_term >= inc / (DIVERGENCE_FACTOR * window):
         return "divergent"
     return "inconclusive"
 
 
-def classify_sequence(
-    family: ModeFamily, n_max: int = DEFAULT_N_MAX, eps: float = DEFAULT_EPS
-) -> SequenceVerdict:
+def classify_sequence(family: ModeFamily, n_max: int = DEFAULT_N_MAX) -> SequenceVerdict:
     """Quasi-equivalent / disjoint / inconclusive verdict for a mode family.
 
     Scans modes 1..n_max once, recording both partial-sum traces at
@@ -314,9 +312,10 @@ def classify_sequence(
     the quasi-equivalence sums alone; CCR families additionally classify the
     transition-probability product and the two verdicts are cross-checked —
     a confident disagreement raises :class:`ConsistencyViolation` instead of
-    guessing. (With a nondegenerate symplectic form the two criteria agree;
-    fully degenerate families can genuinely split them, and refusing to
-    answer is deliberate there.)
+    guessing. (With a nondegenerate symplectic form the two criteria agree,
+    and the table's -log tp terms follow ccr's own zero rule, so no second
+    cut splits them; fully degenerate families can genuinely split them, and
+    refusing to answer is deliberate there.)
 
     ``n_max`` above N_MAX_CAP = 2**20 raises :class:`SizeCapError`: the scan
     costs ~4 us/mode for the CAR built-ins and ~14 us/mode for the CCR
@@ -333,8 +332,8 @@ def classify_sequence(
     tp_last = float(tp_terms[-1])
 
     window = n_max - n_max // 2
-    qe_class = _series_class(qe_sums[-2], qe_sums[-1], qe_last, window, eps)
-    tp_class = _series_class(tp_sums[-2], tp_sums[-1], tp_last, window, eps)
+    qe_class = _series_class(qe_sums[-2], qe_sums[-1], qe_last, window)
+    tp_class = _series_class(tp_sums[-2], tp_sums[-1], tp_last, window)
 
     if family.kind == CAR:
         kind, reason = {

@@ -19,6 +19,7 @@ import time
 
 import numpy as np
 import pytest
+from doubled_space import validate_doubled_covariance
 from scipy import integrate
 
 from quasifree import seqmodel
@@ -27,7 +28,6 @@ from quasifree.car import (
     quadrature,
     quadrature_identity_check,
     trans_prob_car,
-    validate_doubled_covariance,
 )
 from quasifree.car_oracle import (
     density_from_covariance,

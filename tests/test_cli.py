@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quasifree import cli
+from quasifree import ccr, cli, sampling
 
 MU_03 = [[0.5, [0.0, -0.3]], [[0.0, 0.3], 0.5]]
 MU_01 = [[0.5, [0.0, -0.1]], [[0.0, 0.1], 0.5]]
@@ -42,6 +42,11 @@ def car_pair_scenario(s=MU_03, t=MU_01, **extra):
 
 def thermal_r(c):
     return [[c / 2.0, 0.0], [0.0, c / 2.0]]
+
+
+def matrix_json(m):
+    """A complex matrix as rows of [re, im] entries."""
+    return [[[x.real, x.imag] for x in row] for row in np.asarray(m, dtype=complex).tolist()]
 
 
 # ---------------------------------------------------------------- validate
@@ -158,6 +163,14 @@ def test_trans_prob_ccr(tmp_path, capsys):
     code, report, _ = run_cli(capsys, ["trans-prob", path])
     assert code == 0
     assert report["results"]["transition_probability"] == pytest.approx(1.0, abs=1e-9)
+    assert report["results"]["log_transition_probability"] == pytest.approx(0.0, abs=1e-9)
+    # the vacuum against width 1e9 on 80 modes: quasi-equivalent, tp = exp(-801.2...)
+    sc = {"kind": "ccr-pair", "sigma": ccr.canonical_sigma(80).tolist(),
+          "R_S": (0.5 * np.eye(160)).tolist(), "R_T": (0.5e9 * np.eye(160)).tolist()}
+    code, report, _ = run_cli(capsys, ["trans-prob", write_scenario(tmp_path, sc)])
+    assert code == 0
+    assert report["results"]["transition_probability"] == 0.0
+    assert report["results"]["log_transition_probability"] == -801.2047462954588
 
 
 # ----------------------------------------------------------------- classify
@@ -234,6 +247,19 @@ def test_classify_ccr_sequence(tmp_path, capsys):
     assert report["results"]["verdict"]["reason"] == "HSDivergence"
 
 
+def test_classify_disagreeing_criteria_exit_code(tmp_path, capsys):
+    # sigma = 0: the qe sums converge while the tp product diverges
+    pair = [[[0.5, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 0.25]]]
+    sc = {"kind": "ccr-sequence",
+          "family": {"rule": "literal", "sigma": [[0.0, 0.0], [0.0, 0.0]], "pairs": [pair],
+                     "tail": pair},
+          "options": {"n_max": 64}}
+    code, report, err = run_cli(capsys, ["classify", write_scenario(tmp_path, sc)])
+    assert code == 3 and report["exit_code"] == 3
+    assert "convergent" in report["error"] and "results" not in report
+    assert "criteria disagree" in err
+
+
 def test_family_rule_validation(tmp_path, capsys):
     sc = {"kind": "car-sequence", "family": {"rule": "ccr_thermal_power", "p": 1.0}}
     path = write_scenario(tmp_path, sc)
@@ -260,6 +286,14 @@ def test_quadrature_check(tmp_path, capsys):
     assert res["lhs_doubled_transition_probability"] == pytest.approx(
         TP_MU_03_01**2, abs=1e-9
     )
+    # near-pure quadrature blocks carry ~sqrt(eps) error; they are not re-validated
+    s, t = sampling.singular_overlap_car_pair(np.random.default_rng(0), 4)
+    sc = car_pair_scenario(matrix_json(s.matrix), matrix_json(t.matrix))
+    code, report, _ = run_cli(capsys, ["quadrature-check", write_scenario(tmp_path, sc)])
+    assert code == 0
+    res = report["results"]
+    assert res["meet_rank"] == 2 and res["rhs_squared_transition_probability"] == 0.0
+    assert res["abs_diff"] <= 1e-8
 
 
 # ----------------------------------------------------------- oracle-compare

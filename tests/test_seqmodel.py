@@ -14,6 +14,19 @@ def flat_pair(delta=0.008):
     return car.mu_covariance(0.3), car.mu_covariance(0.3 + delta)
 
 
+def vacuum_vs_width(width, modes):
+    """The vacuum against width ``width`` on ``modes`` modes as one pair, then the default tail."""
+    pair = ccr.thermal_covariance(1.0, modes), ccr.thermal_covariance(width, modes)
+    return seqmodel.literal_family(seqmodel.CCR, [pair], label=f"vacuum-vs-{width:g}x{modes}")
+
+
+def mu_blocks(mu, blocks):
+    """One CAR pair, ``blocks`` mu blocks against -mu blocks, then the default tail."""
+    pair = [car.validate_car(np.kron(np.eye(blocks), car.mu_covariance(m).matrix))
+            for m in (mu, -mu)]
+    return seqmodel.literal_family(seqmodel.CAR, [pair], label=f"mu-{mu:g}x{blocks}")
+
+
 # ---------------------------------------------------------------- families
 
 
@@ -67,13 +80,13 @@ def pair_api_terms(family, n):
     for k in range(1, n + 1):
         s, t = family.pair_at(k)
         if family.kind == seqmodel.CAR:
-            dist, tp = car.qe_distance_car(s, t), car.trans_prob_car(s, t)
+            dist, log_tp = car.qe_distance_car(s, t), car.log_trans_prob_car(s, t)
         else:
             equiv, dist = ccr.qe_distance_ccr(s, t)
             assert equiv or math.isinf(dist)
-            tp = ccr.trans_prob_ccr(s, t)
+            log_tp = ccr.log_trans_prob_ccr(s, t)
         qe_sq.append(dist**2)
-        neg_log_tp.append(math.inf if tp <= seqmodel.TP_FLOOR else -math.log(tp))
+        neg_log_tp.append(-log_tp)
     return qe_sq, neg_log_tp
 
 
@@ -106,6 +119,8 @@ def small_blocks(monkeypatch):
     seqmodel.car_mu_sequence(lambda k: 0.2, lambda k: 0.2 + 0.1 * k**-1.5, label="user-mu"),
     seqmodel.ccr_thermal_sequence(lambda k: 1.0 + 2.0 / k, lambda k: 2.0, label="user-width"),
     bare_car_family(),
+    vacuum_vs_width(30.0, 32),
+    mu_blocks(0.45, 40),
 ], ids=lambda f: f.label)
 def test_table_bit_identical_to_pair_api(family, small_blocks):
     assert_table_matches_pair_api(family, 40)
@@ -195,7 +210,7 @@ def test_partial_sums_match_per_mode_values():
     one = seqmodel.partial_qe_sum(fam, 1)
     assert one == car.qe_distance_car(s1, t1) ** 2
     tp1 = seqmodel.partial_log_tp(fam, 1)
-    assert tp1 == -math.log(car.trans_prob_car(s1, t1))
+    assert tp1 == -car.log_trans_prob_car(s1, t1)
 
 
 def test_partial_sums_nondecreasing():
@@ -253,6 +268,14 @@ def test_classifier_car_convergent():
     v = seqmodel.classify_sequence(seqmodel.car_power_family(2.0), n_max=2048)
     assert v.kind == ccr.QUASI_EQUIVALENT
     assert v.reason == seqmodel.HS_CONVERGENT
+    # one pair with tp 3.8e-15 and an empty meet adds a finite -log tp term
+    fam = mu_blocks(0.45, 40)
+    v = seqmodel.classify_sequence(fam, n_max=64)
+    assert (v.kind, v.reason) == (ccr.QUASI_EQUIVALENT, seqmodel.HS_CONVERGENT)
+    s, t = fam.pair_at(1)
+    assert car.meet_criterion(s, t) == 0
+    assert v.neg_log_tp_partial_sums == (33.214624136433024,) * 4
+    assert -car.log_trans_prob_car(s, t) == 33.214624136433024
 
 
 def test_classifier_car_divergent():
@@ -265,6 +288,14 @@ def test_classifier_ccr_convergent():
     v = seqmodel.classify_sequence(seqmodel.ccr_thermal_power_family(2.0), n_max=1024)
     assert v.kind == ccr.QUASI_EQUIVALENT
     assert v.reason == ccr.POSITIVE_TRANSITION_PROBABILITY
+    # one many-mode pair with tp 9.0e-20, and one whose tp underflows to 0.0:
+    # no central element, so finite -log tp terms that agree with the qe sums
+    for fam, neg_log_tp in ((vacuum_vs_width(30.0, 32), 43.85344038280322),
+                            (vacuum_vs_width(1e9, 80), 801.2047462954588)):
+        v = seqmodel.classify_sequence(fam, n_max=64)
+        assert (v.kind, v.reason) == (ccr.QUASI_EQUIVALENT, ccr.POSITIVE_TRANSITION_PROBABILITY)
+        assert v.neg_log_tp_partial_sums == (neg_log_tp,) * 4
+        assert -ccr.log_trans_prob_ccr(*fam.pair_at(1)) == neg_log_tp
 
 
 def test_classifier_ccr_divergent():
