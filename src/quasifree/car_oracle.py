@@ -112,7 +112,7 @@ def _pairing(a: np.ndarray) -> np.ndarray:
     return np.linalg.qr(pairs)[0]
 
 
-def density_from_covariance(s, rep: CliffordRep | None = None) -> np.ndarray:
+def density_from_covariance(s) -> np.ndarray:
     """Density matrix of the quasi-free state with covariance ``s``.
 
     In a real orthonormal pairing (x_j, y_j) that block-diagonalises
@@ -130,10 +130,7 @@ def density_from_covariance(s, rep: CliffordRep | None = None) -> np.ndarray:
     if d > 2 * MAX_MODES:
         raise SizeCapError(f"dimension {d} exceeds oracle cap {2 * MAX_MODES}")
     n = d // 2
-    if rep is None:
-        rep = jw_generators(n)
-    elif rep.n_modes != n:
-        raise ValueError(f"representation has {rep.n_modes} modes, covariance needs {n}")
+    rep = jw_generators(n)
 
     sm = cov.matrix
     pairs = _pairing(sm.imag)

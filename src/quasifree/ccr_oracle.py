@@ -23,6 +23,7 @@ __all__ = [
     "BosonOps",
     "CUTOFF_SCHEDULE",
     "MAX_OSC_MODES",
+    "OVERLAP_TOL",
     "QuadraticHamiltonian",
     "TruncatedState",
     "boson_ops",
@@ -40,6 +41,8 @@ CUTOFF_SCHEDULE = (20, 40, 80, 120)
 MAX_FOCK_DIM = 8000
 # effective inverse temperature standing in for a pure vacuum factor
 VACUUM_BETA = 100.0
+# overlap_ccr converges once two successive cutoffs agree within this
+OVERLAP_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -232,14 +235,13 @@ def _overlap_value(r1: np.ndarray, r2: np.ndarray) -> float:
 def overlap_ccr(
     state1: TruncatedState,
     state2: TruncatedState,
-    tol: float = 1e-7,
     schedule: tuple = CUTOFF_SCHEDULE,
 ) -> float:
     """tr(sqrt rho sqrt tau), recomputed on a doubling cutoff schedule.
 
     Both states are regenerated from their Hamiltonians at each cutoff (the
     given states are used as they are at their own cutoff) until two
-    successive values agree within ``tol``; exhausting the schedule (or
+    successive values agree within ``OVERLAP_TOL``; exhausting the schedule (or
     hitting the dimension cap first) raises :class:`InconclusiveError`.
     """
     if state1.n_modes != state2.n_modes:
@@ -261,7 +263,7 @@ def overlap_ccr(
         val = _overlap_value(r1.rho, r2.rho)
         if prev is not None:
             last_inc = abs(val - prev)
-            if last_inc < tol:
+            if last_inc < OVERLAP_TOL:
                 return val
         prev = val
     raise InconclusiveError(

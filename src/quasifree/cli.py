@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,8 +32,26 @@ EXIT_RESOURCE = 4
 # runs a 10-dimensional pair (scenario car10) that must exit 4.
 CAR_ORACLE_COMPARE_MAX_DIM = 8
 
-_PAIR_KINDS = ("car-pair", "ccr-pair")
-_SEQ_KINDS = ("car-sequence", "ccr-sequence")
+
+class _Algebra(NamedTuple):
+    """What a scenario of one algebra reads and reports."""
+
+    name: str            # the seqmodel sequence kind
+    shared: tuple        # matrices both covariances are validated with
+    states: tuple        # a pair scenario's matrix for each state
+    validate: Callable   # validate(*shared, state matrix) -> covariance
+    form: str            # the covariance matrix whose spectrum validate reports
+    tp: Callable
+    log_tp: Callable
+    tp_squared: str      # report key of tp**2
+
+
+_CAR = _Algebra(seqmodel.CAR, (), ("S", "T"), car.validate_car, "matrix",
+                car.trans_prob_car, car.log_trans_prob_car, "abs_det_overlap_matrix")
+_CCR = _Algebra(seqmodel.CCR, ("sigma",), ("R_S", "R_T"), ccr.validate_ccr, "s_matrix",
+                ccr.trans_prob_ccr, ccr.log_trans_prob_ccr, "det_factor")
+# scenario kind -> its algebra: car-pair, ccr-pair, car-sequence, ccr-sequence
+_KINDS = {f"{alg.name}-{shape}": alg for shape in ("pair", "sequence") for alg in (_CAR, _CCR)}
 
 
 class ScenarioError(ValueError):
@@ -77,31 +96,21 @@ def load_scenario(path: str):
     if not isinstance(scenario, dict):
         raise ScenarioError("scenario must be a JSON object")
     kind = scenario.get("kind")
-    if kind not in _PAIR_KINDS + _SEQ_KINDS:
-        raise ScenarioError(
-            f"scenario kind must be one of {_PAIR_KINDS + _SEQ_KINDS}, got {kind!r}"
-        )
+    if kind not in _KINDS:
+        raise ScenarioError(f"scenario kind must be one of {tuple(_KINDS)}, got {kind!r}")
     return scenario, digest
 
 
-def _car_pair(scenario) -> tuple:
-    for key in ("S", "T"):
+def _pair(scenario) -> tuple:
+    """The validated (S, T) of a pair scenario, each parsed and validated in turn."""
+    alg = _KINDS[scenario["kind"]]
+    for key in alg.shared + alg.states:
         if key not in scenario:
-            raise ScenarioError(f"car-pair scenario needs matrix {key!r}")
-    s = car.validate_car(parse_matrix(scenario["S"], "S"))
-    t = car.validate_car(parse_matrix(scenario["T"], "T"))
+            raise ScenarioError(f"{scenario['kind']} scenario needs matrix {key!r}")
+    shared = [parse_matrix(scenario[key], key) for key in alg.shared]
+    s, t = (alg.validate(*shared, parse_matrix(scenario[key], key)) for key in alg.states)
     if s.dim != t.dim:
         raise CovarianceError(f"dimension mismatch: {s.dim} vs {t.dim}")
-    return s, t
-
-
-def _ccr_pair(scenario) -> tuple:
-    for key in ("sigma", "R_S", "R_T"):
-        if key not in scenario:
-            raise ScenarioError(f"ccr-pair scenario needs matrix {key!r}")
-    sigma = parse_matrix(scenario["sigma"], "sigma")
-    s = ccr.validate_ccr(sigma, parse_matrix(scenario["R_S"], "R_S"))
-    t = ccr.validate_ccr(sigma, parse_matrix(scenario["R_T"], "R_T"))
     return s, t
 
 
@@ -118,13 +127,10 @@ def _exponent(fam: dict) -> float:
     return float(p)
 
 
-def _literal_family(fam: dict, seq_kind: str) -> seqmodel.ModeFamily:
+def _literal_family(fam: dict, alg: _Algebra) -> seqmodel.ModeFamily:
     """Explicit [first, second] covariance pairs and an optional tail pair."""
-    if seq_kind == seqmodel.CAR:
-        make = car.validate_car
-    else:
-        sigma = parse_matrix(fam.get("sigma", []), "family.sigma")
-        make = functools.partial(ccr.validate_ccr, sigma)
+    shared = [parse_matrix(fam.get(key, []), f"family.{key}") for key in alg.shared]
+    make = functools.partial(alg.validate, *shared)
 
     def pair(raw, where: str) -> tuple:
         if not isinstance(raw, list) or len(raw) != 2:
@@ -136,7 +142,7 @@ def _literal_family(fam: dict, seq_kind: str) -> seqmodel.ModeFamily:
         raise ScenarioError("literal family needs a non-empty 'pairs' list")
     tail = fam.get("tail")
     return seqmodel.literal_family(
-        seq_kind, [pair(raw, f"pairs[{i}]") for i, raw in enumerate(pairs)],
+        alg.name, [pair(raw, f"pairs[{i}]") for i, raw in enumerate(pairs)],
         tail=None if tail is None else pair(tail, "tail"), label=fam.get("label", "literal"),
     )
 
@@ -159,10 +165,10 @@ def _family(scenario) -> seqmodel.ModeFamily:
     if not isinstance(rule, str) or rule not in _FAMILY_RULES:
         raise ScenarioError(f"unknown family rule {rule!r}")
     kind, make = _FAMILY_RULES[rule]
-    seq_kind = seqmodel.CAR if scenario["kind"] == "car-sequence" else seqmodel.CCR
-    if kind not in (None, seq_kind):
+    alg = _KINDS[scenario["kind"]]
+    if kind not in (None, alg.name):
         raise ScenarioError(f"{rule} is a {kind}-sequence rule")
-    return make(fam, seq_kind)
+    return make(fam, alg)
 
 
 def _sanitize(value):
@@ -192,19 +198,11 @@ def _sanitize(value):
     return value
 
 
-def _require_kind(scenario, allowed, command: str) -> None:
-    if scenario["kind"] not in allowed:
-        raise ScenarioError(
-            f"{command} needs a scenario of kind {allowed}, got {scenario['kind']!r}"
-        )
-
-
 def _cmd_validate(scenario, opts):
     results = {}
-    if scenario["kind"] in _PAIR_KINDS:
-        is_car = scenario["kind"] == "car-pair"
-        for name, cov in zip("ST", (_car_pair if is_car else _ccr_pair)(scenario)):
-            w = np.linalg.eigvalsh(cov.matrix if is_car else cov.s_matrix)
+    if scenario["kind"].endswith("-pair"):
+        for name, cov in zip("ST", _pair(scenario)):
+            w = np.linalg.eigvalsh(getattr(cov, _KINDS[scenario["kind"]].form))
             results[name] = {"dim": cov.dim, "min_eigenvalue": float(w[0]),
                              "max_eigenvalue": float(w[-1])}
     else:
@@ -216,24 +214,17 @@ def _cmd_validate(scenario, opts):
 
 
 def _cmd_trans_prob(scenario, opts):
-    _require_kind(scenario, _PAIR_KINDS, "trans-prob")
-    is_car = scenario["kind"] == "car-pair"
-    s, t = (_car_pair if is_car else _ccr_pair)(scenario)
-    tp_of, log_tp_of = ((car.trans_prob_car, car.log_trans_prob_car) if is_car
-                        else (ccr.trans_prob_ccr, ccr.log_trans_prob_ccr))
-    tp = tp_of(s, t)
+    alg = _KINDS[scenario["kind"]]
+    s, t = _pair(scenario)
+    tp = alg.tp(s, t)
     # the log is finite where tp underflows to 0, and "-infinity" iff tp is an exact zero
-    return {"transition_probability": tp,
-            "abs_det_overlap_matrix" if is_car else "det_factor": tp**2,
-            "log_transition_probability": log_tp_of(s, t)}, EXIT_OK
+    return {"transition_probability": tp, alg.tp_squared: tp**2,
+            "log_transition_probability": alg.log_tp(s, t)}, EXIT_OK
 
 
 def _cmd_classify(scenario, opts):
-    _require_kind(scenario, ("ccr-pair",) + _SEQ_KINDS, "classify")
     if scenario["kind"] == "ccr-pair":
-        s, t = _ccr_pair(scenario)
-        verdict = ccr.classify_ccr(s, t)
-        return {"verdict": verdict}, EXIT_OK
+        return {"verdict": ccr.classify_ccr(*_pair(scenario))}, EXIT_OK
     fam = _family(scenario)
     verdict = seqmodel.classify_sequence(fam, n_max=opts["n_max"])
     code = EXIT_INCONCLUSIVE if verdict.kind == seqmodel.INCONCLUSIVE else EXIT_OK
@@ -241,8 +232,7 @@ def _cmd_classify(scenario, opts):
 
 
 def _cmd_quadrature_check(scenario, opts):
-    _require_kind(scenario, ("car-pair",), "quadrature-check")
-    s, t = _car_pair(scenario)
+    s, t = _pair(scenario)
     p, q = car.quadrature(s), car.quadrature(t)
     lhs, rhs = car.quadrature_identity_check(s, t)
     return {
@@ -268,26 +258,22 @@ def _thermal_widths(cov: ccr.CcrCovariance):
 
 
 def _cmd_oracle_compare(scenario, opts):
-    _require_kind(scenario, _PAIR_KINDS, "oracle-compare")
-    tol = opts["tol"]
-    if scenario["kind"] == "car-pair":
-        s, t = _car_pair(scenario)
+    alg = _KINDS[scenario["kind"]]
+    s, t = _pair(scenario)
+    if alg is _CAR:
         if s.dim > CAR_ORACLE_COMPARE_MAX_DIM:
             raise SizeCapError(f"car oracle comparison capped at dimension "
                                f"{CAR_ORACLE_COMPARE_MAX_DIM}, got {s.dim}")
-        formula = car.trans_prob_car(s, t)
         oracle = car_oracle.overlap(
             car_oracle.density_from_covariance(s), car_oracle.density_from_covariance(t)
         )
     else:
-        s, t = _ccr_pair(scenario)
         cs, ct = _thermal_widths(s), _thermal_widths(t)
         if cs is None or ct is None:
             raise SizeCapError(
                 "ccr oracle comparison supports single-mode thermal-diagonal "
                 "covariances only (canonical sigma, R = (c/2) I)"
             )
-        formula = ccr.trans_prob_ccr(s, t)
         schedule = tuple(n for n in ccr_oracle.CUTOFF_SCHEDULE if n <= opts["cutoff"])
         if not schedule:
             raise ScenarioError(f"cutoff {opts['cutoff']} below the oracle schedule")
@@ -298,12 +284,13 @@ def _cmd_oracle_compare(scenario, opts):
             for c in (cs, ct)
         ]
         oracle = ccr_oracle.overlap_ccr(states[0], states[1], schedule=schedule)
+    formula = alg.tp(s, t)
     diff = abs(formula - oracle)
     return {
         "formula_value": formula,
         "oracle_value": oracle,
         "abs_diff": diff,
-        "within_tol": bool(diff <= tol),
+        "within_tol": bool(diff <= opts["tol"]),
     }, EXIT_OK
 
 
@@ -328,13 +315,21 @@ def _cmd_demo_counterexample(scenario, opts):
     }, EXIT_OK
 
 
+# command -> (handler, the scenario kinds it takes); a command that takes none reads no scenario
 _COMMANDS = {
-    "validate": (_cmd_validate, True),
-    "trans-prob": (_cmd_trans_prob, True),
-    "classify": (_cmd_classify, True),
-    "quadrature-check": (_cmd_quadrature_check, True),
-    "oracle-compare": (_cmd_oracle_compare, True),
-    "demo-counterexample": (_cmd_demo_counterexample, False),
+    "validate": (_cmd_validate, tuple(_KINDS)),
+    "trans-prob": (_cmd_trans_prob, ("car-pair", "ccr-pair")),
+    "classify": (_cmd_classify, ("ccr-pair", "car-sequence", "ccr-sequence")),
+    "quadrature-check": (_cmd_quadrature_check, ("car-pair",)),
+    "oracle-compare": (_cmd_oracle_compare, ("car-pair", "ccr-pair")),
+    "demo-counterexample": (_cmd_demo_counterexample, ()),
+}
+
+# option -> (type, default, help); a scenario's "options" override the default, a flag both
+_OPTIONS = {
+    "tol": (float, 1e-8, "comparison tolerance"),
+    "cutoff": (int, 80, "max truncated-Fock cutoff"),
+    "n_max": (int, seqmodel.DEFAULT_N_MAX, "sequence scan length"),
 }
 
 
@@ -352,12 +347,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("scenario", nargs="?", help="path to a scenario JSON file")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="comparison tolerance (default 1e-8)")
-    parser.add_argument("--cutoff", type=int, default=None,
-                        help="max truncated-Fock cutoff (default 80)")
-    parser.add_argument("--n-max", type=int, default=None,
-                        help="sequence scan length (default 4096)")
+    for key, (kind, default, what) in _OPTIONS.items():
+        parser.add_argument("--" + key.replace("_", "-"), type=kind,
+                            help=f"{what} (default {default:g})")
     return parser
 
 
@@ -369,8 +361,6 @@ _FAILURES = (
     (SizeCapError, EXIT_RESOURCE, "resource cap"),
     (ValueError, EXIT_VALIDATION, "validation error"),
 )
-_DEFAULT_OPTS = {"tol": 1e-8, "cutoff": 80, "n_max": 4096}
-_NUMERIC_OPTS = {"tol": float, "cutoff": int, "n_max": int}
 
 
 def _numeric_option(key: str, value, kind):
@@ -395,9 +385,9 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         report["command"] = args.command
-        handler, needs_scenario = _COMMANDS[args.command]
-        opts = dict(_DEFAULT_OPTS)
-        if needs_scenario:
+        handler, kinds = _COMMANDS[args.command]
+        given = {}
+        if kinds:
             if not args.scenario:
                 raise ScenarioError(f"{args.command} needs a scenario file")
             scenario, digest = load_scenario(args.scenario)
@@ -406,14 +396,15 @@ def main(argv=None) -> int:
             given = scenario.get("options", {})
             if not isinstance(given, dict):
                 raise ScenarioError("scenario 'options' must be an object")
-            for key in opts:
-                if key in given:
-                    opts[key] = given[key]
-        for key in opts:
-            if getattr(args, key) is not None:
-                opts[key] = getattr(args, key)
-        for key, kind in _NUMERIC_OPTS.items():
-            opts[key] = _numeric_option(key, opts[key], kind)
+        opts = {}
+        for key, (kind, default, _) in _OPTIONS.items():
+            value = getattr(args, key)  # None: the flag was not given
+            if value is None:
+                value = given.get(key, default)
+            opts[key] = _numeric_option(key, value, kind)
+        if kinds and scenario["kind"] not in kinds:
+            raise ScenarioError(
+                f"{args.command} needs a scenario of kind {kinds}, got {scenario['kind']!r}")
 
         results, code = handler(scenario, opts)
     except tuple(cls for cls, _, _ in _FAILURES) as exc:

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import car, ccr
-from .errors import ConsistencyViolation, SizeCapError
+from .errors import ConsistencyViolation, CovarianceError, SizeCapError
 
 __all__ = [
     "CAR",
@@ -90,12 +90,18 @@ class ModeFamily:
 
 
 def _group_pairs(kind: str, keys, pairs) -> list:
-    """Stack pairs by dimension: a list of (keys, S stack, T stack)."""
+    """Stack pairs by dimension: a list of (keys, S stack, T stack).
+
+    ``keys`` are mode indices; a pair whose S and T differ in dimension raises
+    :class:`CovarianceError` naming its mode.
+    """
     groups: dict = {}
     for key, pair in zip(keys, pairs):
         # CAR pair functions also take bare matrices; validate them as the pair API does
-        pair = [car._as_covariance(c) if kind == CAR else c for c in pair]
-        groups.setdefault((pair[0].dim, pair[1].dim), []).append((key, *pair))
+        s, t = (car._as_covariance(c) if kind == CAR else c for c in pair)
+        if s.dim != t.dim:
+            raise CovarianceError(f"mode {key}: S has dimension {s.dim}, T has {t.dim}")
+        groups.setdefault(s.dim, []).append((key, s, t))
     return [(np.array([g[0] for g in grp]), _stack([g[1] for g in grp]),
              _stack([g[2] for g in grp])) for grp in groups.values()]
 
@@ -174,7 +180,8 @@ def literal_family(kind: str, pairs, tail=None, label: str = "literal") -> ModeF
 
     ``tail`` defaults to an identical pair repeating the last listed first
     covariance, which contributes zero to every partial sum. Pairs may differ
-    in dimension.
+    in dimension; the S and T of one pair may not (:class:`CovarianceError`
+    naming the mode, the tail by its first mode).
     """
     if kind not in (CAR, CCR):
         raise ValueError(f"kind must be {CAR!r} or {CCR!r}, got {kind!r}")
@@ -185,9 +192,10 @@ def literal_family(kind: str, pairs, tail=None, label: str = "literal") -> ModeF
         tail = (pairs[-1][0], pairs[-1][0])
     items = pairs + [tail]
     groups = []  # per dimension: the row of each item in the stacks (-1: elsewhere), stacks
-    for keys, s, t in _group_pairs(kind, range(len(items)), items):
+    # keyed by mode: the tail by its first mode
+    for keys, s, t in _group_pairs(kind, range(1, len(items) + 1), items):
         row = np.full(len(items), -1)
-        row[keys] = np.arange(keys.size)
+        row[keys - 1] = np.arange(keys.size)
         groups.append((row, s, t))
 
     def rule(k: int):

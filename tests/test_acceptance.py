@@ -32,7 +32,6 @@ from quasifree.car import (
 from quasifree.car_oracle import (
     density_from_covariance,
     fidelity_tr,
-    jw_generators,
     overlap,
 )
 from quasifree.ccr import (
@@ -85,14 +84,13 @@ def width_of(q: float) -> float:
 def car_oracle_sweep():
     """200 random pairs on 1-4 modes: formula value, oracle value, densities."""
     rng = np.random.default_rng(SEED)
-    reps = {n: jw_generators(n) for n in (1, 2, 3, 4)}
     start = time.monotonic()
     records = []
     for i in range(200):
         n_modes = 1 + i % 4
         s, t = random_car_pair(rng, 2 * n_modes)
-        rho = density_from_covariance(s, reps[n_modes])
-        tau = density_from_covariance(t, reps[n_modes])
+        rho = density_from_covariance(s)
+        tau = density_from_covariance(t)
         records.append((trans_prob_car(s, t), overlap(rho, tau), rho, tau))
     elapsed = time.monotonic() - start
     return records, elapsed

@@ -100,7 +100,7 @@ def test_density_reproduces_all_wick_moments(rng):
         s = sampling.random_car_covariance(rng, d)
         rep = car_oracle.jw_generators(n)
         gens = rep.generators
-        rho = car_oracle.density_from_covariance(s, rep)
+        rho = car_oracle.density_from_covariance(s)
         basis = np.eye(d)
         for k in range(0, d + 1):
             for idx in itertools.combinations(range(d), k):
@@ -135,7 +135,7 @@ def test_density_matches_wick_walk(rng):
 def test_density_pair_moments_match_dense_products(rng):
     s = sampling.random_car_covariance(rng, 6)
     rep = car_oracle.jw_generators(3)
-    rho = car_oracle.density_from_covariance(s, rep)
+    rho = car_oracle.density_from_covariance(s)
     gens = rep.generators
     dense = np.array([[np.trace(rho @ a @ b) for b in gens] for a in gens])
     assert np.max(np.abs(rep.pair_moments(rho) - dense)) <= 1e-14
@@ -185,9 +185,8 @@ def test_density_factorizes_over_modes():
 def test_density_caps():
     with pytest.raises(SizeCapError, match="even"):
         car_oracle.density_from_covariance(np.eye(3) * 0.5)  # odd dimension
-    rep = car_oracle.jw_generators(1)
-    with pytest.raises(ValueError, match="modes"):
-        car_oracle.density_from_covariance(sampling.random_car_covariance(np.random.default_rng(1), 4), rep)
+    with pytest.raises(SizeCapError, match="exceeds"):
+        car_oracle.density_from_covariance(np.eye(2 * car_oracle.MAX_MODES + 2) * 0.5)
 
 
 def test_overlap_commuting_densities():

@@ -89,6 +89,22 @@ def test_validate_ccr_pair(tmp_path, capsys):
     assert report["results"]["S"]["min_eigenvalue"] == pytest.approx(1.0)
 
 
+def test_validate_refuses_mismatched_literal_pair(tmp_path, capsys):
+    # a 2x2 S against a 1x1 T: validate refuses what classify would
+    pair = [[[0.5, 0.0], [0.0, 0.5]], [[0.5]]]
+    sc = {"kind": "car-sequence", "family": {"rule": "literal", "pairs": [pair]}}
+    for command in ("validate", "classify"):
+        assert_validation_error(capsys, tmp_path, sc, command=command,
+                                needle="mode 1: S has dimension 2, T has 1")
+
+
+def test_ccr_pair_needs_sigma(tmp_path, capsys):
+    sc = {"kind": "ccr-pair", "R_S": thermal_r(3.0), "R_T": thermal_r(1.0)}
+    for command in ("validate", "trans-prob"):
+        assert_validation_error(capsys, tmp_path, sc, command=command,
+                                needle="ccr-pair scenario needs matrix 'sigma'")
+
+
 def test_validate_sequence(tmp_path, capsys):
     sc = {"kind": "car-sequence", "family": {"rule": "car_mu_power", "p": 2.0}}
     path = write_scenario(tmp_path, sc)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from quasifree import car, ccr, sampling, seqmodel
-from quasifree.errors import ConsistencyViolation, SizeCapError
+from quasifree.errors import ConsistencyViolation, CovarianceError, SizeCapError
 
 
 def flat_pair(delta=0.008):
@@ -62,6 +62,19 @@ def test_literal_family_and_tail():
         seqmodel.literal_family(seqmodel.CAR, [])
     with pytest.raises(ValueError, match="kind"):
         seqmodel.literal_family("weird", [pair])
+
+
+def test_literal_pair_dimensions_must_match():
+    """S and T of one mode share a dimension; the error names the mode."""
+    pair = (car.mu_covariance(0.1), car.validate_car(0.5 * np.eye(4)))
+    with pytest.raises(CovarianceError, match="mode 1: S has dimension 2, T has 4"):
+        seqmodel.literal_family(seqmodel.CAR, [pair])
+    good = (car.mu_covariance(0.1), car.mu_covariance(0.2))
+    with pytest.raises(CovarianceError, match="mode 3:"):  # the tail, at its first mode
+        seqmodel.literal_family(seqmodel.CAR, [good, good], tail=pair)
+    rule = seqmodel.ModeFamily(seqmodel.CAR, "rule", lambda k: good if k < 5 else pair)
+    with pytest.raises(CovarianceError, match="mode 5:"):
+        rule.stack(1, 8)
 
 
 def test_concat_families_kind_guard():

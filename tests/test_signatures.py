@@ -1,17 +1,32 @@
-"""Each tolerance is decided in one module: no public pair or sequence function takes one."""
+"""The public surface: no public function takes a tolerance, and each top-level name once."""
 
+import importlib
 import inspect
 import re
+import types
 
-from quasifree import car, ccr, matcore, seqmodel
+import quasifree
+from quasifree import car, car_oracle, ccr, ccr_oracle, matcore, seqmodel
 
 TOLERANCE_PARAMETER = re.compile(r"tol|.*_tol|eps|reg")
 
 
 def test_public_functions_take_no_tolerance_parameter():
-    functions = [getattr(m, name) for m in (car, ccr, matcore, seqmodel) for name in m.__all__
-                 if inspect.isfunction(getattr(m, name))]
+    functions = [getattr(m, name)
+                 for m in (car, ccr, matcore, seqmodel, car_oracle, ccr_oracle)
+                 for name in m.__all__ if inspect.isfunction(getattr(m, name))]
     assert len(functions) > 30
     found = [f"{f.__module__}.{f.__name__}({p})" for f in functions
              for p in inspect.signature(f).parameters if TOLERANCE_PARAMETER.fullmatch(p)]
     assert not found
+
+
+def test_top_level_names_are_their_home_module_objects():
+    names = quasifree.__all__
+    assert len(names) == len(set(names))
+    assert "log_trans_prob_ccr" in names
+    for name in names:
+        value = getattr(quasifree, name)
+        assert not isinstance(value, types.ModuleType), name
+        home = getattr(value, "__module__", "quasifree")
+        assert getattr(importlib.import_module(home), name) is value, name
