@@ -23,7 +23,7 @@ import numpy as np
 
 from . import matcore
 from .errors import CovarianceError
-from .matcore import dagger, eig_h, eigh, hermitian_part, hs_norm, raise_first, scalar, svdvals
+from .matcore import dagger, eigh, hermitian_part, hs_norm, raise_first, scalar, svdvals
 
 __all__ = [
     "CarCovariance",
@@ -113,11 +113,15 @@ def validate_car(s) -> CarCovariance:
     s = 0.5 * np.eye(d) + 1j * np.imag(s)
     s.setflags(write=False)
     cov = CarCovariance(s)
-
-    w = 0.5 - np.sqrt(np.maximum(cov.spectrum[0][..., -1:], 0.0))
-    raise_first(w < -VALIDATION_TOL * scale[..., None], w,
+    w = _lowest_eigenvalue(cov)
+    raise_first(w < -VALIDATION_TOL * scale, w,
                 lambda v: CovarianceError(f"not PSD: eigenvalue {v:.6e}"))
     return cov
+
+
+def _lowest_eigenvalue(cov: CarCovariance) -> np.ndarray:
+    """1/2 - sqrt(max x), the smallest eigenvalue of S, one per matrix."""
+    return 0.5 - np.sqrt(np.max(cov.spectrum[0], axis=-1, initial=0.0))
 
 
 def mu_covariance(mu) -> CarCovariance:
@@ -215,9 +219,8 @@ def _zero_count(sv: np.ndarray):
     return np.count_nonzero(sv <= SINGULAR_TOL * np.maximum(1.0, sv[..., :1]), axis=-1)
 
 
-def _log_tp(s, t) -> np.ndarray:
+def _log_tp(sv: np.ndarray) -> np.ndarray:
     """(1/2) sum log sigma capped at 0, or -inf where a singular value is an exact zero."""
-    sv = _overlap_singular_values(s, t)
     with np.errstate(divide="ignore"):
         val = np.minimum(0.5 * np.sum(np.log(sv), axis=-1), 0.0)
     return np.where(_zero_count(sv) > 0, -np.inf, val)
@@ -233,7 +236,7 @@ def log_trans_prob_car(s, t):
     the probability itself underflows to 0.0. Stacked covariances give one
     value per pair.
     """
-    return scalar(_log_tp(s, t))
+    return scalar(_log_tp(_overlap_singular_values(s, t)))
 
 
 def trans_prob_car(s, t):
@@ -246,7 +249,7 @@ def trans_prob_car(s, t):
     it can underflow to 0.0 where the log is finite. Stacked covariances give
     one value per pair.
     """
-    return scalar(np.exp(_log_tp(s, t)))
+    return scalar(np.exp(_log_tp(_overlap_singular_values(s, t))))
 
 
 def qe_distance_car(s, t):
@@ -282,14 +285,17 @@ def quadrature_identity_check(s, t):
     """(transition probability of the quadratures, squared transition probability).
 
     U = diag(I, iI) turns the doubled conjugation into the standard one: U P U*
-    has real part exactly I/2 and an exactly antisymmetric imaginary part, so
-    it is built as a :class:`CarCovariance`, not re-validated. The overlap
-    matrix becomes U M U*, with the same transition probability.
+    = I/2 + iY_P with Y_P real antisymmetric, and the transition probability
+    of the quadratures is that of these covariances. A projection is its own
+    square root, so G = I/2 and Y = Y_P, and the overlap matrix is
+    2(I/4 - Y_P Y_Q), whose singular values take the zero rule of
+    :func:`trans_prob_car`; no further factorisation is needed.
     """
     s, t = _as_covariance(s), _as_covariance(t)
+    rhs = trans_prob_car(s, t) ** 2  # also refuses a dimension mismatch
     u = np.repeat([1.0, 1.0j], s.dim)
-    p, q = (CarCovariance(u[:, None] * quadrature(c) * u.conj()) for c in (s, t))
-    return trans_prob_car(p, q), trans_prob_car(s, t) ** 2
+    yp, yq = ((u[:, None] * quadrature(c) * u.conj()).imag for c in (s, t))
+    return scalar(np.exp(_log_tp(svdvals(2.0 * (0.25 * np.eye(2 * s.dim) - yp @ yq))))), rhs
 
 
 def meet_criterion(s, t):
@@ -309,18 +315,20 @@ def meet_criterion(s, t):
 def hamiltonian_of(s) -> np.ndarray:
     """Logarithmic generator H with S = (I + exp(H))^{-1}.
 
-    Only defined for non-degenerate covariances (spectrum in the open unit
-    interval); satisfies conj(H) = -H. Takes one covariance, not a stack.
+    Only defined where :func:`is_standard_car` holds (spectrum in the open
+    unit interval); satisfies conj(H) = -H. On the eigenvalues 1/2 +- r of S,
+    log((1/2 - r)/(1/2 + r)) = -2 artanh(2r) is odd in r, so from the one
+    factorisation (x, v), H = -2i A v diag(artanh(2 sqrt x)/sqrt x) v^T, with
+    the ratio 2 at x = 0. Takes one covariance, not a stack.
     """
-    m = _single(s, "hamiltonian_of")
-    w, v = eig_h(m)
-    if w.size == 0:
-        return np.zeros_like(m)
-    if w[0] <= 1e-10:
-        raise CovarianceError(f"degenerate covariance: eigenvalue {w[0]:.6e}")
-    if w[-1] >= 1.0 - 1e-10:
-        raise CovarianceError(f"degenerate covariance: eigenvalue {w[-1]:.10f}")
-    return hermitian_part((v * np.log((1.0 - w) / w)) @ v.conj().T)
+    cov = _as_covariance(s)
+    _single(cov, "hamiltonian_of")
+    if not is_standard_car(cov):
+        raise CovarianceError(f"degenerate covariance: eigenvalue {_lowest_eigenvalue(cov):.6e}")
+    x, v = cov.spectrum
+    r = np.sqrt(np.maximum(x, 0.0))
+    ratio = np.divide(np.arctanh(2.0 * r), r, out=np.full_like(r, 2.0), where=r > 0.0)
+    return hermitian_part(-2j * (cov.matrix.imag @ ((v * ratio) @ v.T)))
 
 
 def is_standard_car(s) -> bool:
@@ -328,5 +336,4 @@ def is_standard_car(s) -> bool:
 
     Stacked covariances give one flag per matrix.
     """
-    x = _as_covariance(s).spectrum[0]
-    return scalar(0.5 - np.sqrt(np.max(x, axis=-1, initial=0.0)) > 1e-10)
+    return scalar(_lowest_eigenvalue(_as_covariance(s)) > 1e-10)

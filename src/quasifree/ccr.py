@@ -30,7 +30,7 @@ import numpy as np
 from . import matcore
 from .errors import CovarianceError
 from .matcore import (
-    SUPPORT_TOL, eig_h, eigh, eigvalsh, hermitian_part, hs_norm, raise_first, scalar,
+    SUPPORT_TOL, eigh, eigvalsh, hermitian_part, hs_norm, raise_first, scalar,
     support_groups,
 )
 
@@ -90,7 +90,7 @@ class CcrCovariance:
     @cached_property
     def metric_spectrum(self):
         """``(w, v)``: real ``eigh`` of the metric form 2R = S + conj S, computed once."""
-        return eig_h(2.0 * self.r)
+        return eigh(2.0 * self.r)
 
     @cached_property
     def support(self):
@@ -250,7 +250,7 @@ def _transition_analysis(cov_s: CcrCovariance, cov_t: CcrCovariance):
     a = ab_form(cov_s).reshape(n, d, d)
     b = ab_form(cov_t).reshape(n, d, d)
     g = hermitian_part(a + b)
-    w, v = eig_h(g)
+    w, v = eigh(g)
     keep = w > SUPPORT_TOL * np.maximum(np.trace(g, axis1=-2, axis2=-1), 0.0)[:, None]
     log_t = np.zeros(a.shape[0])
     central = np.zeros(a.shape[0], dtype=bool)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .car_oracle import sqrt_density
+from .car_oracle import overlap
 from .ccr import CcrCovariance, canonical_sigma, validate_ccr
 from .errors import InconclusiveError, SizeCapError
 from .matcore import hermitian_part
@@ -227,11 +227,6 @@ def covariance_of_density(state: TruncatedState) -> CcrCovariance:
     return validate_ccr(canonical_sigma(state.n_modes), r)
 
 
-def _overlap_value(r1: np.ndarray, r2: np.ndarray) -> float:
-    val = float(np.trace(sqrt_density(r1) @ sqrt_density(r2)).real)
-    return float(np.clip(val, 0.0, 1.0))
-
-
 def overlap_ccr(
     state1: TruncatedState,
     state2: TruncatedState,
@@ -260,7 +255,7 @@ def overlap_ccr(
                       for st in (state1, state2))
         except SizeCapError:
             break
-        val = _overlap_value(r1.rho, r2.rho)
+        val = overlap(r1.rho, r2.rho)
         if prev is not None:
             last_inc = abs(val - prev)
             if last_inc < OVERLAP_TOL:

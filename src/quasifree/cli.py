@@ -275,8 +275,9 @@ def _cmd_oracle_compare(scenario, opts):
                 "covariances only (canonical sigma, R = (c/2) I)"
             )
         schedule = tuple(n for n in ccr_oracle.CUTOFF_SCHEDULE if n <= opts["cutoff"])
-        if not schedule:
-            raise ScenarioError(f"cutoff {opts['cutoff']} below the oracle schedule")
+        if len(schedule) < 2:  # the overlap converges only between two cutoffs
+            raise ScenarioError(f"cutoff {opts['cutoff']} admits fewer than two cutoffs "
+                                f"of the oracle schedule {ccr_oracle.CUTOFF_SCHEDULE}")
         states = [
             ccr_oracle.gaussian_density(
                 ccr_oracle.thermal_hamiltonian(_q_of_width(c)), schedule[0]

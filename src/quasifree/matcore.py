@@ -26,7 +26,6 @@ from .errors import NotPositiveError
 __all__ = [
     "PSD_CLAMP_TOL",
     "SUPPORT_TOL",
-    "eig_h",
     "geometric_mean",
     "hermitian_part",
     "hs_norm",
@@ -214,22 +213,13 @@ def svdvals(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def eig_h(h: np.ndarray):
-    """Eigendecomposition of the Hermitian part of ``h``.
-
-    Returns ``(w, v)`` with eigenvalues ascending and orthonormal eigenvector
-    columns, so ``(v * w) @ v.conj().T`` reconstructs the Hermitian part.
-    """
-    return eigh(hermitian_part(_check_square(h, "matrix", stack=True)))
-
-
 def sqrt_psd(h: np.ndarray) -> np.ndarray:
-    """Positive-semidefinite square root via eigendecomposition.
+    """Positive-semidefinite square root of the Hermitian part of ``h``.
 
     Eigenvalues in ``[-PSD_CLAMP_TOL * ||h||, 0)`` are clamped to zero; anything
     below that raises :class:`NotPositiveError`.
     """
-    w, v = eig_h(h)
+    w, v = eigh(hermitian_part(_check_square(h, "matrix", stack=True)))
     require_psd(w, "matrix")
     return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dagger(v)
 

@@ -1,8 +1,10 @@
 """Unit tests for fermionic covariances and the overlap determinant formula."""
 
+import inspect
 import math
 import pickle
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -242,14 +244,15 @@ def test_quadrature_squares_transition_probability(rng):
         s, t = sampling.random_car_pair(rng, d)
         lhs, rhs = car.quadrature_identity_check(s, t)
         assert abs(lhs - rhs) <= 1e-10
-    # exactly singular overlaps: the quadratures are built, not re-validated,
-    # so near-pure covariances whose C carries ~sqrt(eps) error still return
+    # exactly singular overlaps: the quadratures are projections, their own
+    # square roots, so the ~sqrt(eps) error of C near pure covariances enters
+    # the quadratures' overlap matrix linearly, not through a square root
     for seed in range(20):
         pair_rng = np.random.default_rng(seed)
         for d in (2, 4, 6, 8, 16):
             s, t = sampling.singular_overlap_car_pair(pair_rng, d)
             lhs, rhs = car.quadrature_identity_check(s, t)
-            assert rhs == 0.0 and abs(lhs - rhs) <= 1e-8, (seed, d)
+            assert rhs == 0.0 and abs(lhs - rhs) <= 1e-12, (seed, d)
 
 
 def test_meet_criterion_regular_pair_has_empty_meet(rng):
@@ -279,15 +282,76 @@ def test_hamiltonian_spectrum_and_conjugation():
 
 
 def test_hamiltonian_roundtrip(rng):
-    s = sampling.random_car_covariance(rng, 4, radius=0.3)
-    h = car.hamiltonian_of(s)
-    back = np.linalg.inv(np.eye(4) + scipy.linalg.expm(h))
-    assert np.linalg.norm(back - s.matrix) <= 1e-10
+    for d in (4, 3):
+        s = sampling.random_car_covariance(rng, d, radius=0.3)
+        h = car.hamiltonian_of(s)
+        back = np.linalg.inv(np.eye(d) + scipy.linalg.expm(h))
+        assert np.linalg.norm(back - s.matrix) <= 1e-10
 
 
-def test_hamiltonian_rejects_degenerate():
-    with pytest.raises(CovarianceError, match="degenerate"):
+def test_hamiltonian_rejects_degenerate(rng):
+    # refused exactly where is_standard_car is False
+    o = sampling.random_orthogonal(rng, 4)
+    for mu in (0.5, -0.5, 0.5 - 1e-11, 0.5 - 1e-10, 0.5 - 1e-9, 0.3):
+        m = scipy.linalg.block_diag(car.mu_covariance(mu).matrix, car.mu_covariance(0.1).matrix)
+        for s in (car.mu_covariance(mu), car.validate_car(o @ m @ o.T)):
+            if car.is_standard_car(s):
+                assert np.all(np.isfinite(car.hamiltonian_of(s)))
+            else:
+                with pytest.raises(CovarianceError, match="degenerate covariance: eigenvalue"):
+                    car.hamiltonian_of(s)
+    # the message names the smallest eigenvalue of S
+    with pytest.raises(CovarianceError, match=r"eigenvalue 0\.000000e\+00$"):
         car.hamiltonian_of(car.mu_covariance(0.5))
+    with pytest.raises(CovarianceError, match=r"eigenvalue 1\.0000\d*e-11$"):
+        car.hamiltonian_of(car.mu_covariance(-0.5 + 1e-11))
+
+
+def test_hamiltonian_at_an_exact_zero_of_a_t_a():
+    # d = 3: A^T A has an exact zero eigenvalue, where artanh(2r)/r takes its limit 2
+    s = car.validate_car(scipy.linalg.block_diag(car.mu_covariance(0.3).matrix, [[0.5]]))
+    assert s.spectrum[0][0] == 0.0
+    h = car.hamiltonian_of(s)
+    want = scipy.linalg.block_diag(car.hamiltonian_of(car.mu_covariance(0.3)), [[0.0]])
+    assert np.max(np.abs(h - want)) <= 1e-15
+
+
+def _mp_hamiltonian(m: np.ndarray) -> np.ndarray:
+    """log((I - S) S^-1) of the given matrix from a 50-digit Hermitian eigensolver."""
+    with mpmath.workdps(50):
+        w, q = mpmath.eighe(mpmath.matrix(m.tolist()))
+        h = q * mpmath.diag([mpmath.log((1 - x) / x) for x in w]) * q.transpose_conj()
+        return np.array(h.tolist(), dtype=complex)
+
+
+def test_hamiltonian_near_degenerate_against_mpmath():
+    # rotated blocks with eigenvalues delta and 1 - delta: log((1 - w)/w) has
+    # derivative ~1/delta there, so eps-sized input noise costs ~eps/delta
+    eps = np.finfo(float).eps
+    for delta in (1e-3, 1e-6, 1e-8):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            for d in (2, 3, 4, 6):
+                o = sampling.random_orthogonal(rng, d)
+                blocks = [car.mu_covariance(m).matrix for m in
+                          (0.5 - delta) * rng.choice([-1.0, 1.0], d // 2)]
+                m = scipy.linalg.block_diag(*blocks, *([[[0.5]]] if d % 2 else []))
+                s = car.validate_car(o @ m @ o.T)
+                err = np.max(np.abs(car.hamiltonian_of(s) - _mp_hamiltonian(s.matrix)))
+                assert err <= 2.0 * eps / delta, (delta, seed, d, err)
+
+
+def test_hamiltonian_runs_no_linalg_on_a_validated_covariance(rng, monkeypatch):
+    s = sampling.random_car_covariance(rng, 5, radius=0.3)
+    want = car.hamiltonian_of(s)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hamiltonian_of called numpy.linalg")
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    assert np.array_equal(car.hamiltonian_of(s), want)
 
 
 def test_hamiltonian_rejects_a_stack():
@@ -331,12 +395,42 @@ def test_singular_pair_requires_even_dimension(rng):
         sampling.singular_overlap_car_pair(rng, 3)
 
 
+def test_public_functions_run_real_kernels_only(rng, monkeypatch):
+    s, t = sampling.random_car_pair(rng, 6)
+    m = s.matrix
+    calls = {
+        "validate_car": lambda: car.validate_car(m),
+        "mu_covariance": lambda: car.mu_covariance([0.1, 0.5]),
+        "two_point": lambda: car.two_point(m, np.ones(6), np.ones(6)),
+        "wick_moment": lambda: car.wick_moment(m, np.eye(6)[:4]),
+        "trans_prob_car": lambda: car.trans_prob_car(s, t),
+        "log_trans_prob_car": lambda: car.log_trans_prob_car(t, s),
+        "meet_criterion": lambda: car.meet_criterion(m, t),
+        "qe_distance_car": lambda: car.qe_distance_car(s, t),
+        "quadrature": lambda: car.quadrature(m),
+        "quadrature_identity_check": lambda: car.quadrature_identity_check(m, t.matrix),
+        "hamiltonian_of": lambda: car.hamiltonian_of(m),
+        "is_standard_car": lambda: car.is_standard_car(car.CarCovariance(m)),
+    }
+    public = {name for name in car.__all__ if inspect.isfunction(getattr(car, name))}
+    assert set(calls) == public
+    dtypes = []
+    for name in ("eigh", "eigvalsh", "svd", "det", "inv", "eig", "eigvals", "solve"):
+        def spy(a, *args, _f=getattr(np.linalg, name), **kwargs):
+            dtypes.append(np.asarray(a).dtype)
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    for call in calls.values():
+        call()
+    assert dtypes and set(dtypes) == {np.dtype(float)}
+
+
 # ------------------------------------------------ test-side meet reference
 
 
 def projection_meet(p: np.ndarray, r: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """Projection onto ran(p) ∩ ran(r): the eigenvalue-2 space of p + r."""
-    w, v = matcore.eig_h(np.asarray(p, dtype=complex) + np.asarray(r, dtype=complex))
+    w, v = matcore.eigh(matcore.hermitian_part(np.asarray(p, dtype=complex) + r))
     basis = v[:, w >= 2.0 - tol]
     return basis @ basis.conj().T
 

@@ -260,7 +260,7 @@ def test_pair_path_after_ab_form_is_real(rng, monkeypatch):
 def test_classify_after_trans_prob_factorises_once(rng, monkeypatch):
     s, t = sampling.random_ccr_pair(rng, ccr.canonical_sigma(2))
     means, metric_eighs, form_eighs = [], [], []
-    real_gm, real_eig_h, real_eigh = matcore.geometric_mean, ccr.eig_h, np.linalg.eigh
+    real_gm, real_mc_eigh, real_eigh = matcore.geometric_mean, ccr.eigh, np.linalg.eigh
 
     def gm_spy(a, b, *args, **kwargs):
         means.append(np.iscomplexobj(a))
@@ -268,14 +268,14 @@ def test_classify_after_trans_prob_factorises_once(rng, monkeypatch):
 
     def eig_spy(h):
         metric_eighs.extend(c for c in (s, t) if np.array_equal(h, 2.0 * c.r))
-        return real_eig_h(h)
+        return real_mc_eigh(h)
 
     def eigh_spy(h, *args, **kwargs):
         form_eighs.append(np.array(h))
         return real_eigh(h, *args, **kwargs)
 
     monkeypatch.setattr(matcore, "geometric_mean", gm_spy)
-    monkeypatch.setattr(ccr, "eig_h", eig_spy)
+    monkeypatch.setattr(ccr, "eigh", eig_spy)
     monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
     tp = ccr.trans_prob_ccr(s, t)
     verdict = ccr.classify_ccr(s, t)

@@ -344,6 +344,15 @@ def test_oracle_compare_ccr_thermal(tmp_path, capsys):
     assert res["within_tol"] is True
 
 
+@pytest.mark.parametrize("cutoff", [10, 20, 39])
+def test_oracle_compare_ccr_needs_two_cutoffs(tmp_path, capsys, cutoff):
+    # the overlap converges only between two cutoffs of the schedule (20, 40, ...)
+    sc = {"kind": "ccr-pair", "sigma": SIGMA_1, "R_S": thermal_r(2.0), "R_T": thermal_r(1.0),
+          "options": {"cutoff": cutoff}}
+    assert_validation_error(capsys, tmp_path, sc, command="oracle-compare",
+                            needle=f"cutoff {cutoff} admits fewer than two cutoffs")
+
+
 def test_oracle_compare_ccr_unsupported_shape(tmp_path, capsys):
     r = [[1.0, 0.2], [0.2, 1.0]]
     sc = {"kind": "ccr-pair", "sigma": SIGMA_1, "R_S": r, "R_T": thermal_r(2.0)}

@@ -141,13 +141,13 @@ def test_pfaffian_does_not_mutate_input(rng):
 # ------------------------------------------------------------- eigenlayer
 
 
-def test_eig_h_reconstructs_and_is_deterministic(rng):
+def test_eigh_reconstructs_and_is_deterministic(rng):
     h = random_pd(rng, 5)
-    w, v = matcore.eig_h(h)
+    w, v = matcore.eigh(h)
     assert np.all(np.diff(w) >= 0)
     rec = (v * w) @ v.conj().T
     assert np.linalg.norm(rec - h) <= 1e-10
-    w2, v2 = matcore.eig_h(h.copy())
+    w2, v2 = matcore.eigh(h.copy())
     assert np.array_equal(w, w2) and np.array_equal(v, v2)
 
 
@@ -446,7 +446,7 @@ def test_oracles_take_their_spectra_from_numpy(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an oracle called a matcore spectral kernel")
 
-    for name in ("eigh", "eigvalsh", "svdvals", "eig_h", "sqrt_psd"):
+    for name in ("eigh", "eigvalsh", "svdvals", "sqrt_psd"):
         monkeypatch.setattr(matcore, name, refuse)
     rho, tau = (car_oracle.density_from_covariance(car.mu_covariance(mu)) for mu in (0.3, -0.1))
     assert rho.shape == (2, 2)
@@ -467,6 +467,6 @@ def test_projection_defect():
 
 def test_shape_guards():
     with pytest.raises(ValueError, match="square"):
-        matcore.eig_h(np.zeros((2, 3)))
+        matcore.sqrt_psd(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="shape mismatch"):
         matcore.geometric_mean(np.eye(2), np.eye(3))

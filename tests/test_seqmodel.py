@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quasifree import car, ccr, sampling, seqmodel
 from quasifree.errors import ConsistencyViolation, CovarianceError, SizeCapError
@@ -372,3 +374,64 @@ def test_classifier_support_mismatch_reason():
     assert v.kind == ccr.DISJOINT
     assert v.reason == ccr.SUPPORT_MISMATCH
     assert math.isinf(v.qe_partial_sums[-1])
+
+
+# ------------------------------------------------------------ the dichotomy
+
+
+def rotated_thermal_family(m, s_law, t_law, seed):
+    """CCR family on m modes of the canonical (non-degenerate) sigma.
+
+    S_k and T_k are thermal products of widths 1 + a_j k^-p_j, for the laws
+    (a, p) of each, turned by a fixed random passive rotation each: the
+    orthogonal symplectic [[Re U, -Im U], [Im U, Re U]] of a unitary U.
+    """
+    rng = np.random.default_rng(seed)
+    sigma = ccr.canonical_sigma(m)
+    rotations = []
+    for _ in range(2):
+        u = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+        rotations.append(np.block([[u.real, -u.imag], [u.imag, u.real]]))
+
+    def forms(lo, hi):
+        k = np.arange(lo, hi + 1.0)[:, None]
+        covs = []
+        for (a, p), o in zip((s_law, t_law), rotations):
+            c = np.tile(1.0 + np.asarray(a) * k ** -np.asarray(p), 2)
+            covs.append(ccr.validate_ccr(sigma, (o * (0.5 * c)[:, None, :]) @ o.T))
+        return covs
+
+    return seqmodel.ModeFamily(
+        seqmodel.CCR, f"rotated-thermal-{m}",
+        rule=lambda k: tuple(seqmodel._take(c, 0) for c in forms(k, k)),
+        stacker=lambda lo, hi: [(np.arange(lo, hi + 1), *forms(lo, hi))],
+    )
+
+
+@st.composite
+def rotated_thermal_families(draw):
+    m = draw(st.integers(1, 3))
+    law = st.tuples(st.lists(st.floats(0.0, 2.0), min_size=m, max_size=m),
+                    st.lists(st.floats(0.5, 4.0), min_size=m, max_size=m))
+    return rotated_thermal_family(m, draw(law), draw(law), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(fam=rotated_thermal_families(), n_max=st.sampled_from([64, 256]))
+# one family of each verdict: summable against the vacuum, and k^-1/2 against it
+@example(fam=rotated_thermal_family(2, ([1.0, 0.5], [3.0, 4.0]), ([0.0, 0.0], [1.0, 1.0]), 0),
+         n_max=256)
+@example(fam=rotated_thermal_family(2, ([1.0, 2.0], [0.5, 0.5]), ([0.0, 0.0], [1.0, 1.0]), 1),
+         n_max=64)
+def test_dichotomy_on_rotated_thermal_families(fam, n_max):
+    """Quasi-equivalent unless disjoint: on a non-degenerate sigma both criteria agree."""
+    verdict = seqmodel.classify_sequence(fam, n_max)  # a ConsistencyViolation fails here
+    half = n_max // 2
+    classes = {seqmodel._series_class(math.fsum(terms[:half].tolist()),
+                                      math.fsum(terms.tolist()), float(terms[-1]), n_max - half)
+               for terms in seqmodel._term_table(fam, n_max)}
+    want = {"convergent": ccr.QUASI_EQUIVALENT, "divergent": ccr.DISJOINT}
+    if "inconclusive" in classes:
+        assert verdict.kind == seqmodel.INCONCLUSIVE
+    else:
+        assert len(classes) == 1 and verdict.kind == want[classes.pop()]
