@@ -6,8 +6,9 @@ complexification; sigma may be degenerate, in which case the algebra has a
 nontrivial center and states can become disjoint through central elements.
 
 The transition probability between two such states is a determinant of
-support-restricted operator means; classification into quasi-equivalent vs
-disjoint reads off whether it vanishes.
+support-restricted operator means. The states are disjoint exactly when a
+central element separates them, which (as R <= ab_form <= 2R) is when
+supp R_S != supp R_T: the support rule of :func:`qe_distance_ccr`.
 
 Each covariance is factorised once, by real ``eigh`` calls kept on the frozen
 :class:`CcrCovariance`: on supp R, ratio(S, 2R) = I/2 + i*a with a real
@@ -20,7 +21,6 @@ log_trans_prob_ccr and classify_ccr on the same pair of objects run it once.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -55,10 +55,8 @@ __all__ = [
 ]
 
 VALIDATION_TOL = 1e-10
-# A ratio eigenvalue below this is a kernel direction of one of the forms ...
-KERNEL_TOL = 1e-10
-# ... and the pair is disjoint if the other form exceeds this on it.
-FORM_POSITIVE_TOL = 1e-8
+# Supports differ when their projections are farther apart than this (HS norm).
+SUPPORT_GAP = 1e-6
 # Mutual-domination condition bound for metric equivalence.
 CONDITION_BOUND = 1e12
 
@@ -99,6 +97,12 @@ class CcrCovariance:
         w = self.metric_spectrum[0]
         keep = w > SUPPORT_TOL * np.max(np.abs(w), axis=-1, keepdims=True, initial=0.0)
         return keep, np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
+
+    @cached_property
+    def projection(self) -> np.ndarray:
+        """P = p p^T, the orthogonal projection onto supp R (:attr:`support`)."""
+        p = self.metric_spectrum[1] * self.support[0][..., None, :]
+        return p @ p.swapaxes(-1, -2)
 
     @cached_property
     def spectrum(self):
@@ -233,14 +237,23 @@ class CcrVerdict:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _supports_differ(cov_s: CcrCovariance, cov_t: CcrCovariance) -> np.ndarray:
+    """supp R_S != supp R_T, one flag per pair of the flattened stack: the
+    projections (:attr:`CcrCovariance.projection`) differ by more than SUPPORT_GAP."""
+    shape = (math.prod(cov_s.r.shape[:-2]), cov_s.dim, cov_s.dim)
+    return hs_norm((cov_s.projection - cov_t.projection).reshape(shape)) > SUPPORT_GAP
+
+
 def _transition_analysis(cov_s: CcrCovariance, cov_t: CcrCovariance):
     """Shared computation behind log_trans_prob_ccr, trans_prob_ccr and classify_ccr.
 
-    Returns (log_t, central, diagnostics) for the flattened stack of pairs:
-    the log transition probabilities (at most 0), whether a central element
-    or a vanishing determinant factor zeroes each (log -inf there), and each
-    pair's diagnostics dict. Kept on S against T's arrays (by identity), one
-    pair at a time; callers copy what they change.
+    Returns (log_t, rank, mismatch, factors) for the flattened stack of pairs:
+    the log transition probabilities (at most 0), the rank of supp(A + B),
+    whether a central element separates the states (:func:`_supports_differ`;
+    log -inf there), and per support group of the other pairs their indices
+    and determinant factors, the eigenvalues of 2 gm(A, B) whitened by A + B
+    (a factor exactly 0 also gives log -inf). Kept on S against T's arrays
+    (by identity), one pair at a time; the arrays are read-only.
     """
     memo = cov_s.__dict__.get("_transition", (None, None, None))
     if memo[0] is cov_t.sigma and memo[1] is cov_t.r:
@@ -249,60 +262,39 @@ def _transition_analysis(cov_s: CcrCovariance, cov_t: CcrCovariance):
     n, d = math.prod(cov_s.r.shape[:-2]), cov_s.dim  # (n, 0, 0) has no -1 reshape
     a = ab_form(cov_s).reshape(n, d, d)
     b = ab_form(cov_t).reshape(n, d, d)
+    mismatch = _supports_differ(cov_s, cov_t)
     g = hermitian_part(a + b)
     w, v = eigh(g)
     keep = w > SUPPORT_TOL * np.maximum(np.trace(g, axis1=-2, axis2=-1), 0.0)[:, None]
-    log_t = np.zeros(a.shape[0])
-    central = np.zeros(a.shape[0], dtype=bool)
-    diagnostics = [{"support_dim": int(r)} for r in np.count_nonzero(keep, axis=-1)]
+    log_t = np.where(mismatch, -np.inf, 0.0)
+    factors = []
     for sel, wk, basis, _ in support_groups(w, v, keep):
-        idx = np.flatnonzero(sel)
-        if basis.shape[-1] == 0:
+        live = ~mismatch[sel]
+        idx = np.flatnonzero(sel)[live]
+        if basis.shape[-1] == 0 or idx.size == 0:
             continue  # both forms vanish entirely: the states coincide (trivial character)
-        # whitened by A + B the forms are A' and B' = I - A': one eigh gives
-        # both spectra on common eigenvectors
-        wa, va = eigh(matcore.sandwich(basis, a[idx], wk))
-        mismatch = np.any((wa < KERNEL_TOL) | (1.0 - wa < KERNEL_TOL), axis=-1)
-        # central-element detection: a kernel direction of one form inside
-        # supp(G) on which the other form is positive makes the states disjoint
-        for label, wt, other in (("A", wa, b), ("B", 1.0 - wa, a)):
-            kernel = wt < KERNEL_TOL
-            cand = np.flatnonzero(kernel.any(axis=-1) & ~central[idx])
-            if cand.size == 0:
-                continue
-            h = basis[cand] @ va[cand]
-            other_val = np.sum(h * (other[idx[cand]] @ h), axis=-2)
-            hit = kernel[cand] & (other_val > FORM_POSITIVE_TOL)
-            for m in np.flatnonzero(hit.any(axis=-1)).tolist():
-                j, i = int(np.argmax(hit[m])), idx[cand[m]]
-                diagnostics[i]["central_witness"] = {
-                    "side": label,
-                    "ratio_eigenvalue": float(wt[cand[m], j]),
-                    "other_form_value": float(other_val[m, j]),
-                }
-                central[i] = True
-            if central[idx].all():
-                break
-        log_t[idx[central[idx]]] = -np.inf
-        live = ~central[idx]
-        if not live.any():
-            continue
-        idx, basis, wk, mismatch = idx[live], basis[live], wk[live], mismatch[live]
+        basis, wk = basis[live], wk[live]
         core = matcore.sandwich(basis, 2.0 * matcore.geometric_mean(a[idx], b[idx]), wk)
         wc = np.clip(eigvalsh(core), 0.0, 1.0)
-        # a vanishing determinant factor that escaped the witness check above
-        zero = np.any(wc <= 1e-13, axis=-1)
         with np.errstate(divide="ignore"):
-            half_log = 0.5 * np.sum(np.log(wc), axis=-1)
-        log_t[idx] = np.where(zero, -np.inf, np.minimum(half_log, 0.0))
-        central[idx] = zero
-        for i, row, differ in zip(idx.tolist(), wc.tolist(), mismatch.tolist()):
-            diagnostics[i]["ab_support_mismatch"] = differ
-            diagnostics[i]["det_eigenvalues"] = row
-    log_t.setflags(write=False)
-    central.setflags(write=False)
-    cov_s.__dict__["_transition"] = (cov_t.sigma, cov_t.r, (log_t, central, diagnostics))
-    return log_t, central, diagnostics
+            log_t[idx] = np.minimum(0.5 * np.sum(np.log(wc), axis=-1), 0.0)
+        factors.append((idx, wc))
+    result = (log_t, np.count_nonzero(keep, axis=-1), mismatch, factors)
+    for x in result[:3]:
+        x.setflags(write=False)
+    cov_s.__dict__["_transition"] = (cov_t.sigma, cov_t.r, result)
+    return result
+
+
+def _central_witness(cov_s: CcrCovariance, cov_t: CcrCovariance) -> dict:
+    """The eigenvector h of P_T - P_S with the eigenvalue largest in magnitude, side "A"
+    when it is positive (h in supp R_T, off supp R_S), and the other form on h."""
+    w, v = eigh(cov_t.projection - cov_s.projection)
+    j = -1 if w[-1] >= -w[0] else 0
+    h, other = v[:, j], cov_t if j == -1 else cov_s
+    h = h * np.copysign(1.0, h[np.argmax(np.abs(h))])  # its largest entry positive
+    return {"side": "A" if j == -1 else "B", "projection_eigenvalue": float(w[j]),
+            "other_form_value": float(h @ ab_form(other) @ h), "vector": h.tolist()}
 
 
 def log_trans_prob_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance):
@@ -344,10 +336,14 @@ def classify_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance) -> CcrVerdict:
     if cov_s.r.ndim != 2 or cov_t.r.ndim != 2:
         raise CovarianceError(
             f"classify_ccr takes one pair, got shapes {cov_s.r.shape} and {cov_t.r.shape}")
-    log_t, central, diagnostics = _transition_analysis(cov_s, cov_t)
-    diagnostics = copy.deepcopy(diagnostics[0])
+    log_t, rank, mismatch, factors = _transition_analysis(cov_s, cov_t)
+    diagnostics = {"support_dim": int(rank[0]), "ab_support_mismatch": bool(mismatch[0])}
+    if mismatch[0]:
+        diagnostics["central_witness"] = _central_witness(cov_s, cov_t)
+    for _, wc in factors:
+        diagnostics["det_eigenvalues"] = wc[0].tolist()
     diagnostics["metric_equivalent"], diagnostics["qe_hs_distance"] = qe_distance_ccr(cov_s, cov_t)
-    kind, reason = ((DISJOINT, CENTRAL_ELEMENT_MISMATCH) if central[0]
+    kind, reason = ((DISJOINT, CENTRAL_ELEMENT_MISMATCH) if log_t[0] == -math.inf
                     else (QUASI_EQUIVALENT, POSITIVE_TRANSITION_PROBABILITY))
     return CcrVerdict(kind=kind, reason=reason, transition_probability=math.exp(log_t[0]),
                       diagnostics=diagnostics)
@@ -362,8 +358,8 @@ def qe_distance_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance):
     distance is ||sqrt(ratio(S, S + conj S)) - sqrt(ratio(T, T + conj T))||.
     When the flag is False the distance slot is +inf (the criterion fails
     outright). Both read each covariance's own factorisation: the supports
-    compare as projections p p^T (:attr:`CcrCovariance.support`), domination
-    is the spectrum of 2R_S whitened by 2R_T in T's eigenbasis, and the roots
+    compare by the rule that decides disjointness (:func:`_supports_differ`),
+    domination is the spectrum of 2R_S whitened by 2R_T in T's eigenbasis, and the roots
     are the real parts G + iY of :attr:`CcrCovariance.roots`, so the distance
     is sqrt(||G_S - G_T||^2 + ||Y_S - Y_T||^2). Stacked covariances give one
     flag and one distance per pair.
@@ -371,11 +367,9 @@ def qe_distance_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance):
     _check_same_space(cov_s, cov_t)
     d, lead = cov_s.dim, cov_s.r.shape[:-2]
     n = math.prod(lead)
-    (keep_s, _), (keep_t, inv_t) = ((k.reshape(n, d), i.reshape(n, d))
-                                    for k, i in (cov_s.support, cov_t.support))
-    v_s, v_t = (c.metric_spectrum[1].reshape(n, d, d) for c in (cov_s, cov_t))
-    p_s, p_t = v_s * keep_s[:, None, :], v_t * keep_t[:, None, :]
-    equiv = ~(hs_norm(p_s @ p_s.swapaxes(-1, -2) - p_t @ p_t.swapaxes(-1, -2)) > 1e-6)
+    keep_t, inv_t = (x.reshape(n, d) for x in cov_t.support)
+    v_t = cov_t.metric_spectrum[1].reshape(n, d, d)
+    equiv = ~_supports_differ(cov_s, cov_t)
     sel = np.flatnonzero(equiv)
     if sel.size and d:  # on d = 0 both supports are empty: equivalent
         g = 2.0 * cov_s.r.reshape(n, d, d)[sel]

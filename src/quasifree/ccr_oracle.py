@@ -58,10 +58,12 @@ class QuadraticHamiltonian:
 
 
 def quadratic_hamiltonian(omega, xi=None) -> QuadraticHamiltonian:
-    """Normalize and validate the coefficient matrices (omega Hermitian, xi symmetric)."""
+    """Normalize and validate the coefficient matrices (finite; omega Hermitian, xi symmetric)."""
     omega = np.asarray(omega, dtype=complex)
     if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
         raise ValueError(f"omega must be square, got shape {omega.shape}")
+    if not np.all(np.isfinite(omega)):  # NaN would pass the > 1e-12 checks below
+        raise ValueError("omega must have finite entries")
     n = omega.shape[0]
     if not 1 <= n <= MAX_OSC_MODES:
         raise SizeCapError(f"n_modes must be in 1..{MAX_OSC_MODES}, got {n}")
@@ -73,6 +75,8 @@ def quadratic_hamiltonian(omega, xi=None) -> QuadraticHamiltonian:
     xi = np.asarray(xi, dtype=complex)
     if xi.shape != omega.shape:
         raise ValueError(f"xi shape {xi.shape} does not match omega {omega.shape}")
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("xi must have finite entries")
     if float(np.max(np.abs(xi - xi.T), initial=0.0)) > 1e-12:
         raise ValueError("xi must be symmetric")
     xi = 0.5 * (xi + xi.T)

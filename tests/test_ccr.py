@@ -5,6 +5,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from quasifree import ccr, matcore, sampling, seqmodel
@@ -393,16 +395,120 @@ def test_classify_central_element_disjoint():
     assert ccr.trans_prob_ccr(s, t) == 0.0
 
 
-def test_classify_reports_form_support_mismatch():
-    # A = 2 R_S vanishes on e2, where B = 2 R_T is positive but below the
-    # witness threshold: no central witness, and the determinant vanishes
+def test_classify_reports_form_support_mismatch(rng):
+    # A = 2 R_S vanishes on e2, where B = 2 R_T = 2e-9 is positive: the
+    # supports differ, so a central element separates the states, and the
+    # witness is e2 on side A, however small B is there
     z = np.zeros((2, 2))
     s = ccr.validate_ccr(z, np.diag([1.0, 0.0]))
     t = ccr.validate_ccr(z, np.diag([1.0, 1e-9]))
     v = ccr.classify_ccr(s, t)
-    assert v.kind == ccr.DISJOINT and "central_witness" not in v.diagnostics
+    assert v.kind == ccr.DISJOINT
+    wit = v.diagnostics["central_witness"]
+    assert wit["side"] == "A" and wit["vector"] == pytest.approx([0.0, 1.0], abs=1e-15)
+    assert (wit["projection_eigenvalue"], wit["other_form_value"]) == pytest.approx((1.0, 2e-9))
     assert v.diagnostics["ab_support_mismatch"] is True
     assert v.diagnostics["support_dim"] == 2
+    # the same pair turned by random rotations: still disjoint, witness turned along
+    for d in (2, 4, 8):
+        z = np.zeros((d, d))
+        for _ in range(50):
+            o = sampling.random_orthogonal(rng, d)
+            s, t = (ccr.validate_ccr(z, (o * np.r_[np.ones(d - 1), x]) @ o.T) for x in (0.0, 1e-9))
+            v = ccr.classify_ccr(s, t)
+            assert (v.kind, v.transition_probability) == (ccr.DISJOINT, 0.0)
+            assert v.diagnostics["metric_equivalent"] is False
+            wit = v.diagnostics["central_witness"]
+            assert wit["side"] == "A" and abs(np.dot(wit["vector"], o[:, -1])) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("c", [1e10, 1e12, 1e30, 1e100])
+def test_vacuum_against_a_wide_thermal_state(c, n):
+    # canonical sigma has no centre, so no width separates the states: the
+    # exact tp is (2/(1 + c))^(n/2), 1.4e-5 per mode at c = 1e10
+    s, t = ccr.thermal_covariance(1.0, n), ccr.thermal_covariance(c, n)
+    v = ccr.classify_ccr(s, t)
+    assert (v.kind, v.reason) == (ccr.QUASI_EQUIVALENT, ccr.POSITIVE_TRANSITION_PROBABILITY)
+    assert v.diagnostics["ab_support_mismatch"] is False and "central_witness" not in v.diagnostics
+    want = 0.5 * n * (math.log(2.0) - math.log1p(c))
+    for x, y in ((s, t), (t, s)):
+        assert ccr.log_trans_prob_ccr(x, y) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-12])
+def test_tiny_form_on_a_shared_support(eps):
+    # sigma = 0 in one dimension: R_S = eps and R_T = 1 have one support, so
+    # tp = sqrt(2 sqrt(eps)/(1 + eps)) > 0 however small eps is
+    z = np.zeros((1, 1))
+    s, t = ccr.validate_ccr(z, [[eps]]), ccr.validate_ccr(z, [[1.0]])
+    v = ccr.classify_ccr(s, t)
+    assert v.kind == ccr.QUASI_EQUIVALENT and v.diagnostics["metric_equivalent"]
+    want = math.sqrt(2.0 * math.sqrt(eps) / (1.0 + eps))
+    assert v.transition_probability == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _passive(rng, m):
+    """Orthogonal symplectic [[Re U, -Im U], [Im U, Re U]] of a random unitary U."""
+    u = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+    return np.block([[u.real, -u.imag], [u.imag, u.real]])
+
+
+@st.composite
+def wide_canonical_pairs(draw):
+    """Squeezed thermal states on 1-3 modes of the canonical sigma, each turned
+    by a random passive rotation: R = k O^T diag(nu e^(2r), nu e^(-2r)) O / 2
+    with nu in [1, 1e3] and e^(2r) in [1, 1e2], so each 2R spans less than
+    1e7, and with scales k in [1, 1e100] (k >= 1 keeps R a state)."""
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma, covs = ccr.canonical_sigma(m), []
+    for _ in range(2):
+        nu, sq = 10.0 ** rng.uniform(0.0, 3.0, m), 10.0 ** rng.uniform(0.0, 2.0, m)
+        k = 10.0 ** draw(st.floats(0.0, 100.0))
+        o = _passive(rng, m)
+        covs.append(ccr.validate_ccr(sigma, (o.T * (0.5 * k * np.r_[nu * sq, nu / sq])) @ o))
+    return covs
+
+
+@st.composite
+def degenerate_sigma_pairs(draw):
+    """Pairs on sigma = canonical(k) + 0 on a centre of dimension 1-3, turned by
+    one random rotation: R = R_W + R_Z with R_W a state on the canonical part
+    and R_Z of random rank, on a range that T shares with S or draws anew."""
+    k, c = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sw, d = ccr.canonical_sigma(k), 2 * k + c
+    o = sampling.random_orthogonal(rng, d)
+    sigma = np.zeros((d, d))
+    sigma[: 2 * k, : 2 * k] = sw
+    q = sampling.random_orthogonal(rng, c)
+    covs = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            q = sampling.random_orthogonal(rng, c)
+        widths = draw(st.lists(st.sampled_from([0.0, 1e-9, 1e-3, 1.0, 30.0]), min_size=c, max_size=c))
+        r = np.zeros((d, d))
+        if k:
+            r[: 2 * k, : 2 * k] = sampling.random_ccr_covariance(rng, sw).r
+        r[2 * k :, 2 * k :] = (q * widths) @ q.T
+        covs.append(o @ r @ o.T)
+    return [ccr.validate_ccr(o @ sigma @ o.T, r) for r in covs]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(pair=st.one_of(wide_canonical_pairs(), degenerate_sigma_pairs()))
+def test_dichotomy_on_wide_and_degenerate_pairs(pair):
+    """Disjoint exactly through a central element: never on the canonical sigma,
+    however far apart the widths, and never with metric-equivalent forms."""
+    s, t = pair
+    v = ccr.classify_ccr(s, t)
+    if np.array_equal(s.sigma, ccr.canonical_sigma(s.dim // 2)):
+        assert v.kind == ccr.QUASI_EQUIVALENT
+        assert math.isfinite(ccr.log_trans_prob_ccr(s, t))
+    if v.kind == ccr.DISJOINT:
+        assert v.diagnostics["metric_equivalent"] is False
+        assert ccr.log_trans_prob_ccr(s, t) == -math.inf
 
 
 def test_classify_rejects_stacked_pairs():

@@ -44,6 +44,18 @@ def test_quadratic_hamiltonian_validation():
         ccr_oracle.quadratic_hamiltonian(np.eye(3))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_quadratic_hamiltonian_rejects_non_finite(bad):
+    # NaN passes the Hermitian and symmetric checks, and gaussian_density then
+    # fails inside eigh; each matrix is refused by name
+    with pytest.raises(ValueError, match="omega must have finite entries"):
+        ccr_oracle.quadratic_hamiltonian([[1.0, bad], [bad, 1.0]])
+    with pytest.raises(ValueError, match="omega must have finite entries"):
+        ccr_oracle.quadratic_hamiltonian([[bad]])
+    with pytest.raises(ValueError, match="xi must have finite entries"):
+        ccr_oracle.quadratic_hamiltonian(np.eye(2), [[0.0, bad], [bad, 0.0]])
+
+
 def test_thermal_hamiltonian():
     h = ccr_oracle.thermal_hamiltonian(0.5)
     assert h.omega[0, 0] == pytest.approx(math.log(2.0))

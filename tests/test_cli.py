@@ -189,6 +189,20 @@ def test_trans_prob_ccr(tmp_path, capsys):
     assert report["results"]["log_transition_probability"] == -801.2047462954588
 
 
+def test_wide_ccr_pair_is_quasi_equivalent(tmp_path, capsys):
+    # the vacuum against width 1e10 on one mode: canonical sigma has no centre,
+    # so tp = sqrt(2/(1 + 1e10)) > 0 and the pair is quasi-equivalent
+    sc = {"kind": "ccr-pair", "sigma": SIGMA_1, "R_S": thermal_r(1.0), "R_T": thermal_r(1e10)}
+    path = write_scenario(tmp_path, sc)
+    code, report, _ = run_cli(capsys, ["classify", path])
+    assert code == 0 and report["results"]["verdict"]["kind"] == "QuasiEquivalent"
+    code, report, _ = run_cli(capsys, ["trans-prob", path])
+    assert code == 0
+    log_tp = report["results"]["log_transition_probability"]
+    assert log_tp == pytest.approx(-11.16635187474, rel=1e-11)
+    assert report["results"]["transition_probability"] == pytest.approx(math.exp(log_tp))
+
+
 # ----------------------------------------------------------------- classify
 
 

@@ -362,6 +362,18 @@ def test_classifier_consistency_violation_on_degenerate_form():
         seqmodel.classify_sequence(fam, n_max=64)
 
 
+def test_classifier_wide_first_mode_on_canonical_sigma():
+    # the vacuum against width 1e10 has tp sqrt(2/(1 + 1e10)) = 1.4e-5 > 0:
+    # on a sigma with no centre nothing separates the states
+    pair = (ccr.thermal_covariance(1.0), ccr.thermal_covariance(1e10))
+    tail = (ccr.thermal_covariance(2.0),) * 2
+    fam = seqmodel.literal_family(seqmodel.CCR, [pair], tail=tail, label="wide-first")
+    v = seqmodel.classify_sequence(fam, n_max=64)
+    assert (v.kind, v.reason) == (ccr.QUASI_EQUIVALENT, ccr.POSITIVE_TRANSITION_PROBABILITY)
+    assert v.neg_log_tp_partial_sums[-1] == pytest.approx(0.5 * math.log((1.0 + 1e10) / 2.0),
+                                                          rel=1e-12)
+
+
 def test_classifier_support_mismatch_reason():
     # a CCR tail failing metric equivalence drives the qe sums to +inf
     z = np.zeros((2, 2))
@@ -422,6 +434,9 @@ def rotated_thermal_families(draw):
 @example(fam=rotated_thermal_family(2, ([1.0, 0.5], [3.0, 4.0]), ([0.0, 0.0], [1.0, 1.0]), 0),
          n_max=256)
 @example(fam=rotated_thermal_family(2, ([1.0, 2.0], [0.5, 0.5]), ([0.0, 0.0], [1.0, 1.0]), 1),
+         n_max=64)
+# mode 1 of widths 1 + 1e10 and 1 + 3e10 against the vacuum: far apart, not disjoint
+@example(fam=rotated_thermal_family(2, ([1e10, 3e10], [40.0, 40.0]), ([0.0, 0.0], [1.0, 1.0]), 2),
          n_max=64)
 def test_dichotomy_on_rotated_thermal_families(fam, n_max):
     """Quasi-equivalent unless disjoint: on a non-degenerate sigma both criteria agree."""
