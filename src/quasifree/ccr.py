@@ -381,9 +381,9 @@ def qe_distance_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance):
         leak = np.any(~keep & (np.linalg.norm(gv, axis=-2) > bound), axis=-1)
         wr = eigvalsh(inv[:, :, None] * (v.swapaxes(-1, -2) @ gv) * inv[:, None, :])
         lo = np.take_along_axis(wr, np.clip(d - rank, 0, d - 1)[:, None], -1)[:, 0]
+        # scale-free: positive on supp R_T and within CONDITION_BOUND of its top
         with np.errstate(divide="ignore", invalid="ignore"):
-            dominated = ~(wr[:, -1] / lo > CONDITION_BOUND)
-        ok = (np.count_nonzero(wr > 1e-15, axis=-1) == rank) & dominated
+            ok = (lo > 0) & ~(wr[:, -1] / lo > CONDITION_BOUND)
         equiv[sel] = (rank == 0) | ok & ~leak
         sel = np.flatnonzero(equiv)
 

@@ -53,10 +53,10 @@ MIN_N_MAX = 64
 # a window of partial sums that adds less than this converges (see _series_class)
 WINDOW_EPS = 1e-3
 DIVERGENCE_FACTOR = 10.0
-# Modes per table block: bounds the stacked covariances held at once.
-BLOCK_MODES = 256
-# Largest mode count the sequence APIs evaluate (SizeCapError above it), sized
-# from the measured table cost (see classify_sequence).
+# Stacked matrix entries (modes x d^2) per table call: 1024 2x2 or 256 4x4 modes.
+BLOCK_ENTRIES = 4096
+# Largest mode count the sequence APIs evaluate (SizeCapError above it): a scan at
+# the cap takes ~3-4 s for CAR and ~9-13 s for CCR built-ins (see classify_sequence).
 N_MAX_CAP = 1 << 20
 
 
@@ -236,25 +236,35 @@ def concat_families(first: ModeFamily, n_first: int, second: ModeFamily,
 
 
 def _term_table(family: ModeFamily, n: int):
-    """Arrays of qe^2 and -log tp for modes 1..n, computed BLOCK_MODES at a time.
+    """Arrays of qe^2 and -log tp for modes 1..n, at most BLOCK_ENTRIES entries per call.
 
-    One pair-function call per stacked block gives each mode the bits of a
-    call on its own pair; squares are taken in Python, as for one pair. The
-    logs are the pair modules' own (``log_trans_prob_car``/``_ccr``), with no
-    floor here: a -log tp term is +inf exactly where that module's zero rule
+    Windows are sized by the largest dimension seen so far, and each pair function
+    runs once per dimension group (or row chunk of it), log tp first (the CCR peak
+    is lower before qe caches its roots). Each mode gets the bits of a call on its
+    own pair; squares are taken in Python, as for one pair. The logs are the pair
+    modules' own: a -log tp term is +inf exactly where that module's zero rule
     holds, a qe^2 term where CCR metric equivalence fails.
     """
     if n > N_MAX_CAP:
         raise SizeCapError(f"{n} modes exceed the sequence cap of {N_MAX_CAP} modes")
     qe_sq, neg_log_tp = np.empty(n), np.empty(n)
-    for lo in range(1, n + 1, BLOCK_MODES):
-        for modes, s, t in family.stack(lo, min(lo + BLOCK_MODES - 1, n)):
-            if family.kind == CAR:
-                dist, log_tp = car.qe_distance_car(s, t), car.log_trans_prob_car(s, t)
-            else:
-                dist, log_tp = ccr.qe_distance_ccr(s, t)[1], ccr.log_trans_prob_ccr(s, t)
-            qe_sq[modes - 1] = [x**2 for x in dist.tolist()]
-            neg_log_tp[modes - 1] = -log_tp
+    lo, dim = 1, 2  # dim: the largest seen so far, which sizes the next window
+    while lo <= n:
+        hi = min(lo + max(BLOCK_ENTRIES // dim**2, 1) - 1, n)
+        for modes, s, t in family.stack(lo, hi):
+            dim = max(dim, s.dim)
+            step = max(BLOCK_ENTRIES // s.dim**2, 1)
+            for i in range(0, modes.size, step):
+                rows = slice(i, i + step)
+                # a group that fits is passed whole: a slice drops its cached factorisations
+                cs, ct = (s, t) if modes.size <= step else (_take(s, rows), _take(t, rows))
+                if family.kind == CAR:
+                    log_tp, dist = car.log_trans_prob_car(cs, ct), car.qe_distance_car(cs, ct)
+                else:
+                    log_tp, dist = ccr.log_trans_prob_ccr(cs, ct), ccr.qe_distance_ccr(cs, ct)[1]
+                qe_sq[modes[rows] - 1] = [x**2 for x in dist.tolist()]
+                neg_log_tp[modes[rows] - 1] = -log_tp
+        lo = hi + 1
     return qe_sq, neg_log_tp
 
 
@@ -325,9 +335,9 @@ def classify_sequence(family: ModeFamily, n_max: int = DEFAULT_N_MAX) -> Sequenc
     cut splits them; fully degenerate families can genuinely split them, and
     refusing to answer is deliberate there.)
 
-    ``n_max`` above N_MAX_CAP = 2**20 raises :class:`SizeCapError`: the scan
-    costs ~4 us/mode for the CAR built-ins and ~14 us/mode for the CCR
-    built-ins (2-vCPU x86_64 VM, one BLAS thread), ~4.3 s and ~15 s at the cap.
+    ``n_max`` above N_MAX_CAP = 2**20 raises :class:`SizeCapError`: at the cap the
+    scan costs 3.0-4.1 us/mode for the CAR built-ins and 8.6-12.3 us/mode for the
+    CCR built-ins (2-vCPU x86_64 VM, one BLAS thread), ~3-4 s and ~9-13 s in all.
     """
     if n_max < MIN_N_MAX:
         raise ValueError(f"n_max must be at least {MIN_N_MAX}, got {n_max}")

@@ -423,17 +423,22 @@ def test_classify_reports_form_support_mismatch(rng):
 
 
 @pytest.mark.parametrize("n", [1, 4])
-@pytest.mark.parametrize("c", [1e10, 1e12, 1e30, 1e100])
+@pytest.mark.parametrize("c", [1e10, 1e12, 1e15, 1e16, 1e30, 1e100])
 def test_vacuum_against_a_wide_thermal_state(c, n):
     # canonical sigma has no centre, so no width separates the states: the
-    # exact tp is (2/(1 + c))^(n/2), 1.4e-5 per mode at c = 1e10
+    # exact tp is (2/(1 + c))^(n/2), 1.4e-5 per mode at c = 1e10; the metrics
+    # are proportional, so equivalent in either order, and each mode's root
+    # eigenvalues (1, 0) against sqrt(1/2 +- 1/(2c)) set the qe distance
     s, t = ccr.thermal_covariance(1.0, n), ccr.thermal_covariance(c, n)
     v = ccr.classify_ccr(s, t)
     assert (v.kind, v.reason) == (ccr.QUASI_EQUIVALENT, ccr.POSITIVE_TRANSITION_PROBABILITY)
     assert v.diagnostics["ab_support_mismatch"] is False and "central_witness" not in v.diagnostics
     want = 0.5 * n * (math.log(2.0) - math.log1p(c))
+    dist = math.sqrt(n * ((1.0 - math.sqrt(0.5 + 0.5 / c)) ** 2 + 0.5 - 0.5 / c))
     for x, y in ((s, t), (t, s)):
         assert ccr.log_trans_prob_ccr(x, y) == pytest.approx(want, rel=1e-12, abs=0.0)
+        equiv, got = ccr.qe_distance_ccr(x, y)
+        assert equiv and got == pytest.approx(dist, rel=1e-12)
 
 
 @pytest.mark.parametrize("eps", [1e-10, 1e-12])

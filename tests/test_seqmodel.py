@@ -1,6 +1,7 @@
 """Tests for mode families and the quasi-equivalent/disjoint sequence classifier."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,8 +122,8 @@ def bare_car_family():
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    """Blocks of 7 modes, so that short tables cross block boundaries."""
-    monkeypatch.setattr(seqmodel, "BLOCK_MODES", 7)
+    """Blocks of 64 entries (16 2x2 or 4 4x4 modes), so short tables cross block boundaries."""
+    monkeypatch.setattr(seqmodel, "BLOCK_ENTRIES", 64)
 
 
 @pytest.mark.parametrize("family", [
@@ -143,7 +144,97 @@ def test_table_bit_identical_to_pair_api(family, small_blocks):
 
 def test_table_crosses_default_blocks():
     fam = seqmodel.car_power_family(1.5)
-    assert_table_matches_pair_api(fam, seqmodel.BLOCK_MODES + 9)
+    assert_table_matches_pair_api(fam, seqmodel.BLOCK_ENTRIES // 4 + 9)
+
+
+def mixed_literal(rng, dims, tail_dim):
+    """CAR literal family of random pairs of dimensions ``dims``, tail of ``tail_dim``."""
+    pairs = [sampling.random_car_pair(rng, d) for d in dims]
+    tail = sampling.random_car_pair(rng, tail_dim)
+    return seqmodel.literal_family(seqmodel.CAR, pairs, tail=tail, label=f"mixed-{tail_dim}")
+
+
+def test_table_bit_identical_across_budgets(rng, monkeypatch):
+    """Terms do not depend on how the modes are cut into pair-function calls."""
+    families = [
+        seqmodel.car_power_family(2.0),
+        seqmodel.car_power_family(1.0),
+        seqmodel.ccr_thermal_power_family(2.0),
+        seqmodel.ccr_thermal_power_family(0.5),
+        seqmodel.car_counterexample(),
+        mixed_literal(rng, (2, 4, 8, 32, 6, 2, 16, 4) * 4, 4),
+    ]
+    n = 4096
+    default = [seqmodel._term_table(fam, n) for fam in families]
+    monkeypatch.setattr(seqmodel, "BLOCK_ENTRIES", 100)
+    for fam, want in zip(families, default):
+        for got, ref in zip(seqmodel._term_table(fam, n), want):
+            assert np.array_equal(got, ref), fam.label
+
+
+def spy_on_pair_calls(monkeypatch):
+    """Record (function, modes, stacked entries) of every pair-function call."""
+    calls = []
+
+    def spy(module, name):
+        inner = getattr(module, name)
+
+        def wrapped(s, t):
+            m = s.matrix if isinstance(s, car.CarCovariance) else s.r
+            calls.append((name, math.prod(m.shape[:-2]), m.size))
+            return inner(s, t)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    for module, name in ((car, "qe_distance_car"), (car, "log_trans_prob_car"),
+                         (ccr, "qe_distance_ccr"), (ccr, "log_trans_prob_ccr")):
+        spy(module, name)
+    return calls
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 32])
+def test_pair_calls_stay_within_the_budget(rng, monkeypatch, d):
+    """A window sized for 2x2 modes that meets d x d modes is cut into chunks,
+    and later windows are sized for d; every mode is evaluated once."""
+    fam = mixed_literal(rng, (2, d, 2), d)
+    per_call = seqmodel.BLOCK_ENTRIES // d**2
+    n = seqmodel.BLOCK_ENTRIES // 4 + 2 * per_call + 5
+    calls, windows = spy_on_pair_calls(monkeypatch), []
+    stack = seqmodel.ModeFamily.stack
+
+    def spy_stack(self, lo, hi):
+        windows.append(hi - lo + 1)
+        return stack(self, lo, hi)
+
+    monkeypatch.setattr(seqmodel.ModeFamily, "stack", spy_stack)
+    seqmodel._term_table(fam, n)
+    assert max(size for _, _, size in calls) <= seqmodel.BLOCK_ENTRIES
+    assert windows[0] == seqmodel.BLOCK_ENTRIES // 4 and max(windows[1:]) <= per_call
+    for name in ("qe_distance_car", "log_trans_prob_car"):
+        assert sum(modes for f, modes, _ in calls if f == name) == n
+
+
+def test_one_pair_call_per_2x2_scan_at_n_max_1024(monkeypatch):
+    calls = spy_on_pair_calls(monkeypatch)
+    for fam in (seqmodel.car_power_family(1.0), seqmodel.ccr_thermal_power_family(2.0)):
+        seqmodel.classify_sequence(fam, n_max=1024)
+    assert sorted(name for name, _, _ in calls) == [
+        "log_trans_prob_car", "log_trans_prob_ccr", "qe_distance_car", "qe_distance_ccr"]
+
+
+def test_scan_working_memory_does_not_grow_with_n():
+    """Beyond the table's own 16 bytes per mode, a scan holds one block at a time."""
+    fam = seqmodel.ccr_thermal_power_family(2.0)
+    seqmodel._term_table(fam, seqmodel.MIN_N_MAX)  # imports and caches outside the trace
+    extra = {}
+    for n in (4096, 65536):
+        tracemalloc.start()
+        try:
+            seqmodel._term_table(fam, n)
+            extra[n] = tracemalloc.get_traced_memory()[1] - 16 * n
+        finally:
+            tracemalloc.stop()
+    assert extra[65536] <= 1.05 * extra[4096]
 
 
 def test_table_literal_mixed_dimensions(rng, small_blocks):
