@@ -55,8 +55,8 @@ WINDOW_EPS = 1e-3
 DIVERGENCE_FACTOR = 10.0
 # Stacked matrix entries (modes x d^2) per table call: 1024 2x2 or 256 4x4 modes.
 BLOCK_ENTRIES = 4096
-# Largest mode count the sequence APIs evaluate (SizeCapError above it): a scan at
-# the cap takes ~3-4 s for CAR and ~9-13 s for CCR built-ins (see classify_sequence).
+# Largest mode count the sequence APIs evaluate (SizeCapError above it): a scan at the cap
+# takes ~3-5 s for CAR and ~9-13 s for CCR built-ins, ~0.25 s for a short literal.
 N_MAX_CAP = 1 << 20
 
 
@@ -65,13 +65,15 @@ class ModeFamily:
     """Rule-based sequence of independent covariance pairs of one kind.
 
     ``stacker(lo, hi)``, if given, returns what :meth:`stack` does, built
-    without ``pair_at``.
+    without ``pair_at``. ``tail_from``, if given, is a mode from which on every
+    mode is the same pair; scans evaluate the modes up to it only.
     """
 
     kind: str
     label: str
     rule: Callable[[int], tuple]
     stacker: Callable[[int, int], list] | None = None
+    tail_from: int | None = None
 
     def pair_at(self, k: int):
         """The (S_k, T_k) pair at mode index k >= 1."""
@@ -181,7 +183,8 @@ def literal_family(kind: str, pairs, tail=None, label: str = "literal") -> ModeF
     ``tail`` defaults to an identical pair repeating the last listed first
     covariance, which contributes zero to every partial sum. Pairs may differ
     in dimension; the S and T of one pair may not (:class:`CovarianceError`
-    naming the mode, the tail by its first mode).
+    naming the mode, the tail by its first mode). A scan evaluates the listed
+    pairs and the tail once, so it costs them plus O(n) summation.
     """
     if kind not in (CAR, CCR):
         raise ValueError(f"kind must be {CAR!r} or {CCR!r}, got {kind!r}")
@@ -211,7 +214,7 @@ def literal_family(kind: str, pairs, tail=None, label: str = "literal") -> ModeF
                 out.append((modes[sel], _take(s, rows[sel]), _take(t, rows[sel])))
         return out
 
-    return ModeFamily(kind=kind, label=label, rule=rule, stacker=stacker)
+    return ModeFamily(kind=kind, label=label, rule=rule, stacker=stacker, tail_from=len(items))
 
 
 def concat_families(first: ModeFamily, n_first: int, second: ModeFamily,
@@ -232,25 +235,29 @@ def concat_families(first: ModeFamily, n_first: int, second: ModeFamily,
         label=label or f"{first.label}+{second.label}",
         rule=lambda k: first.pair_at(k) if k <= n_first else second.pair_at(k - n_first),
         stacker=stacker,
+        tail_from=None if second.tail_from is None else n_first + second.tail_from,
     )
 
 
 def _term_table(family: ModeFamily, n: int):
     """Arrays of qe^2 and -log tp for modes 1..n, at most BLOCK_ENTRIES entries per call.
 
-    Windows are sized by the largest dimension seen so far, and each pair function
-    runs once per dimension group (or row chunk of it), log tp first (the CCR peak
-    is lower before qe caches its roots). Each mode gets the bits of a call on its
-    own pair; squares are taken in Python, as for one pair. The logs are the pair
-    modules' own: a -log tp term is +inf exactly where that module's zero rule
-    holds, a qe^2 term where CCR metric equivalence fails.
+    Pair functions see modes 1..min(n, tail_from); later modes copy the terms of
+    mode tail_from, which are theirs. Windows are sized by the largest dimension
+    seen so far, and each pair function runs once per dimension group (or row
+    chunk of it), log tp first (the CCR peak is lower before qe caches its roots).
+    Each mode gets the bits of a call on its own pair; squares are taken in
+    Python, as for one pair. The logs are the pair modules' own: a -log tp term
+    is +inf exactly where that module's zero rule holds, a qe^2 term where CCR
+    metric equivalence fails.
     """
     if n > N_MAX_CAP:
         raise SizeCapError(f"{n} modes exceed the sequence cap of {N_MAX_CAP} modes")
     qe_sq, neg_log_tp = np.empty(n), np.empty(n)
+    m = n if family.tail_from is None else min(n, family.tail_from)
     lo, dim = 1, 2  # dim: the largest seen so far, which sizes the next window
-    while lo <= n:
-        hi = min(lo + max(BLOCK_ENTRIES // dim**2, 1) - 1, n)
+    while lo <= m:
+        hi = min(lo + max(BLOCK_ENTRIES // dim**2, 1) - 1, m)
         for modes, s, t in family.stack(lo, hi):
             dim = max(dim, s.dim)
             step = max(BLOCK_ENTRIES // s.dim**2, 1)
@@ -265,6 +272,7 @@ def _term_table(family: ModeFamily, n: int):
                 qe_sq[modes[rows] - 1] = [x**2 for x in dist.tolist()]
                 neg_log_tp[modes[rows] - 1] = -log_tp
         lo = hi + 1
+    qe_sq[m:], neg_log_tp[m:] = qe_sq[m - 1], neg_log_tp[m - 1]
     return qe_sq, neg_log_tp
 
 
@@ -336,8 +344,10 @@ def classify_sequence(family: ModeFamily, n_max: int = DEFAULT_N_MAX) -> Sequenc
     refusing to answer is deliberate there.)
 
     ``n_max`` above N_MAX_CAP = 2**20 raises :class:`SizeCapError`: at the cap the
-    scan costs 3.0-4.1 us/mode for the CAR built-ins and 8.6-12.3 us/mode for the
-    CCR built-ins (2-vCPU x86_64 VM, one BLAS thread), ~3-4 s and ~9-13 s in all.
+    scan costs 3.0-4.4 us/mode for the CAR built-ins and 8.6-12.3 us/mode for the
+    CCR built-ins (2-vCPU x86_64 VM, one BLAS thread), ~3-5 s and ~9-13 s in all.
+    A literal or concatenated-literal family costs its listed pairs plus O(n)
+    summation: car_counterexample() takes 0.24 s at the cap.
     """
     if n_max < MIN_N_MAX:
         raise ValueError(f"n_max must be at least {MIN_N_MAX}, got {n_max}")

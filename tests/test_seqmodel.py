@@ -192,18 +192,29 @@ def spy_on_pair_calls(monkeypatch):
     return calls
 
 
+def block_rule_family(d):
+    """CAR rule family of d x d modes, d/2 mu blocks each, no two modes alike."""
+    def rule(k):
+        return tuple(car.validate_car(np.kron(np.eye(d // 2), car.mu_covariance(m).matrix))
+                     for m in (0.3, 0.3 + 0.1 / k))
+
+    return seqmodel.ModeFamily(seqmodel.CAR, f"blocks-{d}", rule)
+
+
 @pytest.mark.parametrize("d", [2, 4, 8, 32])
 def test_pair_calls_stay_within_the_budget(rng, monkeypatch, d):
     """A window sized for 2x2 modes that meets d x d modes is cut into chunks,
     and later windows are sized for d; every mode is evaluated once."""
-    fam = mixed_literal(rng, (2, d, 2), d)
+    fam = seqmodel.concat_families(mixed_literal(rng, (2, d, 2), d), 3, block_rule_family(d))
+    assert fam.tail_from is None  # all modes distinct: the scan evaluates each one
     per_call = seqmodel.BLOCK_ENTRIES // d**2
     n = seqmodel.BLOCK_ENTRIES // 4 + 2 * per_call + 5
     calls, windows = spy_on_pair_calls(monkeypatch), []
     stack = seqmodel.ModeFamily.stack
 
     def spy_stack(self, lo, hi):
-        windows.append(hi - lo + 1)
+        if self is fam:  # not the pieces' own windows
+            windows.append(hi - lo + 1)
         return stack(self, lo, hi)
 
     monkeypatch.setattr(seqmodel.ModeFamily, "stack", spy_stack)
@@ -222,9 +233,8 @@ def test_one_pair_call_per_2x2_scan_at_n_max_1024(monkeypatch):
         "log_trans_prob_car", "log_trans_prob_ccr", "qe_distance_car", "qe_distance_ccr"]
 
 
-def test_scan_working_memory_does_not_grow_with_n():
-    """Beyond the table's own 16 bytes per mode, a scan holds one block at a time."""
-    fam = seqmodel.ccr_thermal_power_family(2.0)
+def scan_working_memory(fam):
+    """Traced peak of a scan at n = 4096 and 65536, less the table's 16 bytes per mode."""
     seqmodel._term_table(fam, seqmodel.MIN_N_MAX)  # imports and caches outside the trace
     extra = {}
     for n in (4096, 65536):
@@ -234,25 +244,17 @@ def test_scan_working_memory_does_not_grow_with_n():
             extra[n] = tracemalloc.get_traced_memory()[1] - 16 * n
         finally:
             tracemalloc.stop()
+    return extra
+
+
+def test_scan_working_memory_does_not_grow_with_n():
+    """Beyond the table's own 16 bytes per mode, a scan holds one block at a time."""
+    extra = scan_working_memory(seqmodel.ccr_thermal_power_family(2.0))
     assert extra[65536] <= 1.05 * extra[4096]
 
 
-def test_table_literal_mixed_dimensions(rng, small_blocks):
-    pairs = [sampling.random_car_pair(rng, 2 * (1 + i % 3)) for i in range(9)]
-    fam = seqmodel.literal_family(seqmodel.CAR, pairs, tail=pairs[1])
-    groups = fam.stack(1, 12)
-    assert sorted(s.dim for _, s, _ in groups) == [2, 4, 6]
-    assert sorted(np.concatenate([m for m, _, _ in groups]).tolist()) == list(range(1, 13))
-    assert_table_matches_pair_api(fam, 16)
-
-
-def test_table_concat_stacked_then_fallback(small_blocks):
-    fam = seqmodel.concat_families(seqmodel.car_power_family(2.0), 10, bare_car_family())
-    assert_table_matches_pair_api(fam, 25)
-
-
-def test_table_ccr_literal_mixed_supports(small_blocks):
-    """Vacuum, thermal and degenerate-sigma pairs, one with a central witness.
+def ccr_mixed_supports():
+    """Vacuum, thermal and degenerate-sigma pairs, one with a central witness, twice over.
 
     Supports of rank 0 to 3 run the rank-grouped paths, the 3-mode pair runs
     the witness branch, and the support-gap pair fails metric equivalence.
@@ -271,7 +273,88 @@ def test_table_ccr_literal_mixed_supports(small_blocks):
         (ccr.validate_ccr(sigma3, np.diag([1.0, 1.0, 0.0])),
          ccr.validate_ccr(sigma3, np.diag([1.0, 1.0, 1.0]))),
     ]
-    fam = seqmodel.literal_family(seqmodel.CCR, pairs * 2, label="ccr-mixed")
+    return seqmodel.literal_family(seqmodel.CCR, pairs * 2, label="ccr-mixed")
+
+
+def tail_families(rng):
+    """Literal families of short and long tails, and both orders of a concatenation."""
+    lit = mixed_literal(rng, (2, 4, 8, 32, 6, 2, 16, 4), 4)
+    return [
+        seqmodel.car_counterexample(),
+        mixed_literal(rng, (2, 4, 8, 32, 6, 2, 16, 4) * 4, 32),
+        vacuum_vs_width(30.0, 32),
+        ccr_mixed_supports(),
+        seqmodel.concat_families(seqmodel.car_power_family(1.0), 10, lit),
+        seqmodel.concat_families(lit, 5, seqmodel.car_power_family(1.0)),
+    ]
+
+
+def test_tail_from_of_literals_and_concatenations(rng):
+    lit = mixed_literal(rng, (2, 4, 8), 4)
+    assert lit.tail_from == 4
+    assert seqmodel.concat_families(seqmodel.car_power_family(1.0), 10, lit).tail_from == 14
+    # a rule after a literal: its modes are not one pair, whatever precedes them
+    assert seqmodel.concat_families(lit, 10, seqmodel.car_power_family(1.0)).tail_from is None
+    assert seqmodel.car_power_family(1.0).tail_from is None
+    assert bare_car_family().tail_from is None
+
+
+@pytest.mark.parametrize("n", [1, 40, 200])
+def test_tail_terms_bit_identical(rng, n):
+    """Copied tail terms are the pair API's and a written-out tail's own bits."""
+    for fam in tail_families(rng):
+        assert_table_matches_pair_api(fam, n)
+        written = seqmodel.literal_family(
+            fam.kind, [fam.pair_at(k) for k in range(1, n + 1)], tail=fam.pair_at(n + 1))
+        for got, want in zip(seqmodel._term_table(fam, n), seqmodel._term_table(written, n)):
+            assert np.array_equal(got, want), fam.label
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 1024, seqmodel.N_MAX_CAP])
+def test_pair_functions_see_modes_up_to_tail_from(rng, monkeypatch, n):
+    families = tail_families(rng)
+    calls = spy_on_pair_calls(monkeypatch)
+    for fam in families:
+        if fam.tail_from is None and n > 1024:
+            continue  # a full scan: 4 modes a call after the 32 x 32 mode
+        calls.clear()
+        table = seqmodel._term_table(fam, n)
+        want = n if fam.tail_from is None else min(n, fam.tail_from)
+        for name in (f"qe_distance_{fam.kind}", f"log_trans_prob_{fam.kind}"):
+            assert sum(modes for f, modes, _ in calls if f == name) == want, fam.label
+        for terms in table:
+            assert (terms[want:] == terms[want - 1]).all()
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: vacuum_vs_width(30.0, 32),
+    lambda rng: mixed_literal(rng, (2, 4, 8, 32, 6, 2, 16, 4) * 4, 32),
+], ids=["vacuum-vs-30x32", "car-tail-32x32"])
+def test_literal_scan_memory_does_not_grow_with_n(rng, make):
+    """A literal's listed pairs are evaluated once, whatever n: beyond the
+    table's 16 bytes per mode, the peak stays small and does not grow."""
+    extra = scan_working_memory(make(rng))
+    # stacking 1024 copies of the tail would hold 32 MiB (CAR) or 128 MiB (CCR)
+    assert extra[4096] < 4 * 2**20
+    assert extra[65536] <= 1.05 * extra[4096]
+
+
+def test_table_literal_mixed_dimensions(rng, small_blocks):
+    pairs = [sampling.random_car_pair(rng, 2 * (1 + i % 3)) for i in range(9)]
+    fam = seqmodel.literal_family(seqmodel.CAR, pairs, tail=pairs[1])
+    groups = fam.stack(1, 12)
+    assert sorted(s.dim for _, s, _ in groups) == [2, 4, 6]
+    assert sorted(np.concatenate([m for m, _, _ in groups]).tolist()) == list(range(1, 13))
+    assert_table_matches_pair_api(fam, 16)
+
+
+def test_table_concat_stacked_then_fallback(small_blocks):
+    fam = seqmodel.concat_families(seqmodel.car_power_family(2.0), 10, bare_car_family())
+    assert_table_matches_pair_api(fam, 25)
+
+
+def test_table_ccr_literal_mixed_supports(small_blocks):
+    fam = ccr_mixed_supports()
     qe_sq, neg_log_tp = seqmodel._term_table(fam, 18)
     assert math.isinf(qe_sq[5]) and math.isinf(neg_log_tp[7])  # support gap, central witness
     assert_table_matches_pair_api(fam, 18)
