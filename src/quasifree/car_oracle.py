@@ -159,8 +159,9 @@ def density_from_covariance(s) -> np.ndarray:
 def sqrt_density(rho: np.ndarray) -> np.ndarray:
     """Square root of a density matrix by ``numpy.linalg.eigh``, for both oracles.
 
-    The oracles take their spectra from numpy, not from the closed-form
-    kernels of :mod:`quasifree.matcore` that the formulas use. Eigenvalues in
+    A real density takes a real ``eigh`` and has a real root. The oracles
+    take their spectra from numpy, not from the closed-form kernels of
+    :mod:`quasifree.matcore` that the formulas use. Eigenvalues in
     ``[-PSD_CLAMP_TOL * ||rho||, 0)`` are clipped to zero; below that
     :class:`~quasifree.errors.NotPositiveError` is raised.
     """
@@ -171,8 +172,7 @@ def sqrt_density(rho: np.ndarray) -> np.ndarray:
 
 def overlap(rho: np.ndarray, tau: np.ndarray) -> float:
     """tr(sqrt(rho) sqrt(tau)) for two density matrices, clipped to [0, 1]."""
-    rho = np.asarray(rho, dtype=complex)
-    tau = np.asarray(tau, dtype=complex)
+    rho, tau = np.asarray(rho), np.asarray(tau)
     if rho.shape != tau.shape:
         raise ValueError(f"shape mismatch: {rho.shape} vs {tau.shape}")
     val = float(np.trace(sqrt_density(rho) @ sqrt_density(tau)).real)
@@ -184,8 +184,7 @@ def fidelity_tr(rho: np.ndarray, tau: np.ndarray) -> float:
 
     Dominates :func:`overlap` and is dominated by its square root.
     """
-    rho = np.asarray(rho, dtype=complex)
-    tau = np.asarray(tau, dtype=complex)
+    rho, tau = np.asarray(rho), np.asarray(tau)
     if rho.shape != tau.shape:
         raise ValueError(f"shape mismatch: {rho.shape} vs {tau.shape}")
     sv = np.linalg.svd(sqrt_density(rho) @ sqrt_density(tau), compute_uv=False)

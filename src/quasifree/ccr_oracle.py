@@ -2,12 +2,15 @@
 
 Builds Gibbs states of quadratic Hamiltonians on a hard photon-number cutoff,
 extracts their covariance matrices from second moments, and computes overlaps
-with cutoff-doubling convergence checks. Capped at two modes — this exists to
-check determinant formulas, not to be fast.
+with cutoff-doubling convergence checks. Capped at two modes. Matrices follow
+the coefficients' dtype (real omega and xi give a real Fock matrix, ``eigh``
+and density), products of mode operators are Kronecker products of
+single-mode factors, and no operator outlives the call that builds it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,7 +20,7 @@ import numpy as np
 from .car_oracle import overlap
 from .ccr import CcrCovariance, canonical_sigma, validate_ccr
 from .errors import InconclusiveError, SizeCapError
-from .matcore import hermitian_part
+from .matcore import float_or_complex, hermitian_part
 
 __all__ = [
     "BosonOps",
@@ -43,6 +46,7 @@ MAX_FOCK_DIM = 8000
 VACUUM_BETA = 100.0
 # overlap_ccr converges once two successive cutoffs agree within this
 OVERLAP_TOL = 1e-7
+INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -58,8 +62,11 @@ class QuadraticHamiltonian:
 
 
 def quadratic_hamiltonian(omega, xi=None) -> QuadraticHamiltonian:
-    """Normalize and validate the coefficient matrices (finite; omega Hermitian, xi symmetric)."""
-    omega = np.asarray(omega, dtype=complex)
+    """Normalize and validate the coefficient matrices (finite; omega Hermitian, xi symmetric).
+
+    Real input stays real (as float64), anything else becomes complex.
+    """
+    omega = float_or_complex(omega)
     if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
         raise ValueError(f"omega must be square, got shape {omega.shape}")
     if not np.all(np.isfinite(omega)):  # NaN would pass the > 1e-12 checks below
@@ -70,9 +77,7 @@ def quadratic_hamiltonian(omega, xi=None) -> QuadraticHamiltonian:
     if float(np.max(np.abs(omega - omega.conj().T), initial=0.0)) > 1e-12:
         raise ValueError("omega must be Hermitian")
     omega = hermitian_part(omega)
-    if xi is None:
-        xi = np.zeros((n, n), dtype=complex)
-    xi = np.asarray(xi, dtype=complex)
+    xi = float_or_complex(np.zeros((n, n)) if xi is None else xi)
     if xi.shape != omega.shape:
         raise ValueError(f"xi shape {xi.shape} does not match omega {omega.shape}")
     if not np.all(np.isfinite(xi)):
@@ -113,57 +118,53 @@ class BosonOps:
         return (self.cutoff + 1) ** self.n_modes
 
 
-def boson_ops(n_modes: int, cutoff: int) -> BosonOps:
-    """Truncated mode operators; q = (a + a^dag)/sqrt2, p = -i(a - a^dag)/sqrt2."""
+def _ladder(n_modes: int, cutoff: int) -> np.ndarray:
+    """Single-mode annihilation matrix (real), after the mode, cutoff and dimension caps."""
     if not 1 <= n_modes <= MAX_OSC_MODES:
         raise SizeCapError(f"n_modes must be in 1..{MAX_OSC_MODES}, got {n_modes}")
     if cutoff < 2:
         raise ValueError(f"cutoff must be at least 2, got {cutoff}")
-    m = cutoff + 1
-    if m**n_modes > MAX_FOCK_DIM:
-        raise SizeCapError(
-            f"truncated dimension {m**n_modes} exceeds cap {MAX_FOCK_DIM} "
-            f"(n_modes={n_modes}, cutoff={cutoff})"
-        )
-    a1 = np.diag(np.sqrt(np.arange(1, m, dtype=float)), 1).astype(complex)
-    eye = np.eye(m, dtype=complex)
-    a_ops = []
-    for j in range(n_modes):
-        factors = [eye] * n_modes
-        factors[j] = a1
-        op = factors[0]
-        for f in factors[1:]:
-            op = np.kron(op, f)
-        a_ops.append(op)
-    adag_ops = [op.conj().T for op in a_ops]
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    q_ops = [(a + ad) * inv_sqrt2 for a, ad in zip(a_ops, adag_ops)]
-    p_ops = [-1j * (a - ad) * inv_sqrt2 for a, ad in zip(a_ops, adag_ops)]
-    for op in itertools.chain(a_ops, adag_ops, q_ops, p_ops):
+    if (cutoff + 1) ** n_modes > MAX_FOCK_DIM:
+        raise SizeCapError(f"truncated dimension {(cutoff + 1) ** n_modes} exceeds cap "
+                           f"{MAX_FOCK_DIM} (n_modes={n_modes}, cutoff={cutoff})")
+    return np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=float)), 1)
+
+
+def _on_modes(n_modes: int, *factors) -> np.ndarray:
+    """Kronecker product over the modes of the single-mode (mode, x) ``factors``,
+    multiplied in order on their mode, and of the identity on every other mode."""
+    ops = [np.eye(len(factors[0][1]))] * n_modes
+    for j, x in factors:
+        ops[j] = ops[j] @ x
+    return functools.reduce(np.kron, ops)
+
+
+def boson_ops(n_modes: int, cutoff: int) -> BosonOps:
+    """Truncated mode operators: a, a^dag, q = (a + a^dag)/sqrt2 real, p = -i(a - a^dag)/sqrt2."""
+    a1 = _ladder(n_modes, cutoff)
+    a = tuple(_on_modes(n_modes, (j, a1)) for j in range(n_modes))
+    adag = tuple(op.T for op in a)
+    q = tuple((x + y) * INV_SQRT2 for x, y in zip(a, adag))
+    p = tuple(-1j * (x - y) * INV_SQRT2 for x, y in zip(a, adag))
+    for op in itertools.chain(a, adag, q, p):
         op.setflags(write=False)
-    return BosonOps(
-        n_modes=n_modes,
-        cutoff=cutoff,
-        a=tuple(a_ops),
-        adag=tuple(adag_ops),
-        q=tuple(q_ops),
-        p=tuple(p_ops),
-    )
+    return BosonOps(n_modes=n_modes, cutoff=cutoff, a=a, adag=adag, q=q, p=p)
 
 
 def hamiltonian_matrix(h: QuadraticHamiltonian, cutoff: int) -> np.ndarray:
-    ops = boson_ops(h.n_modes, cutoff)
-    n = h.n_modes
-    dim = ops.dim
-    hm = np.zeros((dim, dim), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            if h.omega[j, k] != 0.0:
-                hm += h.omega[j, k] * (ops.adag[j] @ ops.a[k])
-            if h.xi[j, k] != 0.0:
-                pair = ops.adag[j] @ ops.adag[k]
-                hm += 0.5 * h.xi[j, k] * pair
-                hm += 0.5 * np.conj(h.xi[j, k]) * pair.conj().T
+    """Fock matrix of H at ``cutoff``, real when omega and xi are.
+
+    Each a_j^dag a_k and a_j^dag a_k^dag (j <= k) is formed once, as a Kronecker
+    product of single-mode factors; its adjoint comes from the Hermitian part.
+    """
+    n, a1 = h.n_modes, _ladder(h.n_modes, cutoff)
+    hm = np.zeros((len(a1) ** n,) * 2, dtype=np.result_type(h.omega, h.xi))
+    for j, k in itertools.combinations_with_replacement(range(n), 2):
+        w = 1.0 if j == k else 2.0  # hermitian_part halves a term and its adjoint
+        if h.omega[j, k] != 0.0:
+            hm += w * h.omega[j, k] * _on_modes(n, (j, a1.T), (k, a1))
+        if h.xi[j, k] != 0.0:
+            hm += w * h.xi[j, k] * _on_modes(n, (j, a1.T), (k, a1.T))
     return hermitian_part(hm)
 
 
@@ -220,15 +221,18 @@ def gaussian_density(h: QuadraticHamiltonian, cutoff: int) -> TruncatedState:
 def covariance_of_density(state: TruncatedState) -> CcrCovariance:
     """Covariance (canonical sigma, R) extracted from second moments of rho.
 
-    R[j, k] = Re tr(rho x_j x_k) over the quadrature list (q..., p...), read
-    as the elementwise product sum of rho x_j with x_k^T: one matrix product
-    per quadrature; validation of the result doubles as a truncation check.
+    R[j, k] = Re tr(rho x_j x_k) over the quadrature list (q..., p...). With
+    q = X_q, p = -i X_p and X real, it is Re(c_j c_k tr(rho X_j X_k)) (c = 1 on
+    q, -i on p), read in rho's dtype as the elementwise product sum of rho X_j
+    with X_k^T: one matrix product per quadrature. Validation of the result
+    doubles as a truncation check.
     """
-    ops = boson_ops(state.n_modes, state.cutoff)
-    xs = np.stack(ops.q + ops.p)
-    d = len(xs)
-    r = ((state.rho @ xs).reshape(d, -1) @ xs.swapaxes(-1, -2).reshape(d, -1).T).real
-    return validate_ccr(canonical_sigma(state.n_modes), r)
+    n, a1 = state.n_modes, _ladder(state.n_modes, state.cutoff)
+    xs = np.stack([_on_modes(n, (j, x * INV_SQRT2)) for x in (a1 + a1.T, a1 - a1.T)
+                   for j in range(n)])
+    c = np.repeat([1.0, -1j], n)
+    m = (state.rho @ xs).reshape(2 * n, -1) @ xs.swapaxes(-1, -2).reshape(2 * n, -1).T
+    return validate_ccr(canonical_sigma(n), (np.outer(c, c) * m).real)
 
 
 def overlap_ccr(

@@ -47,10 +47,15 @@ def dagger(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-1, -2).conj()
 
 
+def float_or_complex(x) -> np.ndarray:
+    """x as float64 when it is real (bool, integer or float), else as complex128."""
+    x = np.asarray(x)
+    return x.astype(float if x.dtype.kind in "biuf" else complex, copy=False)
+
+
 def hermitian_part(x: np.ndarray) -> np.ndarray:
     """(x + x^*)/2; real (float64) input stays real, anything else becomes complex."""
-    x = np.asarray(x)
-    x = x.astype(float if x.dtype.kind in "biuf" else complex, copy=False)
+    x = float_or_complex(x)
     return 0.5 * (x + dagger(x))
 
 

@@ -243,8 +243,8 @@ def _term_table(family: ModeFamily, n: int):
     """Arrays of qe^2 and -log tp for modes 1..n, at most BLOCK_ENTRIES entries per call.
 
     Pair functions see modes 1..min(n, tail_from); later modes copy the terms of
-    mode tail_from, which are theirs. Windows are sized by the largest dimension
-    seen so far, and each pair function runs once per dimension group (or row
+    mode tail_from, which are theirs. Each window is sized by the largest dimension
+    of the last one, and each pair function runs once per dimension group (or row
     chunk of it), log tp first (the CCR peak is lower before qe caches its roots).
     Each mode gets the bits of a call on its own pair; squares are taken in
     Python, as for one pair. The logs are the pair modules' own: a -log tp term
@@ -255,11 +255,12 @@ def _term_table(family: ModeFamily, n: int):
         raise SizeCapError(f"{n} modes exceed the sequence cap of {N_MAX_CAP} modes")
     qe_sq, neg_log_tp = np.empty(n), np.empty(n)
     m = n if family.tail_from is None else min(n, family.tail_from)
-    lo, dim = 1, 2  # dim: the largest seen so far, which sizes the next window
+    lo, dim = 1, 2  # dim: the largest in the last window, which sizes the next one
     while lo <= m:
         hi = min(lo + max(BLOCK_ENTRIES // dim**2, 1) - 1, m)
-        for modes, s, t in family.stack(lo, hi):
-            dim = max(dim, s.dim)
+        groups = family.stack(lo, hi)
+        dim = max(s.dim for _, s, _ in groups)
+        for modes, s, t in groups:
             step = max(BLOCK_ENTRIES // s.dim**2, 1)
             for i in range(0, modes.size, step):
                 rows = slice(i, i + step)

@@ -184,17 +184,69 @@ def _second_moments_by_trace(state):
     return np.array([[np.trace(state.rho @ a @ b).real for b in xs] for a in xs])
 
 
+COMPLEX_HOPPING = np.array([[1.5, 0.2 * np.exp(0.3j)], [0.2 * np.exp(-0.3j), 1.8]])
+COMPLEX_PAIRING = 0.4 * np.exp(0.7j) * np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
 def test_oracle_moments_and_boundary_match_loop_references():
     omega = np.array([[1.5, 0.2], [0.2, 1.8]])
     for h, cutoff in ((ccr_oracle.quadratic_hamiltonian(omega, [[0.0, 0.4], [0.4, 0.0]]), 9),
                       (ccr_oracle.thermal_hamiltonian(0.4), 20),
-                      (ccr_oracle.quadratic_hamiltonian([[1.0]], [[0.3]]), 30)):
+                      (ccr_oracle.quadratic_hamiltonian([[1.0]], [[0.3]]), 30),
+                      (ccr_oracle.quadratic_hamiltonian(omega, COMPLEX_PAIRING), 9),
+                      (ccr_oracle.quadratic_hamiltonian(COMPLEX_HOPPING), 9)):
         state = ccr_oracle.gaussian_density(h, cutoff)
         assert state.boundary_occupation > 0.0
         assert state.boundary_occupation == pytest.approx(_boundary_by_digits(state),
                                                           rel=1e-12)
         r = ccr_oracle.covariance_of_density(state).r
         assert np.max(np.abs(r - _second_moments_by_trace(state))) <= 1e-13
+
+
+@pytest.mark.parametrize("omega, xi, kind", [
+    ([[1.5, 0.2], [0.2, 1.8]], [[0.0, 0.4], [0.4, 0.0]], "f"),
+    ([[2, 0], [0, 3]], None, "f"),  # integer input is read as real
+    ([[1.5, 0.2], [0.2, 1.8]], COMPLEX_PAIRING, "c"),
+    (COMPLEX_HOPPING, None, "c"),
+    # a complex dtype stays complex even with zero imaginary parts
+    (np.array([[1.5, 0.2], [0.2, 1.8]], dtype=complex), None, "c"),
+])
+def test_matrices_follow_the_coefficients_dtype(omega, xi, kind):
+    h = ccr_oracle.quadratic_hamiltonian(omega, xi)
+    hm = ccr_oracle.hamiltonian_matrix(h, 6)
+    state = ccr_oracle.gaussian_density(h, 6)
+    assert hm.dtype.kind == state.rho.dtype.kind == kind
+    assert np.array_equal(hm, hm.conj().T)
+
+
+def test_real_ladder_matrices():
+    ops = ccr_oracle.boson_ops(2, 5)
+    assert all(x.dtype == np.float64 for x in ops.a + ops.adag + ops.q)
+    assert all(not x.real.any() for x in ops.p)  # p = -i X_p with X_p real
+
+
+def test_a_density_chain_builds_each_operator_once_and_caches_none(monkeypatch):
+    """gaussian_density -> covariance_of_density forms each full-dimension
+    operator at most once and no full-dimension ladder matrix; a second chain
+    forms them all again, since nothing is kept across calls."""
+    built, ladders = [], []
+    on_modes, boson_ops = ccr_oracle._on_modes, ccr_oracle.boson_ops
+    monkeypatch.setattr(ccr_oracle, "_on_modes", lambda n, *factors: built.append(
+        tuple((j, x.tobytes()) for j, x in factors)) or on_modes(n, *factors))
+    monkeypatch.setattr(ccr_oracle, "boson_ops",
+                        lambda *args: ladders.append(args) or boson_ops(*args))
+    h = ccr_oracle.quadratic_hamiltonian([[1.5, 0.2], [0.2, 1.8]], [[0.0, 0.4], [0.4, 0.0]])
+
+    def chain():
+        start = len(built)
+        ccr_oracle.covariance_of_density(ccr_oracle.gaussian_density(h, 8))
+        return built[start:]
+
+    first = chain()
+    # 3 hopping terms, 1 pairing term, 4 quadratures
+    assert len(first) == len(set(first)) == 8
+    assert chain() == first
+    assert not ladders
 
 
 def test_overlap_uses_given_states_at_their_cutoff(monkeypatch):

@@ -225,6 +225,26 @@ def test_pair_calls_stay_within_the_budget(rng, monkeypatch, d):
         assert sum(modes for f, modes, _ in calls if f == name) == n
 
 
+def test_windows_shrink_back_after_a_large_mode(rng, monkeypatch):
+    """One 32 x 32 mode sizes only the window after its own: later 2 x 2
+    windows take 1024 modes again, and every mode keeps its pair-API terms."""
+    s = sampling.random_car_pair(rng, 32)[0]
+    fam = seqmodel.concat_families(seqmodel.literal_family(seqmodel.CAR, [(s, s)]), 1,
+                                   seqmodel.car_power_family(1.0))
+    windows = []
+    stack = seqmodel.ModeFamily.stack
+
+    def spy_stack(self, lo, hi):
+        if self is fam:
+            windows.append(hi - lo + 1)
+        return stack(self, lo, hi)
+
+    monkeypatch.setattr(seqmodel.ModeFamily, "stack", spy_stack)
+    seqmodel._term_table(fam, 4096)
+    assert windows == [1024, 4, 1024, 1024, 1020]
+    assert_table_matches_pair_api(fam, 1100)
+
+
 def test_one_pair_call_per_2x2_scan_at_n_max_1024(monkeypatch):
     calls = spy_on_pair_calls(monkeypatch)
     for fam in (seqmodel.car_power_family(1.0), seqmodel.ccr_thermal_power_family(2.0)):
@@ -315,8 +335,6 @@ def test_pair_functions_see_modes_up_to_tail_from(rng, monkeypatch, n):
     families = tail_families(rng)
     calls = spy_on_pair_calls(monkeypatch)
     for fam in families:
-        if fam.tail_from is None and n > 1024:
-            continue  # a full scan: 4 modes a call after the 32 x 32 mode
         calls.clear()
         table = seqmodel._term_table(fam, n)
         want = n if fam.tail_from is None else min(n, fam.tail_from)
