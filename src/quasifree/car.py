@@ -23,7 +23,7 @@ import numpy as np
 
 from . import matcore
 from .errors import CovarianceError
-from .matcore import dagger, eigh, hermitian_part, hs_norm, raise_first, scalar, svdvals
+from .matcore import adjoint, dagger, eigh, hermitian_part, hs_norm, scalar, svdvals
 
 __all__ = [
     "CarCovariance",
@@ -70,7 +70,7 @@ class CarCovariance:
     def spectrum(self):
         """``(x, v)``: real ``eigh`` of A^T A = -A^2, A = Im S; S has eigenvalues 1/2 +- sqrt(x)."""
         a = self.matrix.imag
-        return eigh(a.swapaxes(-1, -2) @ a)
+        return eigh(adjoint(a) @ a)
 
     @cached_property
     def roots(self):
@@ -98,24 +98,22 @@ def validate_car(s) -> CarCovariance:
     if not np.all(np.isfinite(s)):
         raise CovarianceError("covariance has non-finite entries")
     d = s.shape[-1]
-    scale = 1.0 + np.max(np.abs(s), axis=(-2, -1), initial=0.0)
 
-    herm_defect = np.max(np.abs(s - dagger(s)), axis=(-2, -1), initial=0.0)
-    raise_first(herm_defect > VALIDATION_TOL * scale, herm_defect,
-                lambda v: CovarianceError(f"not Hermitian: max deviation {v:.3e}"))
-    s = hermitian_part(s)
+    def scale():  # of the matrix as given
+        return 1.0 + np.max(np.abs(s), axis=(-2, -1), initial=0.0)
 
-    rel_defect = np.max(np.abs(s + np.conj(s) - np.eye(d)), axis=(-2, -1), initial=0.0)
-    raise_first(rel_defect > VALIDATION_TOL * scale, rel_defect,
-                lambda v: CovarianceError(f"S + conj(S) != I: max deviation {v:.3e}"))
+    matcore.raise_first_above(np.abs(s - dagger(s)), VALIDATION_TOL, scale,
+                              lambda v: CovarianceError(f"not Hermitian: max deviation {v:.3e}"))
+    h = hermitian_part(s)
+    matcore.raise_first_above(np.abs(h + np.conj(h) - np.eye(d)), VALIDATION_TOL, scale,
+                              lambda v: CovarianceError(f"S + conj(S) != I: max deviation {v:.3e}"))
     # enforce the relation exactly: S + conj(S) = I means Re(S) = I/2, and
     # rebuilding from the imaginary part alone cancels without rounding
-    s = 0.5 * np.eye(d) + 1j * np.imag(s)
-    s.setflags(write=False)
-    cov = CarCovariance(s)
-    w = _lowest_eigenvalue(cov)
-    raise_first(w < -VALIDATION_TOL * scale, w,
-                lambda v: CovarianceError(f"not PSD: eigenvalue {v:.6e}"))
+    m = 0.5 * np.eye(d) + 1j * np.imag(h)
+    m.setflags(write=False)
+    cov = CarCovariance(m)
+    matcore.raise_first_above(-_lowest_eigenvalue(cov)[..., None], VALIDATION_TOL, scale,
+                              lambda v: CovarianceError(f"not PSD: eigenvalue {-v:.6e}"), axis=-1)
     return cov
 
 
@@ -162,6 +160,8 @@ def two_point(s, x, y) -> complex:
         raise CovarianceError(
             f"vector length mismatch: {x.shape}, {y.shape} against dim {m.shape[0]}"
         )
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise CovarianceError("vectors must have finite entries")
     return complex(x @ (m @ y))
 
 
@@ -179,6 +179,8 @@ def wick_moment(s, vectors) -> complex:
             raise CovarianceError(
                 f"vector length {v.shape} does not match dimension {m.shape[0]}"
             )
+        if not np.all(np.isfinite(v)):
+            raise CovarianceError("vectors must have finite entries")
     n = len(vs)
     if n == 0:
         return 1.0 + 0.0j
@@ -276,8 +278,7 @@ def quadrature(s) -> np.ndarray:
     """
     cov = _as_covariance(s)
     x, v = cov.spectrum
-    c = hermitian_part((v * np.sqrt(np.clip(0.25 - x, 0.0, None))[..., None, :])
-                       @ v.swapaxes(-1, -2))
+    c = hermitian_part((v * np.sqrt(np.clip(0.25 - x, 0.0, None))[..., None, :]) @ adjoint(v))
     return np.block([[cov.matrix, c], [c, np.eye(cov.dim) - cov.matrix]])
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import matcore
 from .errors import CovarianceError
 from .matcore import (
-    SUPPORT_TOL, eigh, eigvalsh, hermitian_part, hs_norm, raise_first, scalar,
+    SUPPORT_TOL, adjoint, eigh, eigvalsh, hermitian_part, hs_norm, raise_first_above, scalar,
     support_groups,
 )
 
@@ -102,7 +102,7 @@ class CcrCovariance:
     def projection(self) -> np.ndarray:
         """P = p p^T, the orthogonal projection onto supp R (:attr:`support`)."""
         p = self.metric_spectrum[1] * self.support[0][..., None, :]
-        return p @ p.swapaxes(-1, -2)
+        return p @ adjoint(p)
 
     @cached_property
     def spectrum(self):
@@ -113,8 +113,8 @@ class CcrCovariance:
         """
         v = self.metric_spectrum[1]
         keep, inv = self.support
-        a = 0.5 * inv[..., :, None] * (v.swapaxes(-1, -2) @ self.sigma @ v) * inv[..., None, :]
-        x, u = eigh(a.swapaxes(-1, -2) @ a)
+        a = 0.5 * inv[..., :, None] * (adjoint(v) @ self.sigma @ v) * inv[..., None, :]
+        x, u = eigh(adjoint(a) @ a)
         return a, x, u, v * keep[..., None, :]
 
     @cached_property
@@ -127,7 +127,7 @@ class CcrCovariance:
         """
         a, x, u, p = self.spectrum
         g, y = matcore.root_parts(a, x, u, 0.0)
-        pt = p.swapaxes(-1, -2)
+        pt = adjoint(p)
         return p @ g @ pt, p @ y @ pt
 
     @cached_property
@@ -135,8 +135,8 @@ class CcrCovariance:
         # gm(S, conj S) = (2R)^(1/2) sqrt(I/4 - a^T a) (2R)^(1/2) on supp R
         _, x, u, p = self.spectrum
         root = p * np.sqrt(np.maximum(self.metric_spectrum[0], 0.0))[..., None, :]
-        mean = (u * np.sqrt(np.maximum(0.25 - x, 0.0))[..., None, :]) @ u.swapaxes(-1, -2)
-        a = hermitian_part(self.r + root @ mean @ root.swapaxes(-1, -2))
+        mean = (u * np.sqrt(np.maximum(0.25 - x, 0.0))[..., None, :]) @ adjoint(u)
+        a = hermitian_part(self.r + root @ mean @ adjoint(root))
         a.setflags(write=False)
         return a
 
@@ -144,7 +144,7 @@ class CcrCovariance:
 def _as_real(m, name: str) -> np.ndarray:
     m = np.asarray(m)
     if np.iscomplexobj(m):
-        if float(np.max(np.abs(m.imag), initial=0.0)) > 1e-12:
+        if not float(np.max(np.abs(m.imag), initial=0.0)) <= 1e-12:  # NaN is not real
             raise CovarianceError(f"{name} must be real")
         m = m.real
     return np.asarray(m, dtype=float)
@@ -167,18 +167,20 @@ def validate_ccr(sigma, r) -> CcrCovariance:
         raise CovarianceError(f"shape mismatch: sigma {sigma.shape} vs R {r.shape}")
     if not (np.all(np.isfinite(sigma)) and np.all(np.isfinite(r))):
         raise CovarianceError("sigma and R must have finite entries")
-    sigma, r = np.broadcast_arrays(sigma, r)
-    scale = 1.0 + np.max(np.abs(r + 0.5j * sigma), axis=(-2, -1), initial=0.0)
-    for m, sign, what in ((sigma, 1.0, "sigma is not antisymmetric"),
-                          (r, -1.0, "R is not symmetric")):
-        defect = np.max(np.abs(m + sign * np.swapaxes(m, -1, -2)), axis=(-2, -1), initial=0.0)
-        raise_first(defect > VALIDATION_TOL * scale, defect,
-                    lambda v, what=what: CovarianceError(f"{what}: max deviation {v:.3e}"))
-    sigma = 0.5 * (sigma - np.swapaxes(sigma, -1, -2))
-    r = 0.5 * (r + np.swapaxes(r, -1, -2))
-    w = eigvalsh(r + 0.5j * sigma)[..., :1]
-    raise_first(w < -VALIDATION_TOL * scale[..., None], w, lambda v: CovarianceError(
-        f"not a covariance form: minimal eigenvalue of R + i*sigma/2 is {v:.6e}"))
+    sigma_in, r_in = np.broadcast_arrays(sigma, r)
+
+    def scale():  # of the forms as given
+        return 1.0 + np.max(np.abs(r_in + 0.5j * sigma_in), axis=(-2, -1), initial=0.0)
+
+    for m, sign, what in ((sigma_in, 1.0, "sigma is not antisymmetric"),
+                          (r_in, -1.0, "R is not symmetric")):
+        raise_first_above(np.abs(m + sign * np.swapaxes(m, -1, -2)), VALIDATION_TOL, scale,
+                          lambda v, what=what: CovarianceError(f"{what}: max deviation {v:.3e}"))
+    sigma = 0.5 * (sigma_in - np.swapaxes(sigma_in, -1, -2))
+    r = 0.5 * (r_in + np.swapaxes(r_in, -1, -2))
+    raise_first_above(-eigvalsh(r + 0.5j * sigma)[..., :1], VALIDATION_TOL, scale,
+                      lambda v: CovarianceError("not a covariance form: minimal eigenvalue "
+                                                f"of R + i*sigma/2 is {-v:.6e}"), axis=-1)
     sigma.setflags(write=False)
     r.setflags(write=False)
     return CcrCovariance(sigma=sigma, r=r)
@@ -214,6 +216,8 @@ def char_value(cov: CcrCovariance, x) -> float:
     x = _as_real(x, "x")
     if x.shape != (cov.dim,):
         raise CovarianceError(f"vector length {x.shape} does not match dim {cov.dim}")
+    if not np.all(np.isfinite(x)):
+        raise CovarianceError("x must have finite entries")
     return float(math.exp(-0.5 * float(x @ cov.r @ x)))
 
 
@@ -379,7 +383,7 @@ def qe_distance_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance):
         # 2R_S must vanish on the kernel of 2R_T
         bound = 1e-8 * (1.0 + np.linalg.norm(g, axis=(-2, -1)))[:, None]
         leak = np.any(~keep & (np.linalg.norm(gv, axis=-2) > bound), axis=-1)
-        wr = eigvalsh(inv[:, :, None] * (v.swapaxes(-1, -2) @ gv) * inv[:, None, :])
+        wr = eigvalsh(inv[:, :, None] * (adjoint(v) @ gv) * inv[:, None, :])
         lo = np.take_along_axis(wr, np.clip(d - rank, 0, d - 1)[:, None], -1)[:, 0]
         # scale-free: positive on supp R_T and within CONDITION_BOUND of its top
         with np.errstate(divide="ignore", invalid="ignore"):

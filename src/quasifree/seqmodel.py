@@ -56,7 +56,7 @@ DIVERGENCE_FACTOR = 10.0
 # Stacked matrix entries (modes x d^2) per table call: 1024 2x2 or 256 4x4 modes.
 BLOCK_ENTRIES = 4096
 # Largest mode count the sequence APIs evaluate (SizeCapError above it): a scan at the cap
-# takes ~3-5 s for CAR and ~9-13 s for CCR built-ins, ~0.25 s for a short literal.
+# takes ~3.5-4 s for CAR and ~11-13 s for CCR built-ins, ~0.25 s for a short literal.
 N_MAX_CAP = 1 << 20
 
 
@@ -345,10 +345,10 @@ def classify_sequence(family: ModeFamily, n_max: int = DEFAULT_N_MAX) -> Sequenc
     refusing to answer is deliberate there.)
 
     ``n_max`` above N_MAX_CAP = 2**20 raises :class:`SizeCapError`: at the cap the
-    scan costs 3.0-4.4 us/mode for the CAR built-ins and 8.6-12.3 us/mode for the
-    CCR built-ins (2-vCPU x86_64 VM, one BLAS thread), ~3-5 s and ~9-13 s in all.
-    A literal or concatenated-literal family costs its listed pairs plus O(n)
-    summation: car_counterexample() takes 0.24 s at the cap.
+    scan costs 3.4-3.6 us/mode for the CAR built-ins and 10.9-12.1 us/mode for the
+    CCR built-ins (2-vCPU x86_64 VM, one BLAS thread), ~3.6-3.8 s and ~11-13 s in
+    all. A literal or concatenated-literal family costs its listed pairs plus O(n)
+    summation: car_counterexample() takes 0.23-0.25 s at the cap.
     """
     if n_max < MIN_N_MAX:
         raise ValueError(f"n_max must be at least {MIN_N_MAX}, got {n_max}")

@@ -87,6 +87,35 @@ def test_validate_stack_reports_failing_matrix():
         car.validate_car(stack)
 
 
+def mu_matrix(mu, herm=0.0, real=0.0):
+    """[[1/2, -i mu], [i mu, 1/2]], i*herm added to entry (0, 1) and real to entry (0, 0)."""
+    return np.array([[0.5 + real, 1j * (herm - mu)], [1j * mu, 0.5]])
+
+
+# check: (matrix with a defect x, an x in (VALIDATION_TOL, 1.5 VALIDATION_TOL], an x
+# above it, the message naming it); 1.5 is 1 + max|entry| of these matrices
+SCALED_DEFECTS = {
+    "hermitian": (lambda x: mu_matrix(0.3, herm=x), 1.2e-10, 2e-10,
+                  r"not Hermitian: max deviation 2\.000e-10$"),
+    "relation": (lambda x: mu_matrix(0.3, real=0.5 * x), 1.2e-10, 2e-10,
+                 r"S \+ conj\(S\) != I: max deviation 2\.000e-10$"),
+    "psd": (lambda x: mu_matrix(0.5 + x), 1.2e-10, 2e-10,
+            r"not PSD: eigenvalue -(2\.00000|1\.99999)\de-10$"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(SCALED_DEFECTS))
+def test_validate_stack_bound_scales_per_matrix(check):
+    """A defect above VALIDATION_TOL but within VALIDATION_TOL * scale passes in a
+    stack; a larger one is refused with the value of the first matrix over its bound."""
+    make, inside, over, message = SCALED_DEFECTS[check]
+    good = car.mu_covariance(0.1).matrix
+    cov = car.validate_car(np.stack([good, make(inside), good]))
+    assert np.array_equal(cov.matrix, cov.matrix.conj().swapaxes(-1, -2))
+    with pytest.raises(CovarianceError, match=message):
+        car.validate_car(np.stack([good, make(over), make(1.5 * over)]))
+
+
 def test_validate_rejects_nonsquare():
     with pytest.raises(CovarianceError, match="square"):
         car.validate_car(np.zeros((2, 3)))
@@ -108,6 +137,22 @@ def test_two_point_reads_matrix_entries():
     assert car.two_point(s, e0, e0) == pytest.approx(0.5)
     with pytest.raises(CovarianceError, match="length"):
         car.two_point(s, np.ones(3), e0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_two_point_rejects_non_finite_vectors(bad):
+    s, e0 = car.mu_covariance(0.3), np.array([1.0, 0.0])
+    for x, y in (([bad, 0.0], e0), (e0, [0.0, bad])):
+        with pytest.raises(CovarianceError, match="finite"):
+            car.two_point(s, x, y)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_wick_moment_rejects_non_finite_vectors(bad):
+    s, e0 = car.mu_covariance(0.3), np.array([1.0, 0.0])
+    for vectors in ([e0, [bad, 0.0]], [[0.0, bad]]):  # an odd product too
+        with pytest.raises(CovarianceError, match="finite"):
+            car.wick_moment(s, vectors)
 
 
 def test_wick_moment_trivial_cases(rng):

@@ -94,6 +94,35 @@ def test_stacked_pair_api_matches_pairs_bitwise(rng):
     assert list(ccr.is_standard_ccr(s)) == [ccr.is_standard_ccr(a) for a, _ in pairs]
 
 
+def rotated_thermal_pairs(rng, modes, count):
+    """``count`` pairs of thermal products of random widths on ``modes`` modes, each
+    form turned by its own passive rotation (the orthogonal symplectic of a unitary)."""
+    def form():
+        z = rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes))
+        u = np.linalg.qr(z)[0]
+        o = np.block([[u.real, -u.imag], [u.imag, u.real]])
+        return (o * np.tile(0.5 * rng.uniform(1.0, 3.0, modes), 2)) @ o.T
+
+    return [(form(), form()) for _ in range(count)]
+
+
+@pytest.mark.parametrize("modes", [2, 4, 16])
+def test_stacked_rotated_thermal_pairs_match_single_calls_bitwise(rng, modes):
+    """d = 4, 8 and 32: each pair of a stack gets the bits of its own call (at d = 32
+    BLAS takes another kernel for a transposed operand than for a contiguous one)."""
+    sigma, pairs = ccr.canonical_sigma(modes), rotated_thermal_pairs(rng, modes, 5)
+    pairs.append(pairs[0][::-1])
+    s, t = (ccr.validate_ccr(sigma, np.stack(forms)) for forms in zip(*pairs))
+    log_tp, (equiv, dist) = ccr.log_trans_prob_ccr(s, t), ccr.qe_distance_ccr(s, t)
+    for i, (a, b) in enumerate(pairs):
+        cs, ct = ccr.validate_ccr(sigma, a), ccr.validate_ccr(sigma, b)
+        assert np.array_equal(s.r[i], cs.r)
+        assert log_tp[i] == ccr.log_trans_prob_ccr(cs, ct)
+        assert (equiv[i], dist[i]) == ccr.qe_distance_ccr(cs, ct)
+        assert np.array_equal(ccr.ab_form(s)[i], ccr.ab_form(cs))
+        assert all(np.array_equal(m[i], m1) for m, m1 in zip(s.roots, cs.roots))
+
+
 def test_validate_rejects_asymmetric_forms():
     sigma, r = ccr.canonical_sigma(1), np.eye(2)
     with pytest.raises(CovarianceError, match="sigma is not antisymmetric"):
@@ -103,6 +132,50 @@ def test_validate_rejects_asymmetric_forms():
     stack = np.stack([r, r + [[0.0, 1e-3], [0.0, 0.0]]])
     with pytest.raises(CovarianceError, match=r"R is not symmetric: max deviation 1\.000e-03"):
         ccr.validate_ccr(sigma, stack)
+
+
+def thermal_form(c, xy=0.0):
+    """Width-c thermal R on one mode with xy added to its entry (0, 1)."""
+    return np.array([[0.5 * c, xy], [0.0, 0.5 * c]])
+
+
+def canonical_with(xy):
+    """The one-mode canonical sigma with xy added to its entry (0, 1)."""
+    return ccr.canonical_sigma(1) + [[0.0, xy], [0.0, 0.0]]
+
+
+# check: ((sigma, R) with a defect x, an x in (VALIDATION_TOL, VALIDATION_TOL * scale],
+# an x above it, the message naming it); scale = 1 + max|R + i sigma/2| is 2.5 for
+# width 3 and 1.5 for width 1
+SCALED_DEFECTS = {
+    "antisymmetric": (lambda x: (canonical_with(x), thermal_form(3.0)), 2e-10, 3e-10,
+                      r"sigma is not antisymmetric: max deviation 3\.000e-10$"),
+    "symmetric": (lambda x: (canonical_with(0.0), thermal_form(3.0, x)), 2e-10, 3e-10,
+                  r"R is not symmetric: max deviation 3\.000e-10$"),
+    "psd": (lambda x: (canonical_with(0.0), thermal_form(1.0 - 2.0 * x)), 1.2e-10, 2e-10,
+            r"minimal eigenvalue of R \+ i\*sigma/2 is -(2\.00000|1\.99999)\de-10$"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(SCALED_DEFECTS))
+def test_validate_stack_bound_scales_per_matrix(check):
+    """A defect above VALIDATION_TOL but within VALIDATION_TOL * scale passes in a
+    stack; a larger one is refused with the value of the first matrix over its bound."""
+    make, inside, over, message = SCALED_DEFECTS[check]
+    good = make(0.0)
+    cov = ccr.validate_ccr(*(np.stack(m) for m in zip(good, make(inside), good)))
+    assert np.array_equal(cov.r, cov.r.swapaxes(-1, -2))
+    with pytest.raises(CovarianceError, match=message):
+        ccr.validate_ccr(*(np.stack(m) for m in zip(good, make(over), make(1.5 * over))))
+
+
+def test_validate_rejects_nan_imaginary_part():
+    """complex(x, nan) is not real: it is refused, not read as x."""
+    sigma = ccr.canonical_sigma(1) + complex(0.0, math.nan)
+    with pytest.raises(CovarianceError, match="sigma must be real"):
+        ccr.validate_ccr(sigma, np.eye(2))
+    with pytest.raises(CovarianceError, match="x must be real"):
+        ccr.char_value(ccr.thermal_covariance(2.0), [complex(1.0, math.nan), 0.0])
 
 
 def test_validate_shape_guards():
@@ -133,6 +206,12 @@ def test_char_value():
         ccr.char_value(cov, np.ones(3))
     with pytest.raises(CovarianceError, match="one covariance"):
         ccr.char_value(ccr.thermal_covariance([2.0, 3.0]), x)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_char_value_rejects_non_finite_vector(bad):
+    with pytest.raises(CovarianceError, match="finite"):
+        ccr.char_value(ccr.thermal_covariance(2.0), [bad, 0.0])
 
 
 # ----------------------------------------------------------- symmetrized form
