@@ -24,6 +24,7 @@ import numpy as np
 from . import matcore
 from .errors import CovarianceError
 from .matcore import adjoint, dagger, eigh, hermitian_part, hs_norm, scalar, svdvals
+from .tolerances import DEGENERACY_SNAP, VALIDATION_TOL, ZERO_TOL
 
 __all__ = [
     "CarCovariance",
@@ -40,15 +41,6 @@ __all__ = [
     "validate_car",
     "wick_moment",
 ]
-
-VALIDATION_TOL = 1e-10
-# Singular values of the overlap matrix below this (relative) cut are exact zeros.
-SINGULAR_TOL = 1e-10
-
-# spectrum within this distance of the endpoints {0, 1} is treated as exactly
-# degenerate when taking square roots (see CarCovariance.roots); two orders
-# above the worst-case eigensolver noise for the dimensions this package targets
-DEGENERACY_SNAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -217,8 +209,8 @@ def _overlap_singular_values(s, t) -> np.ndarray:
 
 
 def _zero_count(sv: np.ndarray):
-    """How many singular values (descending) are exact zeros: <= SINGULAR_TOL * max(1, largest)."""
-    return np.count_nonzero(sv <= SINGULAR_TOL * np.maximum(1.0, sv[..., :1]), axis=-1)
+    """How many singular values (descending) are exact zeros: <= ZERO_TOL * max(1, largest)."""
+    return np.count_nonzero(sv <= ZERO_TOL * np.maximum(1.0, sv[..., :1]), axis=-1)
 
 
 def _log_tp(sv: np.ndarray) -> np.ndarray:
@@ -246,7 +238,7 @@ def trans_prob_car(s, t):
 
     Computed as |det M|^(1/2) with M = sqrt(S) sqrt(T) + sqrt(I-S) sqrt(I-T),
     a real matrix (see the module docstring), via singular values; a singular
-    value at or below SINGULAR_TOL (relative) collapses the result to exactly 0.
+    value at or below ZERO_TOL (relative) collapses the result to exactly 0.
     Always in [0, 1], 1 iff S = T; the exp of :func:`log_trans_prob_car`, so
     it can underflow to 0.0 where the log is finite. Stacked covariances give
     one value per pair.
@@ -337,4 +329,4 @@ def is_standard_car(s) -> bool:
 
     Stacked covariances give one flag per matrix.
     """
-    return scalar(_lowest_eigenvalue(_as_covariance(s)) > 1e-10)
+    return scalar(_lowest_eigenvalue(_as_covariance(s)) > ZERO_TOL)

@@ -29,6 +29,9 @@ __all__ = [
 
 # the density is (2^n)^2 complex entries; measured cost at the cap is in README
 MAX_MODES = 10
+# the density's self-checks: trace one and two-point moments, then positivity
+SELF_CHECK_TOL = 1e-10
+SELF_CHECK_PSD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -143,14 +146,14 @@ def density_from_covariance(s) -> np.ndarray:
 
     rho = hermitian_part(rho)
     trace_err = abs(float(np.trace(rho).real) - 1.0)
-    if trace_err > 1e-10:
+    if trace_err > SELF_CHECK_TOL:
         raise RuntimeError(f"oracle density trace off by {trace_err:.3e} (convention bug)")
     moment_err = float(np.max(np.abs(rep.pair_moments(rho) - 2.0 * sm)))
-    if moment_err > 1e-10:
+    if moment_err > SELF_CHECK_TOL:
         raise RuntimeError(f"oracle density two-point moments off by {moment_err:.3e} "
                            "(convention bug)")
     w = np.linalg.eigvalsh(rho)
-    if w[0] < -1e-9:
+    if w[0] < -SELF_CHECK_PSD_TOL:
         raise RuntimeError(f"oracle density not PSD: eigenvalue {w[0]:.3e} (convention bug)")
     rho.setflags(write=False)
     return rho
@@ -161,9 +164,9 @@ def sqrt_density(rho: np.ndarray) -> np.ndarray:
 
     A real density takes a real ``eigh`` and has a real root. The oracles
     take their spectra from numpy, not from the closed-form kernels of
-    :mod:`quasifree.matcore` that the formulas use. Eigenvalues in
-    ``[-PSD_CLAMP_TOL * ||rho||, 0)`` are clipped to zero; below that
-    :class:`~quasifree.errors.NotPositiveError` is raised.
+    :mod:`quasifree.matcore` that the formulas use, but clamp through their
+    ``require_psd``: eigenvalues in ``[-ZERO_TOL * ||rho||, 0)`` become zero,
+    and below that :class:`~quasifree.errors.NotPositiveError` is raised.
     """
     w, v = np.linalg.eigh(hermitian_part(rho))
     require_psd(w, "density")

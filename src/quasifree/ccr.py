@@ -30,9 +30,10 @@ import numpy as np
 from . import matcore
 from .errors import CovarianceError
 from .matcore import (
-    SUPPORT_TOL, adjoint, eigh, eigvalsh, hermitian_part, hs_norm, raise_first_above, scalar,
-    support_groups,
+    adjoint, eigh, eigvalsh, hermitian_part, hs_norm, raise_first_above, scalar, support_groups,
 )
+from .tolerances import (
+    CONDITION_BOUND, EXACT_TOL, KERNEL_LEAK_TOL, SUPPORT_GAP, VALIDATION_TOL, ZERO_TOL)
 
 __all__ = [
     "CENTRAL_ELEMENT_MISMATCH",
@@ -53,12 +54,6 @@ __all__ = [
     "trans_prob_ccr",
     "validate_ccr",
 ]
-
-VALIDATION_TOL = 1e-10
-# Supports differ when their projections are farther apart than this (HS norm).
-SUPPORT_GAP = 1e-6
-# Mutual-domination condition bound for metric equivalence.
-CONDITION_BOUND = 1e12
 
 QUASI_EQUIVALENT = "QuasiEquivalent"
 DISJOINT = "Disjoint"
@@ -95,7 +90,7 @@ class CcrCovariance:
         """``(keep, inv)``: the support mask of 2R over the columns of v, and
         inv = w^(-1/2) on it, zero off it."""
         w = self.metric_spectrum[0]
-        keep = w > SUPPORT_TOL * np.max(np.abs(w), axis=-1, keepdims=True, initial=0.0)
+        keep = w > ZERO_TOL * np.max(np.abs(w), axis=-1, keepdims=True, initial=0.0)
         return keep, np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
 
     @cached_property
@@ -144,7 +139,7 @@ class CcrCovariance:
 def _as_real(m, name: str) -> np.ndarray:
     m = np.asarray(m)
     if np.iscomplexobj(m):
-        if not float(np.max(np.abs(m.imag), initial=0.0)) <= 1e-12:  # NaN is not real
+        if not float(np.max(np.abs(m.imag), initial=0.0)) <= EXACT_TOL:  # NaN is not real
             raise CovarianceError(f"{name} must be real")
         m = m.real
     return np.asarray(m, dtype=float)
@@ -205,7 +200,7 @@ def thermal_covariance(c, n_modes: int = 1) -> CcrCovariance:
 def _check_same_space(a: CcrCovariance, b: CcrCovariance) -> None:
     if a.r.shape != b.r.shape:
         raise CovarianceError(f"dimension mismatch: {a.r.shape} vs {b.r.shape}")
-    if float(np.max(np.abs(a.sigma - b.sigma), initial=0.0)) > 1e-12:
+    if float(np.max(np.abs(a.sigma - b.sigma), initial=0.0)) > EXACT_TOL:
         raise CovarianceError("covariances live on different symplectic forms")
 
 
@@ -269,7 +264,7 @@ def _transition_analysis(cov_s: CcrCovariance, cov_t: CcrCovariance):
     mismatch = _supports_differ(cov_s, cov_t)
     g = hermitian_part(a + b)
     w, v = eigh(g)
-    keep = w > SUPPORT_TOL * np.maximum(np.trace(g, axis1=-2, axis2=-1), 0.0)[:, None]
+    keep = w > ZERO_TOL * np.maximum(np.trace(g, axis1=-2, axis2=-1), 0.0)[:, None]
     log_t = np.where(mismatch, -np.inf, 0.0)
     factors = []
     for sel, wk, basis, _ in support_groups(w, v, keep):
@@ -381,7 +376,7 @@ def qe_distance_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance):
         rank = np.count_nonzero(keep, axis=-1)
         gv = g @ v
         # 2R_S must vanish on the kernel of 2R_T
-        bound = 1e-8 * (1.0 + np.linalg.norm(g, axis=(-2, -1)))[:, None]
+        bound = KERNEL_LEAK_TOL * (1.0 + np.linalg.norm(g, axis=(-2, -1)))[:, None]
         leak = np.any(~keep & (np.linalg.norm(gv, axis=-2) > bound), axis=-1)
         wr = eigvalsh(inv[:, :, None] * (adjoint(v) @ gv) * inv[:, None, :])
         lo = np.take_along_axis(wr, np.clip(d - rank, 0, d - 1)[:, None], -1)[:, 0]
@@ -408,4 +403,4 @@ def is_standard_ccr(cov: CcrCovariance) -> bool:
     support it holds vacuously.
     """
     x = cov.spectrum[1]
-    return scalar(0.5 - np.sqrt(np.max(x, axis=-1, initial=0.0)) > 1e-10)
+    return scalar(0.5 - np.sqrt(np.max(x, axis=-1, initial=0.0)) > ZERO_TOL)

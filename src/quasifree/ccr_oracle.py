@@ -46,6 +46,10 @@ MAX_FOCK_DIM = 8000
 VACUUM_BETA = 100.0
 # overlap_ccr converges once two successive cutoffs agree within this
 OVERLAP_TOL = 1e-7
+# omega must be Hermitian and xi symmetric within this (absolute)
+COEFFICIENT_TOL = 1e-12
+# a Gibbs state with more weight on the cutoff boundary has not converged
+BOUNDARY_WEIGHT = 0.01
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -69,12 +73,12 @@ def quadratic_hamiltonian(omega, xi=None) -> QuadraticHamiltonian:
     omega = float_or_complex(omega)
     if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
         raise ValueError(f"omega must be square, got shape {omega.shape}")
-    if not np.all(np.isfinite(omega)):  # NaN would pass the > 1e-12 checks below
+    if not np.all(np.isfinite(omega)):  # NaN would pass the checks below
         raise ValueError("omega must have finite entries")
     n = omega.shape[0]
     if not 1 <= n <= MAX_OSC_MODES:
         raise SizeCapError(f"n_modes must be in 1..{MAX_OSC_MODES}, got {n}")
-    if float(np.max(np.abs(omega - omega.conj().T), initial=0.0)) > 1e-12:
+    if float(np.max(np.abs(omega - omega.conj().T), initial=0.0)) > COEFFICIENT_TOL:
         raise ValueError("omega must be Hermitian")
     omega = hermitian_part(omega)
     xi = float_or_complex(np.zeros((n, n)) if xi is None else xi)
@@ -82,7 +86,7 @@ def quadratic_hamiltonian(omega, xi=None) -> QuadraticHamiltonian:
         raise ValueError(f"xi shape {xi.shape} does not match omega {omega.shape}")
     if not np.all(np.isfinite(xi)):
         raise ValueError("xi must have finite entries")
-    if float(np.max(np.abs(xi - xi.T), initial=0.0)) > 1e-12:
+    if float(np.max(np.abs(xi - xi.T), initial=0.0)) > COEFFICIENT_TOL:
         raise ValueError("xi must be symmetric")
     xi = 0.5 * (xi + xi.T)
     omega.setflags(write=False)
@@ -207,7 +211,7 @@ def gaussian_density(h: QuadraticHamiltonian, cutoff: int) -> TruncatedState:
     digits = np.arange(rho.shape[0])[:, None] // m ** np.arange(h.n_modes) % m
     occ = np.any(digits == cutoff, axis=1)
     boundary = float(np.sum(np.real(np.diag(rho))[occ]))
-    if boundary > 0.01:
+    if boundary > BOUNDARY_WEIGHT:
         raise InconclusiveError(
             f"partition function not converged at cutoff {cutoff}: "
             f"boundary occupation {boundary:.3e}"

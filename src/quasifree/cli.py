@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__, car, car_oracle, ccr, ccr_oracle, matcore, seqmodel
 from .errors import ConsistencyViolation, CovarianceError, InconclusiveError, SizeCapError
+from .tolerances import ORACLE_COMPARE_TOL, THERMAL_MATCH_TOL
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -31,6 +32,8 @@ EXIT_RESOURCE = 4
 # (4 modes), below car_oracle.MAX_MODES, on purpose: perfbench's cli workload
 # runs a 10-dimensional pair (scenario car10) that must exit 4.
 CAR_ORACLE_COMPARE_MAX_DIM = 8
+# JSON levels a scenario may nest (its keys need 7); deeper, it is refused before any recursion
+MAX_SCENARIO_DEPTH = 64
 
 
 class _Algebra(NamedTuple):
@@ -89,12 +92,21 @@ def load_scenario(path: str):
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
     digest = "sha256:" + hashlib.sha256(raw).hexdigest()
+    too_deep = f"scenario nests deeper than {MAX_SCENARIO_DEPTH} levels"
     try:
         scenario = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(too_deep) from exc
     if not isinstance(scenario, dict):
         raise ScenarioError("scenario must be a JSON object")
+    level = [scenario]
+    for _ in range(MAX_SCENARIO_DEPTH):  # level by level, without recursion
+        level = [x for c in level for x in (c.values() if isinstance(c, dict) else c)
+                 if isinstance(x, (dict, list))]
+    if level:
+        raise ScenarioError(too_deep)
     kind = scenario.get("kind")
     if kind not in _KINDS:
         raise ScenarioError(f"scenario kind must be one of {tuple(_KINDS)}, got {kind!r}")
@@ -120,9 +132,14 @@ def _is_number(x) -> bool:
         isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max)
 
 
+def _is_finite(x) -> bool:
+    """A JSON number (:func:`_is_number`) that is finite."""
+    return _is_number(x) and math.isfinite(x)
+
+
 def _exponent(fam: dict) -> float:
     p = fam.get("p")
-    if not _is_number(p) or not p > 0:
+    if not _is_finite(p) or not p > 0:
         raise ScenarioError(f"{fam['rule']} needs a positive exponent 'p'")
     return float(p)
 
@@ -248,11 +265,11 @@ def _thermal_widths(cov: ccr.CcrCovariance):
     """Width c if the covariance is single-mode thermal-diagonal, else None."""
     if cov.dim != 2:
         return None
-    if float(np.max(np.abs(cov.sigma - ccr.canonical_sigma(1)))) > 1e-9:
+    if float(np.max(np.abs(cov.sigma - ccr.canonical_sigma(1)))) > THERMAL_MATCH_TOL:
         return None
-    r = cov.r
+    r, tol = cov.r, THERMAL_MATCH_TOL
     c = 2.0 * float(r[0, 0])
-    if abs(r[0, 1]) > 1e-9 or abs(2.0 * r[1, 1] - c) > 1e-9 or c < 1.0 - 1e-9:
+    if abs(r[0, 1]) > tol or abs(2.0 * r[1, 1] - c) > tol or c < 1.0 - tol:
         return None
     return max(c, 1.0)
 
@@ -328,7 +345,7 @@ _COMMANDS = {
 
 # option -> (type, default, help); a scenario's "options" override the default, a flag both
 _OPTIONS = {
-    "tol": (float, 1e-8, "comparison tolerance"),
+    "tol": (float, ORACLE_COMPARE_TOL, "comparison tolerance"),
     "cutoff": (int, 80, "max truncated-Fock cutoff"),
     "n_max": (int, seqmodel.DEFAULT_N_MAX, "sequence scan length"),
 }
@@ -366,7 +383,7 @@ _FAILURES = (
 
 def _numeric_option(key: str, value, kind):
     """A finite number option as float or int; anything else is a ScenarioError."""
-    if not _is_number(value) or not math.isfinite(value):
+    if not _is_finite(value):
         raise ScenarioError(f"option {key!r} must be a finite number, got {value!r}")
     if kind is int and value != int(value):
         raise ScenarioError(f"option {key!r} must be an integer, got {value!r}")

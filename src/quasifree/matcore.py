@@ -4,7 +4,8 @@ Everything operates on plain numpy arrays; real input stays real (and its
 spectra come from real ``eigh``), anything else is complex. Inputs are
 explicitly symmetrized (Hermitian ops) or antisymmetrized (skew ops) before
 use, and eigenvalues below a relative clamp threshold are treated as
-structural zeros. Results are deterministic for identical input bits.
+structural zeros. Results are deterministic for identical input bits at one
+BLAS thread count; another count can change the last bits of a LAPACK result.
 
 The spectral kernels :func:`eigh`, :func:`eigvalsh` and :func:`svdvals` are
 what the pair functions of :mod:`quasifree.car` and :mod:`quasifree.ccr`
@@ -25,10 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotPositiveError
+from .tolerances import COMMON_SUPPORT_TOL, ZERO_TOL
 
 __all__ = [
-    "PSD_CLAMP_TOL",
-    "SUPPORT_TOL",
     "geometric_mean",
     "hermitian_part",
     "hs_norm",
@@ -38,11 +38,6 @@ __all__ = [
     "sqrt_psd",
     "support_groups",
 ]
-
-# Relative threshold below which eigenvalues count as exact zeros.
-PSD_CLAMP_TOL = 1e-10
-# Relative threshold for membership in the support (range) of a PSD operator.
-SUPPORT_TOL = 1e-10
 
 
 def dagger(x: np.ndarray) -> np.ndarray:
@@ -109,10 +104,10 @@ def _check_pair(x: np.ndarray, y: np.ndarray) -> None:
 
 
 def require_psd(w: np.ndarray, name: str) -> None:
-    """NotPositiveError unless each spectrum (ascending) is above -PSD_CLAMP_TOL * its max |w|."""
+    """NotPositiveError unless each spectrum (ascending) is above -ZERO_TOL * its max |w|."""
     if w.shape[-1]:
         low, msg = w[..., 0], f"{name} is not PSD: minimal eigenvalue {{:.6e}}"
-        raise_first(low < -PSD_CLAMP_TOL * np.max(np.abs(w), axis=-1), low,
+        raise_first(low < -ZERO_TOL * np.max(np.abs(w), axis=-1), low,
                     lambda v: NotPositiveError(msg.format(v), v))
 
 
@@ -241,7 +236,7 @@ def svdvals(x: np.ndarray) -> np.ndarray:
 def sqrt_psd(h: np.ndarray) -> np.ndarray:
     """Positive-semidefinite square root of the Hermitian part of ``h``.
 
-    Eigenvalues in ``[-PSD_CLAMP_TOL * ||h||, 0)`` are clamped to zero; anything
+    Eigenvalues in ``[-ZERO_TOL * ||h||, 0)`` are clamped to zero; anything
     below that raises :class:`NotPositiveError`.
     """
     w, v = eigh(hermitian_part(_check_square(h, "matrix", stack=True)))
@@ -330,7 +325,7 @@ def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     On the common support this is the usual
     ``a^{1/2} (a^{-1/2} b a^{-1/2})^{1/2} a^{1/2}`` (the variational operator
     mean); off the common support the result is zero. Eigenvalues at or below
-    ``PSD_CLAMP_TOL * trace`` count as outside the support.
+    ``ZERO_TOL * trace`` count as outside the support.
     """
     a = hermitian_part(_check_square(a, "first matrix", stack=True))
     b = hermitian_part(_check_square(b, "second matrix", stack=True))
@@ -340,12 +335,12 @@ def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for m, name in ((a, "first matrix"), (b, "second matrix")):
         w, v = eigh(m)
         require_psd(w, name)
-        keep = w > PSD_CLAMP_TOL * np.maximum(np.trace(m, axis1=-2, axis2=-1).real, 0.0)[..., None]
+        keep = w > ZERO_TOL * np.maximum(np.trace(m, axis1=-2, axis2=-1).real, 0.0)[..., None]
         proj.append((v * keep[..., None, :]) @ adjoint(v))
 
     # common support = eigenvalue-2 space of the sum of the two support projections
     ww, vv = eigh(proj[0] + proj[1])
-    common = ww >= 2.0 - 1e-8
+    common = ww >= 2.0 - COMMON_SUPPORT_TOL
     g = np.zeros(a.shape, np.result_type(a, b))
     for sel, _, basis, _ in support_groups(ww, vv, common):
         if basis.shape[-1]:

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import car, ccr
 from .errors import ConsistencyViolation, CovarianceError, SizeCapError
+from .tolerances import DIVERGENCE_FACTOR, WINDOW_EPS
 
 __all__ = [
     "CAR",
@@ -50,9 +51,6 @@ HS_DIVERGENCE = "HSDivergence"
 
 DEFAULT_N_MAX = 4096
 MIN_N_MAX = 64
-# a window of partial sums that adds less than this converges (see _series_class)
-WINDOW_EPS = 1e-3
-DIVERGENCE_FACTOR = 10.0
 # Stacked matrix entries (modes x d^2) per table call: 1024 2x2 or 256 4x4 modes.
 BLOCK_ENTRIES = 4096
 # Largest mode count the sequence APIs evaluate (SizeCapError above it): a scan at the cap

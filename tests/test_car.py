@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 from doubled_space import doubled_conjugate, validate_doubled_covariance
 
-from quasifree import car, matcore, sampling
+from quasifree import car, matcore, sampling, tolerances
 from quasifree.errors import CovarianceError
 
 # the transition probability between the mu = 0.3 and mu = 0.1 states,
@@ -534,12 +534,12 @@ def _complex_route(s, t, meet_tol):
         vh = v.conj().T
         c = (v * np.sqrt(w * (1.0 - w))) @ vh  # quadratures are not snapped
         quads.append(np.block([[m, c], [c, np.eye(len(m)) - m]]))
-        w[w <= car.DEGENERACY_SNAP] = 0.0
-        w[w >= 1.0 - car.DEGENERACY_SNAP] = 1.0
+        w[w <= tolerances.DEGENERACY_SNAP] = 0.0
+        w[w >= 1.0 - tolerances.DEGENERACY_SNAP] = 1.0
         roots.append(((v * np.sqrt(w)) @ vh, (v * np.sqrt(1.0 - w)) @ vh))
     (rs, cs), (rt, ct) = roots
     sv = np.linalg.svd(rs @ rt + cs @ ct, compute_uv=False)
-    tp = 0.0 if sv[-1] <= car.SINGULAR_TOL * max(1.0, sv[0]) else math.sqrt(np.prod(sv))
+    tp = 0.0 if sv[-1] <= tolerances.ZERO_TOL * max(1.0, sv[0]) else math.sqrt(np.prod(sv))
     meet = projection_meet(quads[0], np.eye(len(quads[1])) - quads[1], meet_tol)
     return tp, np.linalg.norm(rs - rt), quads, int(round(np.trace(meet).real))
 
@@ -564,7 +564,7 @@ def test_real_kernels_match_complex_route(rng, d):
         noise = d * 2.2e-16
         floor = 0.0 if delta is None else (
             noise / math.sqrt(delta) if delta > noise else math.sqrt(noise))
-        tol = 1e-12 + (floor if delta is not None and delta > car.DEGENERACY_SNAP else 0.0)
+        tol = 1e-12 + (floor if delta is not None and delta > tolerances.DEGENERACY_SNAP else 0.0)
         assert abs(car.trans_prob_car(s, t) - tp) <= tol, (kind, delta)
         assert abs(car.qe_distance_car(s, t) - qe) <= tol, (kind, delta)
         assert np.max(np.abs(car.quadrature(s) - p)) <= 1e-12 + floor, (kind, delta)

@@ -429,6 +429,11 @@ def test_boolean_exponent_is_validation_error(tmp_path, capsys):
     sc = {"kind": "car-sequence", "family": {"rule": "car_mu_power", "p": True},
           "options": {"n_max": 256}}
     assert_validation_error(capsys, tmp_path, sc, command="classify", needle="exponent")
+    # 1e400 parses to inf
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(sc).replace("true", "1e400"))
+    code, report, err = run_cli(capsys, ["classify", str(path)])
+    assert code == 2 and "exponent" in report["error"] and "Traceback" not in err
 
 
 def test_nan_entry_is_validation_error(tmp_path, capsys):
@@ -511,9 +516,21 @@ _ARGS = st.lists(
               st.sampled_from(["1e-6", "nan", "-inf", "70", "2.5", "1e999", "x", ""])),
     max_size=1,
 )
-# scenario file text: mostly JSON, sometimes arbitrary text; None means no file argument
+
+
+def _nested(depth: int, key: str) -> str:
+    """A car-pair scenario whose ``key`` (S, or one nothing reads) is ``depth`` lists deep."""
+    fields = {"kind": '"car-pair"', "S": json.dumps(MU_03), "T": json.dumps(MU_01),
+              key: "[" * depth + "]" * depth}
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+
+
+# scenario file text: mostly JSON, sometimes arbitrary text or deep nesting, past
+# what json and a recursive echo can take; None means no file argument
 _CONTENT = st.one_of(_SCENARIO.map(json.dumps), _SCENARIO.map(json.dumps),
-                     st.text(max_size=12), st.none())
+                     st.text(max_size=12), st.none(),
+                     st.builds(_nested, st.sampled_from([63, 64, 500, 990, 5000, 100000]),
+                               st.sampled_from(["S", "unused"])))
 
 
 def _reject_constant(token):
