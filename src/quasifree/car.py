@@ -9,9 +9,9 @@ The relation forces S = I/2 + iA with A = Im S real antisymmetric. Each
 covariance is factorised once, by one real ``eigh`` of A^T A = -A^2 kept on
 the frozen :class:`CarCovariance`; sqrt(S) = G + iY and sqrt(I-S) = G - iY with
 G, Y real functions of it, so the overlap matrix M = 2(G_S G_T - Y_S Y_T) is
-real and one real SVD of it gives both the transition probability and the meet.
-S keeps the singular values against its last partner T, so tp, log tp, the
-meet and the quadrature check on the same pair of objects run that SVD once.
+real. One LU of M decides where it proves no singular value a zero, one SVD
+elsewhere. S keeps the result against its last partner T, so tp, log tp, the
+meet and the quadrature check on the same pair of objects factorise M once.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 
 from . import matcore
 from .errors import CovarianceError
-from .matcore import adjoint, dagger, eigh, hermitian_part, hs_norm, scalar, svdvals
-from .tolerances import DEGENERACY_SNAP, VALIDATION_TOL, ZERO_TOL
+from .matcore import adjoint, dagger, eigh, hermitian_part, hs_norm, log_abs_det, scalar, svdvals
+from .tolerances import CERTIFY_MARGIN, DEGENERACY_SNAP, VALIDATION_TOL, ZERO_TOL
 
 __all__ = [
     "CarCovariance",
@@ -193,31 +193,44 @@ def _pair_roots(s, t):
     return cs.roots, ct.roots
 
 
-def _overlap_singular_values(s, t) -> np.ndarray:
-    """Singular values (descending) of the real overlap matrix 2(G_S G_T - Y_S Y_T).
+def _pair_overlap(s, t):
+    """:func:`_overlap` of the pair's real overlap matrix 2(G_S G_T - Y_S Y_T).
 
-    Kept read-only on S against T's matrix (by identity), one pair at a time.
+    Kept on S against T's matrix (by identity), one pair at a time; callers copy.
     """
     s, t = _as_covariance(s), _as_covariance(t)
-    partner, sv = s.__dict__.get("_overlap", (None, None))
+    partner, out = s.__dict__.get("_overlap", (None, None))
     if partner is not t.matrix:
         (gs, ys), (gt, yt) = _pair_roots(s, t)
-        sv = svdvals(2.0 * (gs @ gt - ys @ yt))
-        sv.setflags(write=False)
-        s.__dict__["_overlap"] = (t.matrix, sv)
-    return sv
+        out = _overlap(2.0 * (gs @ gt - ys @ yt))
+        s.__dict__["_overlap"] = (t.matrix, out)
+    return out
 
 
-def _zero_count(sv: np.ndarray):
-    """How many singular values (descending) are exact zeros: <= ZERO_TOL * max(1, largest)."""
-    return np.count_nonzero(sv <= ZERO_TOL * np.maximum(1.0, sv[..., :1]), axis=-1)
+def _overlap(m: np.ndarray):
+    """``(log tp, zero count)`` of overlap matrices M = V_T* V_S, one per matrix of a stack.
 
-
-def _log_tp(sv: np.ndarray) -> np.ndarray:
-    """(1/2) sum log sigma capped at 0, or -inf where a singular value is an exact zero."""
-    with np.errstate(divide="ignore"):
-        val = np.minimum(0.5 * np.sum(np.log(sv), axis=-1), 0.0)
-    return np.where(_zero_count(sv) > 0, -np.inf, val)
+    A zero is a singular value <= ZERO_TOL * max(1, largest); log tp is (1/2) sum
+    log sigma capped at 0, -inf where a zero is. As every sigma <= 1, AM-GM over
+    the d - 1 largest sigma^2 gives log sigma_min >= log|det M| - (d-1)/2
+    log(||M||_F^2 / (d-1)): above log(CERTIFY_MARGIN * ZERO_TOL) no zero is
+    possible and one LU decides. Other matrices, and 2 x 2 stacks, take ``svdvals``.
+    """
+    d, shape = m.shape[-1], m.shape[:-2]
+    log_tp, zeros, svd = np.zeros(shape), np.zeros(shape, dtype=np.intp), np.ones(shape, dtype=bool)
+    if d != 2:
+        logdet = log_abs_det(m)
+        with np.errstate(divide="ignore", invalid="ignore"):  # M = 0 gives nan: no pass
+            bound = logdet - (d - 1) / 2 * np.log(np.sum(m * m, axis=(-2, -1)) / max(d - 1, 1))
+        log_tp[...] = np.minimum(0.5 * logdet, 0.0)
+        svd[...] = ~(bound > np.log(CERTIFY_MARGIN * ZERO_TOL))
+    if np.any(svd):
+        sv = svdvals(m[svd])
+        zeros[svd] = np.count_nonzero(sv <= ZERO_TOL * np.maximum(1.0, sv[..., :1]), axis=-1)
+        with np.errstate(divide="ignore"):
+            log_tp[svd] = np.minimum(0.5 * np.sum(np.log(sv), axis=-1), 0.0)
+        log_tp[zeros > 0] = -np.inf
+    return log_tp, zeros
 
 
 def log_trans_prob_car(s, t):
@@ -230,20 +243,20 @@ def log_trans_prob_car(s, t):
     the probability itself underflows to 0.0. Stacked covariances give one
     value per pair.
     """
-    return scalar(_log_tp(_overlap_singular_values(s, t)))
+    return scalar(_pair_overlap(s, t)[0].copy())
 
 
 def trans_prob_car(s, t):
     """Transition probability between the quasi-free states of two covariances.
 
     Computed as |det M|^(1/2) with M = sqrt(S) sqrt(T) + sqrt(I-S) sqrt(I-T),
-    a real matrix (see the module docstring), via singular values; a singular
-    value at or below ZERO_TOL (relative) collapses the result to exactly 0.
+    a real matrix (see the module docstring), via its LU or its singular values;
+    a singular value at or below ZERO_TOL (relative) collapses it to exactly 0.
     Always in [0, 1], 1 iff S = T; the exp of :func:`log_trans_prob_car`, so
     it can underflow to 0.0 where the log is finite. Stacked covariances give
     one value per pair.
     """
-    return scalar(np.exp(_log_tp(_overlap_singular_values(s, t))))
+    return scalar(np.exp(_pair_overlap(s, t)[0]))
 
 
 def qe_distance_car(s, t):
@@ -281,14 +294,14 @@ def quadrature_identity_check(s, t):
     = I/2 + iY_P with Y_P real antisymmetric, and the transition probability
     of the quadratures is that of these covariances. A projection is its own
     square root, so G = I/2 and Y = Y_P, and the overlap matrix is
-    2(I/4 - Y_P Y_Q), whose singular values take the zero rule of
+    2(I/4 - Y_P Y_Q), whose LU or singular values take the zero rule of
     :func:`trans_prob_car`; no further factorisation is needed.
     """
     s, t = _as_covariance(s), _as_covariance(t)
     rhs = trans_prob_car(s, t) ** 2  # also refuses a dimension mismatch
     u = np.repeat([1.0, 1.0j], s.dim)
     yp, yq = ((u[:, None] * quadrature(c) * u.conj()).imag for c in (s, t))
-    return scalar(np.exp(_log_tp(svdvals(2.0 * (0.25 * np.eye(2 * s.dim) - yp @ yq))))), rhs
+    return scalar(np.exp(_overlap(2.0 * (0.25 * np.eye(2 * s.dim) - yp @ yq))[0])), rhs
 
 
 def meet_criterion(s, t):
@@ -299,10 +312,10 @@ def meet_criterion(s, t):
     the rank is the number of zero singular values of M, counted with the
     zero rule of :func:`trans_prob_car`. Hence the rank is at least 1 exactly
     when the transition probability is 0; after :func:`trans_prob_car` on the
-    same pair of objects it reuses that SVD. Stacked covariances give one rank
-    per pair.
+    same pair of objects it reuses that factorisation, an LU alone where the LU
+    rules out a zero. Stacked covariances give one rank per pair.
     """
-    return scalar(_zero_count(_overlap_singular_values(s, t)))
+    return scalar(_pair_overlap(s, t)[1].copy())
 
 
 def hamiltonian_of(s) -> np.ndarray:

@@ -157,10 +157,12 @@ def _literal_family(fam: dict, alg: _Algebra) -> seqmodel.ModeFamily:
     pairs = fam.get("pairs")
     if not isinstance(pairs, list) or not pairs:
         raise ScenarioError("literal family needs a non-empty 'pairs' list")
-    tail = fam.get("tail")
+    tail, label = fam.get("tail"), fam.get("label", "literal")
+    if not isinstance(label, str):
+        raise ScenarioError(f"literal family 'label' must be a string, got {label!r}")
     return seqmodel.literal_family(
         alg.name, [pair(raw, f"pairs[{i}]") for i, raw in enumerate(pairs)],
-        tail=None if tail is None else pair(tail, "tail"), label=fam.get("label", "literal"),
+        tail=None if tail is None else pair(tail, "tail"), label=label,
     )
 
 

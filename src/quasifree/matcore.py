@@ -7,11 +7,11 @@ use, and eigenvalues below a relative clamp threshold are treated as
 structural zeros. Results are deterministic for identical input bits at one
 BLAS thread count; another count can change the last bits of a LAPACK result.
 
-The spectral kernels :func:`eigh`, :func:`eigvalsh` and :func:`svdvals` are
-what the pair functions of :mod:`quasifree.car` and :mod:`quasifree.ccr`
-call. On 2 x 2 matrices, the size every single-mode sequence term has, they
-evaluate LAPACK's closed forms (``dlaev2``, ``dlas2``) elementwise; on any
-other shape they call ``numpy.linalg`` unchanged.
+The kernels :func:`eigh`, :func:`eigvalsh`, :func:`svdvals` and :func:`log_abs_det`
+are what the pair functions of :mod:`quasifree.car` and :mod:`quasifree.ccr`
+call. On 2 x 2 matrices, the size every single-mode sequence term has, the first
+three evaluate LAPACK's closed forms (``dlaev2``, ``dlas2``) elementwise; on
+any other shape they call ``numpy.linalg`` unchanged.
 
 The spectral helpers also take stacks of matrices, shape ``(..., d, d)``,
 and give each matrix the same bits as alone; steps whose shapes depend on a
@@ -231,6 +231,11 @@ def svdvals(x: np.ndarray) -> np.ndarray:
     np.multiply(0.5 * root, top, out=out[..., 0])
     np.multiply(lo, (m + m) / _nonzero(root), out=out[..., 1])
     return out
+
+
+def log_abs_det(x: np.ndarray) -> np.ndarray:
+    """log |det x| of a matrix or a stack of them, from the LU of ``numpy.linalg.slogdet``."""
+    return np.linalg.slogdet(x)[1]
 
 
 def sqrt_psd(h: np.ndarray) -> np.ndarray:

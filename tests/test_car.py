@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 from doubled_space import doubled_conjugate, validate_doubled_covariance
 
-from quasifree import car, matcore, sampling, tolerances
+from quasifree import car, car_oracle, matcore, sampling, tolerances
 from quasifree.errors import CovarianceError
 
 # the transition probability between the mu = 0.3 and mu = 0.1 states,
@@ -460,7 +460,7 @@ def test_public_functions_run_real_kernels_only(rng, monkeypatch):
     public = {name for name in car.__all__ if inspect.isfunction(getattr(car, name))}
     assert set(calls) == public
     dtypes = []
-    for name in ("eigh", "eigvalsh", "svd", "det", "inv", "eig", "eigvals", "solve"):
+    for name in ("eigh", "eigvalsh", "svd", "det", "slogdet", "inv", "eig", "eigvals", "solve"):
         def spy(a, *args, _f=getattr(np.linalg, name), **kwargs):
             dtypes.append(np.asarray(a).dtype)
             return _f(a, *args, **kwargs)
@@ -571,24 +571,144 @@ def test_real_kernels_match_complex_route(rng, d):
         validate_doubled_covariance(car.quadrature(s))
         lhs, rhs = car.quadrature_identity_check(s, t)
         assert abs(lhs - rhs) <= 1e-8, (kind, delta)
-        sv = car._overlap_singular_values(s, t)
+        sv = _overlap_svd(s, t)
         assert np.count_nonzero(sv <= cut * max(1.0, sv[0])) == meet, (kind, delta)
         assert (car.meet_criterion(s, t) >= 1) == (car.trans_prob_car(s, t) == 0.0)
         if kind == "singular":
             assert car.meet_criterion(s, t) == meet >= 1
 
 
-def test_real_kernels_stacked_match_single_bitwise(rng):
+def test_real_kernels_stacked_match_single_bitwise(rng, monkeypatch):
     pairs = [sampling.random_car_pair(rng, 6) for _ in range(3)]
     pairs += [sampling.singular_overlap_car_pair(rng, 6), _block_pair(rng, 6, 1e-13)]
     s = car.validate_car(np.stack([a.matrix for a, _ in pairs]))
     t = car.validate_car(np.stack([b.matrix for _, b in pairs]))
-    meet, quad = car.meet_criterion(s, t), car.quadrature(s)
+    svd_shapes, real_svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
+        svd_shapes.append(a.shape), real_svd(a, *args, **kwargs))[1])
+    meet, log_tp, quad = car.meet_criterion(s, t), car.log_trans_prob_car(s, t), car.quadrature(s)
+    # the stack mixes matrices the determinant certifies with ones that take the SVD
+    assert len(svd_shapes) == 1 and 0 < svd_shapes[0][0] < len(pairs)
     for i, (a, b) in enumerate(pairs):
         for got, want in zip(s.spectrum + s.roots, a.spectrum + a.roots):
             assert np.array_equal(got[i], want)
         assert meet[i] == car.meet_criterion(a, b)
+        assert _same_bits(log_tp[i], car.log_trans_prob_car(a, b))
         assert np.array_equal(quad[i], car.quadrature(a))
+
+
+# ------------------------------------------- the overlap determinant certificate
+
+EDGE_MULTIPLES = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 10.0)
+
+
+def _overlap_svd(s, t):
+    """Singular values of the pair's overlap matrix, computed here with numpy."""
+    (gs, ys), (gt, yt) = s.roots, t.roots
+    return np.linalg.svd(2.0 * (gs @ gt - ys @ yt), compute_uv=False)
+
+
+def _svd_zero_count(sv):
+    return np.count_nonzero(sv <= tolerances.ZERO_TOL * max(1.0, sv[0]))
+
+
+def _edge_pair(rng, d, sigma):
+    """A pair whose two smallest overlap singular values are about ``sigma``.
+
+    The opposite pure blocks of ``singular_overlap_car_pair`` (S's and T's
+    first two modes) with T's block tilted by theta into the third mode:
+    the shared zero becomes two singular values ~ c theta^2, c fitted at
+    theta = 1e-3. A common orthogonal conjugation makes the matrices dense.
+    """
+    block = car.mu_covariance(0.5).matrix
+    s, t = (scipy.linalg.block_diag(b, sampling.random_car_covariance(rng, d - 2).matrix)
+            for b in (block, block.conj()))
+    o = sampling.random_orthogonal(rng, d)
+
+    def tilted(theta):
+        g = np.eye(d)
+        g[1:3, 1:3] = [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+        return car.validate_car(o @ s @ o.T), car.validate_car(o @ g @ t @ g.T @ o.T)
+
+    c = _overlap_svd(*tilted(1e-3))[-1] / 1e-6
+    return tilted(math.sqrt(sigma / c))
+
+
+@pytest.mark.parametrize("d", [3, 4, 8, 64])
+def test_zero_decisions_at_the_certificate_edge(rng, d):
+    zero_tol = tolerances.ZERO_TOL
+    for k in EDGE_MULTIPLES:
+        s, t = _edge_pair(rng, d, k * zero_tol)
+        sv = _overlap_svd(s, t)
+        assert sv[-1] == pytest.approx(k * zero_tol, rel=0.05, abs=1e-15)
+        zeros = _svd_zero_count(sv)
+        assert car.meet_criterion(s, t) == zeros, (d, k)
+        assert (car.trans_prob_car(s, t) == 0.0) == (zeros > 0), (d, k)
+    # one small singular value and d - 1 at 1: the AM-GM bound is log sigma_min
+    # itself, so the margin decides exactly here; M need not come from a pair
+    for k in EDGE_MULTIPLES:
+        u, v = (sampling.random_orthogonal(rng, d) for _ in range(2))
+        m = (u * np.r_[np.ones(d - 1), k * zero_tol]) @ v
+        log_tp, zeros = car._overlap(m)
+        want = _svd_zero_count(np.linalg.svd(m, compute_uv=False))
+        assert zeros == want and (log_tp == -math.inf) == (want > 0), (d, k)
+
+
+def test_random_large_pair_runs_no_svd(rng, monkeypatch):
+    s, t = sampling.random_car_pair(rng, 512)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a nonsingular pair ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    assert car.trans_prob_car(s, t) > 0.0 and car.meet_criterion(s, t) == 0
+    assert math.isfinite(car.log_trans_prob_car(t, s))
+    # |det M| ~ e^-55, far below CERTIFY_MARGIN * ZERO_TOL, yet no sigma is near a
+    # zero: the AM-GM bound, not |det M| alone, must clear it
+    sv = rng.uniform(0.8, 1.0, 512)
+    u, v = (sampling.random_orthogonal(rng, 512) for _ in range(2))
+    log_tp, zeros = car._overlap((u * sv) @ v)
+    assert zeros == 0 and log_tp == pytest.approx(0.5 * np.sum(np.log(sv)), rel=1e-12)
+    assert 2 * log_tp < math.log(tolerances.CERTIFY_MARGIN * tolerances.ZERO_TOL)
+
+
+# ---------------------------------------- Klich's trace formula, past the oracle cap
+
+
+def _klich_log_overlap(s, t):
+    """log tr(sqrt(rho) sqrt(tau)) by Klich's trace formula (2003), with numpy alone.
+
+    With S = (I + e^H)^-1, tr(sqrt(rho) sqrt(tau)) = det(I + e^{H_S/2} e^{H_T/2})^(1/2)
+    / (det(I + e^{H_S}) det(I + e^{H_T}))^(1/4), and det(I + e^H) = 1 / det S.
+    Takes nondegenerate covariances only.
+    """
+    def half(m):  # e^{H/2} = ((I - S) / S)^(1/2), and log det S
+        w, v = np.linalg.eigh(m)
+        return (v * np.sqrt((1.0 - w) / w)) @ v.conj().T, np.sum(np.log(w))
+
+    (a, log_det_s), (b, log_det_t) = half(s.matrix), half(t.matrix)
+    return 0.5 * np.linalg.slogdet(np.eye(len(a)) + a @ b)[1] + 0.25 * (log_det_s + log_det_t)
+
+
+def _inner_pair(rng, d):
+    """Two random covariances with spectrum in [0.05, 0.95]."""
+    return tuple(sampling.random_car_covariance(rng, d, rng.uniform(0.1, 0.45)) for _ in range(2))
+
+
+@pytest.mark.parametrize("modes", [2, 3, 4, 5])
+def test_klich_formula_matches_the_fock_oracle(rng, modes):
+    s, t = _inner_pair(rng, 2 * modes)
+    rho, tau = (car_oracle.density_from_covariance(c) for c in (s, t))
+    assert math.exp(_klich_log_overlap(s, t)) == pytest.approx(car_oracle.overlap(rho, tau),
+                                                               abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [16, 64, 256])
+def test_log_tp_matches_klich_past_the_oracle_cap(rng, d):
+    for _ in range(3):
+        s, t = _inner_pair(rng, d)
+        want = _klich_log_overlap(s, t)
+        assert car.log_trans_prob_car(s, t) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_factorisation_is_lazy_for_direct_instances():
@@ -638,21 +758,23 @@ def _same_bits(x, y):
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-def test_pair_functions_share_one_overlap_svd(rng, monkeypatch):
-    s, t = sampling.random_car_pair(rng, 6)
-    shapes, real_svd = [], np.linalg.svd
-
-    def svd_spy(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return real_svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", svd_spy)
-    car.trans_prob_car(s, t)
-    car.log_trans_prob_car(s, t)
-    car.meet_criterion(s, t)
-    car.quadrature_identity_check(s, t)
-    # the pair's overlap once, the quadratures' overlap once
-    assert shapes == [(6, 6), (12, 12)]
+def test_pair_functions_share_one_overlap_factorisation(rng, monkeypatch):
+    calls = []
+    for name in ("slogdet", "svd"):
+        def spy(a, *args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, a.shape[-2:]))
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    for pair, svds in ((sampling.random_car_pair(rng, 6), []),
+                       (sampling.singular_overlap_car_pair(rng, 6), [("svd", (6, 6)), ("svd", (12, 12))])):
+        calls.clear()
+        car.trans_prob_car(*pair)
+        car.log_trans_prob_car(*pair)
+        car.meet_criterion(*pair)
+        car.quadrature_identity_check(*pair)
+        # the pair's overlap once, the quadratures' overlap once: an LU each, and
+        # an SVD only where the determinant cannot rule out a zero singular value
+        assert sorted(calls) == sorted([("slogdet", (6, 6)), ("slogdet", (12, 12))] + svds)
 
 
 @pytest.mark.parametrize("stacked", [False, True])

@@ -156,7 +156,8 @@ def test_density_does_not_use_the_car_factorisation(monkeypatch, rng):
     def refuse(*args, **kwargs):
         raise AssertionError("oracle called into the production factorisation")
 
-    monkeypatch.setattr(car, "_overlap_singular_values", refuse)
+    monkeypatch.setattr(car, "_pair_overlap", refuse)
+    monkeypatch.setattr(car, "_overlap", refuse)
     s = car.CarCovariance(sampling.random_car_covariance(rng, 8).matrix)
     car_oracle.density_from_covariance(s)
     assert "spectrum" not in vars(s) and "roots" not in vars(s)

@@ -425,6 +425,15 @@ def test_literal_tail_must_be_a_pair(tmp_path, capsys):
     assert_validation_error(capsys, tmp_path, sc, needle="tail")
 
 
+@pytest.mark.parametrize("label", [{"a": [1, 2]}, 7], ids=["object", "number"])
+def test_literal_label_must_be_a_string(tmp_path, capsys, label):
+    sc = {"kind": "car-sequence",
+          "family": {"rule": "literal", "pairs": [[MU_03, MU_01]], "label": label},
+          "options": {"n_max": 64}}
+    for command in ("validate", "classify"):
+        assert_validation_error(capsys, tmp_path, sc, command=command, needle="label")
+
+
 def test_boolean_exponent_is_validation_error(tmp_path, capsys):
     sc = {"kind": "car-sequence", "family": {"rule": "car_mu_power", "p": True},
           "options": {"n_max": 256}}

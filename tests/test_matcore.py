@@ -402,9 +402,9 @@ def test_2x2_closed_forms_match_lapack_hypothesis(x):
 
 
 def _lapack_spy(monkeypatch) -> list:
-    """Record (kernel, shape) of every numpy.linalg eigh/eigvalsh/svd call."""
+    """Record (kernel, shape) of every numpy.linalg eigh/eigvalsh/svd/slogdet/det call."""
     calls = []
-    for name in ("eigh", "eigvalsh", "svd"):
+    for name in ("eigh", "eigvalsh", "svd", "slogdet", "det"):
         def spy(a, *args, _f=getattr(np.linalg, name), _name=name, **kwargs):
             calls.append((_name, np.shape(a)))
             return _f(a, *args, **kwargs)
@@ -426,7 +426,8 @@ def test_4x4_literal_family_still_calls_lapack(monkeypatch, rng):
     family = seqmodel.literal_family(seqmodel.CAR, [sampling.random_car_pair(rng, 4)])
     calls = _lapack_spy(monkeypatch)
     seqmodel.classify_sequence(family, n_max=64)
-    assert {kernel for kernel, _ in calls} == {"eigh", "svd"}
+    # a random 4 x 4 pair's overlap is certified nonsingular by its LU alone
+    assert {kernel for kernel, _ in calls} == {"eigh", "slogdet"}
     assert all(shape[-2:] == (4, 4) for _, shape in calls)
 
 
@@ -434,7 +435,7 @@ def test_4x4_literal_family_still_calls_lapack(monkeypatch, rng):
 def test_pair_modules_reach_lapack_only_through_matcore(module):
     tree = ast.parse(Path(module.__file__).read_text())
     direct = [node.lineno for node in ast.walk(tree)
-              if isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh", "svd")
+              if isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh", "svd", "slogdet", "det")
               and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"]
     direct += [node.lineno for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")]
