@@ -3,6 +3,12 @@
 Commands read one scenario file, write a single JSON report to stdout, and
 log to stderr. Exit codes: 0 success, 2 validation failure, 3 inconclusive
 (including criteria that disagree), 4 resource cap.
+
+Importing this module loads the standard library, errors and tolerances only.
+numpy, car, ccr and matcore load at the first numeric step (the first matrix
+parsed or family built), seqmodel only for sequence scenarios and the demo,
+the oracles only for oracle-compare: a scenario refused before any number is
+read never loads numpy.
 """
 
 from __future__ import annotations
@@ -11,17 +17,20 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import importlib
 import json
 import math
 import sys
 import time
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-import numpy as np
-
-from . import __version__, car, car_oracle, ccr, ccr_oracle, matcore, seqmodel
+from . import __version__
 from .errors import ConsistencyViolation, CovarianceError, InconclusiveError, SizeCapError
 from .tolerances import ORACLE_COMPARE_TOL, THERMAL_MATCH_TOL
+
+if TYPE_CHECKING:
+    import numpy as np
+    from . import ccr, seqmodel
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -34,12 +43,22 @@ EXIT_RESOURCE = 4
 CAR_ORACLE_COMPARE_MAX_DIM = 8
 # JSON levels a scenario may nest (its keys need 7); deeper, it is refused before any recursion
 MAX_SCENARIO_DEPTH = 64
+# --n-max default: seqmodel.DEFAULT_N_MAX, which this module cannot read without loading numpy
+DEFAULT_N_MAX = 4096
+
+
+def _lazy(module: str, name: str) -> Callable:
+    """Call quasifree.<module>.<name>: the module is imported at the first call, and
+    the name looked up in it at every call."""
+    def call(*args):
+        return getattr(importlib.import_module(f"{__package__}.{module}"), name)(*args)
+    return call
 
 
 class _Algebra(NamedTuple):
     """What a scenario of one algebra reads and reports."""
 
-    name: str            # the seqmodel sequence kind
+    name: str            # the seqmodel sequence kind and the pair module
     shared: tuple        # matrices both covariances are validated with
     states: tuple        # a pair scenario's matrix for each state
     validate: Callable   # validate(*shared, state matrix) -> covariance
@@ -49,10 +68,12 @@ class _Algebra(NamedTuple):
     tp_squared: str      # report key of tp**2
 
 
-_CAR = _Algebra(seqmodel.CAR, (), ("S", "T"), car.validate_car, "matrix",
-                car.trans_prob_car, car.log_trans_prob_car, "abs_det_overlap_matrix")
-_CCR = _Algebra(seqmodel.CCR, ("sigma",), ("R_S", "R_T"), ccr.validate_ccr, "s_matrix",
-                ccr.trans_prob_ccr, ccr.log_trans_prob_ccr, "det_factor")
+_CAR = _Algebra("car", (), ("S", "T"), _lazy("car", "validate_car"), "matrix",
+                _lazy("car", "trans_prob_car"), _lazy("car", "log_trans_prob_car"),
+                "abs_det_overlap_matrix")
+_CCR = _Algebra("ccr", ("sigma",), ("R_S", "R_T"), _lazy("ccr", "validate_ccr"), "s_matrix",
+                _lazy("ccr", "trans_prob_ccr"), _lazy("ccr", "log_trans_prob_ccr"),
+                "det_factor")
 # scenario kind -> its algebra: car-pair, ccr-pair, car-sequence, ccr-sequence
 _KINDS = {f"{alg.name}-{shape}": alg for shape in ("pair", "sequence") for alg in (_CAR, _CCR)}
 
@@ -82,6 +103,7 @@ def parse_matrix(obj, name: str) -> np.ndarray:
         if len(row) != width:
             raise ScenarioError(f"{name}: row {i} has length {len(row)}, expected {width}")
         rows.append([_parse_entry(e, f"{name}[{i}]") for e in row])
+    import numpy as np
     return np.array(rows, dtype=complex)
 
 
@@ -146,6 +168,7 @@ def _exponent(fam: dict) -> float:
 
 def _literal_family(fam: dict, alg: _Algebra) -> seqmodel.ModeFamily:
     """Explicit [first, second] covariance pairs and an optional tail pair."""
+    from . import seqmodel
     shared = [parse_matrix(fam.get(key, []), f"family.{key}") for key in alg.shared]
     make = functools.partial(alg.validate, *shared)
 
@@ -168,10 +191,10 @@ def _literal_family(fam: dict, alg: _Algebra) -> seqmodel.ModeFamily:
 
 # family rule -> (the sequence kind it is for, None for both; family factory)
 _FAMILY_RULES = {
-    "car_mu_power": (seqmodel.CAR, lambda fam, _: seqmodel.car_power_family(_exponent(fam))),
+    "car_mu_power": ("car", lambda fam, _: _lazy("seqmodel", "car_power_family")(_exponent(fam))),
     "ccr_thermal_power": (
-        seqmodel.CCR, lambda fam, _: seqmodel.ccr_thermal_power_family(_exponent(fam))),
-    "counterexample": (seqmodel.CAR, lambda fam, _: seqmodel.car_counterexample()),
+        "ccr", lambda fam, _: _lazy("seqmodel", "ccr_thermal_power_family")(_exponent(fam))),
+    "counterexample": ("car", lambda fam, _: _lazy("seqmodel", "car_counterexample")()),
     "literal": (None, _literal_family),
 }
 
@@ -190,6 +213,11 @@ def _family(scenario) -> seqmodel.ModeFamily:
     return make(fam, alg)
 
 
+def _inputs(scenario):
+    """A pair scenario's validated (S, T), a sequence scenario's family."""
+    return _pair(scenario) if scenario["kind"].endswith("-pair") else _family(scenario)
+
+
 def _sanitize(value):
     """Make results JSON-safe: non-finite floats become report tokens."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -198,60 +226,68 @@ def _sanitize(value):
         return {str(k): _sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_sanitize(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return _sanitize(value.tolist())
-    if isinstance(value, (complex, np.complexfloating)):
-        c = complex(value)
-        if c.imag == 0.0:
-            return _sanitize(c.real)
-        return [_sanitize(c.real), _sanitize(c.imag)]
-    if isinstance(value, (float, np.floating)):
+    if value is None or isinstance(value, (str, int)):
+        return value
+    if isinstance(value, complex):  # numpy's complex128 too
+        if value.imag == 0.0:
+            return _sanitize(value.real)
+        return [_sanitize(value.real), _sanitize(value.imag)]
+    if isinstance(value, float):  # numpy's float64 too
         f = float(value)
         if math.isnan(f):
             return "inconclusive"
         if math.isinf(f):
             return "infinity" if f > 0 else "-infinity"
         return f
-    if isinstance(value, (np.integer,)):
+    import numpy as np  # what is left is a numpy array or scalar, so numpy is loaded
+    if isinstance(value, np.ndarray):
+        return _sanitize(value.tolist())
+    if isinstance(value, np.complexfloating):
+        return _sanitize(complex(value))
+    if isinstance(value, np.floating):
+        return _sanitize(float(value))
+    if isinstance(value, np.integer):
         return int(value)
     return value
 
 
-def _cmd_validate(scenario, opts):
+def _cmd_validate(scenario, inputs, opts):
+    import numpy as np
     results = {}
     if scenario["kind"].endswith("-pair"):
-        for name, cov in zip("ST", _pair(scenario)):
+        for name, cov in zip("ST", inputs):
             w = np.linalg.eigvalsh(getattr(cov, _KINDS[scenario["kind"]].form))
             results[name] = {"dim": cov.dim, "min_eigenvalue": float(w[0]),
                              "max_eigenvalue": float(w[-1])}
     else:
-        fam = _family(scenario)
-        fam.stack(1, 8)  # the family's covariances validate as they are built
-        results["family"] = {"label": fam.label, "modes_checked": 8}
+        inputs.stack(1, 8)  # the family's covariances validate as they are built
+        results["family"] = {"label": inputs.label, "modes_checked": 8}
     results["valid"] = True
     return results, EXIT_OK
 
 
-def _cmd_trans_prob(scenario, opts):
+def _cmd_trans_prob(scenario, inputs, opts):
     alg = _KINDS[scenario["kind"]]
-    s, t = _pair(scenario)
+    s, t = inputs
     tp = alg.tp(s, t)
     # the log is finite where tp underflows to 0, and "-infinity" iff tp is an exact zero
     return {"transition_probability": tp, alg.tp_squared: tp**2,
             "log_transition_probability": alg.log_tp(s, t)}, EXIT_OK
 
 
-def _cmd_classify(scenario, opts):
+def _cmd_classify(scenario, inputs, opts):
     if scenario["kind"] == "ccr-pair":
-        return {"verdict": ccr.classify_ccr(*_pair(scenario))}, EXIT_OK
-    fam = _family(scenario)
-    verdict = seqmodel.classify_sequence(fam, n_max=opts["n_max"])
+        from . import ccr
+        return {"verdict": ccr.classify_ccr(*inputs)}, EXIT_OK
+    from . import seqmodel
+    verdict = seqmodel.classify_sequence(inputs, n_max=opts["n_max"])
     code = EXIT_INCONCLUSIVE if verdict.kind == seqmodel.INCONCLUSIVE else EXIT_OK
-    return {"verdict": verdict, "family": fam.label}, code
+    return {"verdict": verdict, "family": inputs.label}, code
 
 
-def _cmd_quadrature_check(scenario, opts):
-    s, t = _pair(scenario)
+def _cmd_quadrature_check(scenario, inputs, opts):
+    from . import car, matcore
+    s, t = inputs
     p, q = car.quadrature(s), car.quadrature(t)
     lhs, rhs = car.quadrature_identity_check(s, t)
     return {
@@ -265,6 +301,8 @@ def _cmd_quadrature_check(scenario, opts):
 
 def _thermal_widths(cov: ccr.CcrCovariance):
     """Width c if the covariance is single-mode thermal-diagonal, else None."""
+    import numpy as np
+    from . import ccr
     if cov.dim != 2:
         return None
     if float(np.max(np.abs(cov.sigma - ccr.canonical_sigma(1)))) > THERMAL_MATCH_TOL:
@@ -276,9 +314,10 @@ def _thermal_widths(cov: ccr.CcrCovariance):
     return max(c, 1.0)
 
 
-def _cmd_oracle_compare(scenario, opts):
+def _cmd_oracle_compare(scenario, inputs, opts):
+    from . import car_oracle, ccr_oracle
     alg = _KINDS[scenario["kind"]]
-    s, t = _pair(scenario)
+    s, t = inputs
     if alg is _CAR:
         if s.dim > CAR_ORACLE_COMPARE_MAX_DIM:
             raise SizeCapError(f"car oracle comparison capped at dimension "
@@ -320,7 +359,8 @@ def _q_of_width(c: float) -> float:
     return nbar / (nbar + 1.0)
 
 
-def _cmd_demo_counterexample(scenario, opts):
+def _cmd_demo_counterexample(scenario, inputs, opts):
+    from . import car, seqmodel
     fam = seqmodel.car_counterexample()
     verdict = seqmodel.classify_sequence(fam, n_max=opts["n_max"])
     s1, t1 = fam.pair_at(1)
@@ -335,7 +375,8 @@ def _cmd_demo_counterexample(scenario, opts):
     }, EXIT_OK
 
 
-# command -> (handler, the scenario kinds it takes); a command that takes none reads no scenario
+# command -> (handler, the scenario kinds it takes); a command that takes none reads no
+# scenario. A handler takes the scenario, what _inputs read from it, and the options.
 _COMMANDS = {
     "validate": (_cmd_validate, tuple(_KINDS)),
     "trans-prob": (_cmd_trans_prob, ("car-pair", "ccr-pair")),
@@ -349,7 +390,7 @@ _COMMANDS = {
 _OPTIONS = {
     "tol": (float, ORACLE_COMPARE_TOL, "comparison tolerance"),
     "cutoff": (int, 80, "max truncated-Fock cutoff"),
-    "n_max": (int, seqmodel.DEFAULT_N_MAX, "sequence scan length"),
+    "n_max": (int, DEFAULT_N_MAX, "sequence scan length"),
 }
 
 
@@ -426,7 +467,7 @@ def main(argv=None) -> int:
             raise ScenarioError(
                 f"{args.command} needs a scenario of kind {kinds}, got {scenario['kind']!r}")
 
-        results, code = handler(scenario, opts)
+        results, code = handler(scenario, _inputs(scenario) if kinds else None, opts)
     except tuple(cls for cls, _, _ in _FAILURES) as exc:
         code, what = next((c, w) for cls, c, w in _FAILURES if isinstance(exc, cls))
         _log(f"{what}: {exc}")

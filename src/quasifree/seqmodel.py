@@ -13,6 +13,7 @@ time from stacked covariances (see :func:`_term_table`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -275,6 +276,14 @@ def _term_table(family: ModeFamily, n: int):
     return qe_sq, neg_log_tp
 
 
+def _mode_count(n, name: str) -> int:
+    """A mode count as an int: an int or numpy integer, else a ValueError naming it."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {n!r}") from None
+
+
 def partial_qe_sum(family: ModeFamily, n: int) -> float:
     """Sum over modes 1..n of squared per-mode quasi-equivalence distances.
 
@@ -283,6 +292,7 @@ def partial_qe_sum(family: ModeFamily, n: int) -> float:
     value is the correctly rounded sum and block groupings agree to within an
     ulp or two of each other.
     """
+    n = _mode_count(n, "n")
     if n < 1:
         raise ValueError(f"N must be >= 1, got {n}")
     return math.fsum(_term_table(family, n)[0].tolist())
@@ -295,6 +305,7 @@ def partial_log_tp(family: ModeFamily, n: int) -> float:
     its pair module's rule; finite values mean the product of transition
     probabilities is exp(-result), also where that product underflows.
     """
+    n = _mode_count(n, "n")
     if n < 1:
         raise ValueError(f"N must be >= 1, got {n}")
     return math.fsum(_term_table(family, n)[1].tolist())
@@ -348,6 +359,7 @@ def classify_sequence(family: ModeFamily, n_max: int = DEFAULT_N_MAX) -> Sequenc
     all. A literal or concatenated-literal family costs its listed pairs plus O(n)
     summation: car_counterexample() takes 0.23-0.25 s at the cap.
     """
+    n_max = _mode_count(n_max, "n_max")
     if n_max < MIN_N_MAX:
         raise ValueError(f"n_max must be at least {MIN_N_MAX}, got {n_max}")
     checkpoints = (n_max // 8, n_max // 4, n_max // 2, n_max)

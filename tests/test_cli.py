@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quasifree import ccr, cli, sampling
+from quasifree import ccr, cli, sampling, seqmodel
 
 MU_03 = [[0.5, [0.0, -0.3]], [[0.0, 0.3], 0.5]]
 MU_01 = [[0.5, [0.0, -0.1]], [[0.0, 0.1], 0.5]]
@@ -567,3 +569,70 @@ def test_fuzz_main_emits_one_json_object(command, content, args):
     assert isinstance(report, dict)
     assert code in (0, 2, 3, 4) and report["exit_code"] == code
     assert "Traceback" not in err.getvalue()
+
+
+# ------------------------------------------------- the real entry point, per process
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def _child(*args):
+    """Run ``python -v <args>``; returns (exit code, stdout, the modules it imported)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-v", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    # -v logs "import 'name' # loader" for every module loaded, however it is imported
+    imported = {line.split("'")[1] for line in proc.stderr.splitlines()
+                if line.startswith("import '")}
+    assert "Traceback" not in proc.stderr
+    return proc.returncode, proc.stdout, imported
+
+
+def _qf(tmp_path, command, content):
+    """``python -m quasifree.cli command scenario``, as the qf script runs it."""
+    path = tmp_path / "scenario.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    code, out, imported = _child("-m", "quasifree.cli", command, str(path))
+    report = json.loads(out, parse_constant=_reject_constant)  # one object, nothing after it
+    assert isinstance(report, dict) and report["exit_code"] == code
+    return code, report, imported
+
+
+_REFUSED_BEFORE_NUMBERS = {
+    "not-json": ("trans-prob", "{not json"),
+    "unknown-kind": ("validate", {"kind": "qubit-pair"}),
+    "ragged": ("trans-prob", car_pair_scenario(s=[[0.5, 0.0], [0.0]])),
+    "wrong-kind": ("quadrature-check", {"kind": "ccr-pair", "sigma": SIGMA_1,
+                                        "R_S": thermal_r(1.0), "R_T": thermal_r(2.0)}),
+    "cutoff-null": ("validate", car_pair_scenario(options={"cutoff": None})),
+    "p-bool": ("classify", {"kind": "car-sequence",
+                            "family": {"rule": "car_mu_power", "p": True}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_BEFORE_NUMBERS))
+def test_refusal_before_numbers_loads_no_numpy(tmp_path, case):
+    code, report, imported = _qf(tmp_path, *_REFUSED_BEFORE_NUMBERS[case])
+    assert code == 2 and "error" in report
+    assert "numpy" not in imported and "quasifree.errors" in imported
+
+
+def test_pair_command_loads_only_its_modules(tmp_path):
+    code, report, imported = _qf(tmp_path, "trans-prob", car_pair_scenario())
+    assert code == 0
+    assert report["results"]["transition_probability"] == pytest.approx(TP_MU_03_01, rel=1e-12)
+    assert {"numpy", "quasifree.car"} <= imported
+    assert not imported & {"quasifree.seqmodel", "quasifree.car_oracle", "quasifree.ccr_oracle"}
+
+
+def test_package_import_loads_no_numpy():
+    code, _, imported = _child("-c", "import quasifree")
+    assert code == 0 and "quasifree" in imported and "numpy" not in imported
+
+
+def test_cli_copies_of_seqmodel_constants_agree():
+    """cli keeps these as literals: reading them from seqmodel would load numpy."""
+    assert cli.DEFAULT_N_MAX == seqmodel.DEFAULT_N_MAX
+    assert (cli._CAR.name, cli._CCR.name) == (seqmodel.CAR, seqmodel.CCR)

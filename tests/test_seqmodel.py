@@ -461,6 +461,18 @@ def test_classifier_guards():
         seqmodel.classify_sequence(seqmodel.car_power_family(2.0), n_max=32)
 
 
+@pytest.mark.parametrize("count", [64.5, 128.0, math.nan])
+@pytest.mark.parametrize("api, arg", [("classify_sequence", "n_max"),
+                                      ("partial_qe_sum", "n"), ("partial_log_tp", "n")])
+def test_mode_count_must_be_an_integer(monkeypatch, api, arg, count):
+    fam = seqmodel.car_power_family(2.0)
+    exact = getattr(seqmodel, api)(fam, 128)
+    assert getattr(seqmodel, api)(fam, np.int64(128)) == exact
+    monkeypatch.setattr(seqmodel, "_term_table", lambda *a: pytest.fail("table built"))
+    with pytest.raises(ValueError, match=f"^{arg} must be an integer"):
+        getattr(seqmodel, api)(fam, **{arg: count})
+
+
 def test_classifier_trace_equals_public_sums():
     fam = seqmodel.car_power_family(2.0)
     v = seqmodel.classify_sequence(fam, n_max=64)

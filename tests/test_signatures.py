@@ -5,6 +5,8 @@ import inspect
 import re
 import types
 
+import pytest
+
 import quasifree
 from quasifree import car, car_oracle, ccr, ccr_oracle, matcore, seqmodel
 
@@ -30,3 +32,11 @@ def test_top_level_names_are_their_home_module_objects():
         assert not isinstance(value, types.ModuleType), name
         home = getattr(value, "__module__", "quasifree")
         assert getattr(importlib.import_module(home), name) is value, name
+    # resolved from the home module on every access, never bound in the package
+    assert set(vars(quasifree)) & set(names) == {"__version__"}
+    assert set(names) <= set(dir(quasifree))
+    star = {}
+    exec("from quasifree import *", star)
+    assert all(star[name] is getattr(quasifree, name) for name in names)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        quasifree.no_such_name
