@@ -14,7 +14,8 @@ Each covariance is factorised once, by real ``eigh`` calls kept on the frozen
 :class:`CcrCovariance`: on supp R, ratio(S, 2R) = I/2 + i*a with a real
 antisymmetric, and gm(S, conj S) (:func:`ab_form`), the ratio's square root
 (:func:`qe_distance_ccr`) and its kernel (:func:`is_standard_ccr`) are real
-functions of a^T a. Past validation the pair path runs no complex kernel.
+functions of a^T a. :func:`validate_ccr` reads positivity from the same
+factorisation and runs a complex kernel only on a matrix it cannot certify.
 S keeps its last transition analysis against T, so trans_prob_ccr,
 log_trans_prob_ccr and classify_ccr on the same pair of objects run it once.
 """
@@ -33,7 +34,8 @@ from .matcore import (
     adjoint, eigh, eigvalsh, hermitian_part, hs_norm, raise_first_above, scalar, support_groups,
 )
 from .tolerances import (
-    CONDITION_BOUND, EXACT_TOL, KERNEL_LEAK_TOL, SUPPORT_GAP, VALIDATION_TOL, ZERO_TOL)
+    CERTIFY_MARGIN, CONDITION_BOUND, EXACT_TOL, KERNEL_LEAK_TOL, SUPPORT_GAP, VALIDATION_TOL,
+    ZERO_TOL)
 
 __all__ = [
     "CENTRAL_ELEMENT_MISMATCH",
@@ -151,8 +153,12 @@ def validate_ccr(sigma, r) -> CcrCovariance:
     sigma must be antisymmetric and R symmetric within VALIDATION_TOL times the
     entry scale (as :func:`quasifree.car.validate_car` checks Hermiticity);
     deviations within it are removed exactly. Also takes a stack of forms R,
-    shape (..., d, d), on one sigma or a stack of them. The error message
-    carries the minimal eigenvalue when positivity fails.
+    shape (..., d, d), on one sigma or a stack of them. Positivity is read
+    from the real factorisation the returned covariance keeps: with full
+    support S = (2R)^(1/2) (I/2 + i*a) (2R)^(1/2), so mu = 1/2 - sqrt(max x)
+    above CERTIFY_MARGIN * ZERO_TOL * cond(2R) certifies S >= 0 (README "Design
+    notes"). Every other matrix is decided by the smallest eigenvalue of the
+    complex R + i*sigma/2, which the error message carries when positivity fails.
     """
     sigma = _as_real(sigma, "sigma")
     r = _as_real(r, "R")
@@ -173,12 +179,22 @@ def validate_ccr(sigma, r) -> CcrCovariance:
                           lambda v, what=what: CovarianceError(f"{what}: max deviation {v:.3e}"))
     sigma = 0.5 * (sigma_in - np.swapaxes(sigma_in, -1, -2))
     r = 0.5 * (r_in + np.swapaxes(r_in, -1, -2))
-    raise_first_above(-eigvalsh(r + 0.5j * sigma)[..., :1], VALIDATION_TOL, scale,
-                      lambda v: CovarianceError("not a covariance form: minimal eigenvalue "
-                                                f"of R + i*sigma/2 is {-v:.6e}"), axis=-1)
     sigma.setflags(write=False)
     r.setflags(write=False)
-    return CcrCovariance(sigma=sigma, r=r)
+    cov = CcrCovariance(sigma=sigma, r=r)
+    # certified PSD: 2R keeps its full support and mu = 1/2 - sqrt(max x) clears
+    # CERTIFY_MARGIN * ZERO_TOL * cond(2R); only the rest take the complex spectrum
+    w, full = cov.metric_spectrum[0], np.all(cov.support[0], axis=-1)
+    mu = 0.5 - np.sqrt(np.max(cov.spectrum[1], axis=-1, initial=0.0))
+    certified = full & (mu * np.min(w, axis=-1, initial=np.inf)
+                        > CERTIFY_MARGIN * ZERO_TOL * np.max(w, axis=-1, initial=0.0))
+    if not np.all(certified):
+        rest = ~certified
+        raise_first_above(-eigvalsh(r[rest] + 0.5j * sigma[rest])[..., :1], VALIDATION_TOL,
+                          lambda: scale()[rest],
+                          lambda v: CovarianceError("not a covariance form: minimal eigenvalue "
+                                                    f"of R + i*sigma/2 is {-v:.6e}"), axis=-1)
+    return cov
 
 
 def canonical_sigma(n_modes: int) -> np.ndarray:

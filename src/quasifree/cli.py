@@ -14,7 +14,6 @@ read never loads numpy.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import importlib
@@ -220,7 +219,8 @@ def _inputs(scenario):
 
 def _sanitize(value):
     """Make results JSON-safe: non-finite floats become report tokens."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+    if hasattr(type(value), "__dataclass_fields__"):  # a dataclass instance, not a class
+        import dataclasses  # only a computed report has one, so a refusal never loads it
         return _sanitize(dataclasses.asdict(value))
     if isinstance(value, dict):
         return {str(k): _sanitize(v) for k, v in value.items()}
@@ -425,9 +425,12 @@ _FAILURES = (
 
 
 def _numeric_option(key: str, value, kind):
-    """A finite number option as float or int; anything else is a ScenarioError."""
+    """A finite number option as float or int, tol at least 0; anything else is a
+    ScenarioError."""
     if not _is_finite(value):
         raise ScenarioError(f"option {key!r} must be a finite number, got {value!r}")
+    if key == "tol" and value < 0:
+        raise ScenarioError(f"option 'tol' must be at least 0, got {value!r}")
     if kind is int and value != int(value):
         raise ScenarioError(f"option {key!r} must be an integer, got {value!r}")
     return kind(value)

@@ -11,6 +11,7 @@ from scipy import integrate
 
 from quasifree import ccr, matcore, sampling, seqmodel
 from quasifree.errors import CovarianceError
+from quasifree.tolerances import VALIDATION_TOL
 
 
 def width_of(q):
@@ -94,13 +95,18 @@ def test_stacked_pair_api_matches_pairs_bitwise(rng):
     assert list(ccr.is_standard_ccr(s)) == [ccr.is_standard_ccr(a) for a, _ in pairs]
 
 
+def passive_rotation(rng, modes):
+    """The orthogonal symplectic of a random unitary on ``modes`` modes."""
+    z = rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes))
+    u = np.linalg.qr(z)[0]
+    return np.block([[u.real, -u.imag], [u.imag, u.real]])
+
+
 def rotated_thermal_pairs(rng, modes, count):
     """``count`` pairs of thermal products of random widths on ``modes`` modes, each
     form turned by its own passive rotation (the orthogonal symplectic of a unitary)."""
     def form():
-        z = rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes))
-        u = np.linalg.qr(z)[0]
-        o = np.block([[u.real, -u.imag], [u.imag, u.real]])
+        o = passive_rotation(rng, modes)
         return (o * np.tile(0.5 * rng.uniform(1.0, 3.0, modes), 2)) @ o.T
 
     return [(form(), form()) for _ in range(count)]
@@ -191,6 +197,138 @@ def test_validate_normalizes_exactly():
     assert np.max(np.abs(cov.r - cov.r.T)) == 0.0
     with pytest.raises(ValueError):
         cov.r[0, 0] = 7.0
+
+
+# The complex rule: the smallest eigenvalue of the complex R + i*sigma/2 against
+# -VALIDATION_TOL * (1 + max |entry| of the forms as given). validate_ccr certifies
+# a matrix from its real factorisation only where that rule passes, and sends every
+# other matrix to it, so the two must agree on every accept, refusal and message.
+
+
+def complex_rule(sigma, r):
+    """The refusal message of the complex rule for the first matrix it refuses, or None."""
+    sigma_in, r_in = np.broadcast_arrays(np.asarray(sigma, float), np.asarray(r, float))
+    anti = 0.5 * (sigma_in - np.swapaxes(sigma_in, -1, -2))
+    sym = 0.5 * (r_in + np.swapaxes(r_in, -1, -2))
+    low = np.ravel(matcore.eigvalsh(sym + 0.5j * anti)[..., 0])
+    scale = np.ravel(1.0 + np.max(np.abs(r_in + 0.5j * sigma_in), axis=(-2, -1)))
+    bad = np.flatnonzero(-low > VALIDATION_TOL * scale)
+    if bad.size == 0:
+        return None
+    return f"not a covariance form: minimal eigenvalue of R + i*sigma/2 is {low[bad[0]]:.6e}"
+
+
+def validation_outcome(sigma, r):
+    """validate_ccr's refusal message, or None when it accepts."""
+    try:
+        ccr.validate_ccr(sigma, r)
+    except CovarianceError as exc:
+        return str(exc)
+    return None
+
+
+def squeezed_form(rng, modes, squeeze):
+    """A width-1 (vacuum) mode and random widths in [1, 3] on the others, squeezed by
+    diag(s, 1/s) with s up to ``squeeze`` and turned by a random passive rotation:
+    R + i*sigma/2 has smallest eigenvalue 0 on the canonical form."""
+    s = np.concatenate([[squeeze], rng.uniform(1.0, 2.0, modes - 1)])
+    m = passive_rotation(rng, modes) * np.concatenate([s, 1.0 / s])
+    widths = np.concatenate([[1.0], rng.uniform(1.0, 3.0, modes - 1)])
+    r = 0.5 * (m * np.tile(widths, 2)) @ m.T
+    return 0.5 * (r + r.T)
+
+
+def at_edge(sigma, r, t):
+    """r + c*I with c such that R + i*sigma/2 has smallest eigenvalue about
+    t * VALIDATION_TOL * scale, for an r whose smallest eigenvalue there is 0."""
+    scale = 1.0 + np.max(np.abs(r + 0.5j * sigma))
+    low = np.linalg.eigvalsh(r + 0.5j * sigma)[0]
+    return r + (t * VALIDATION_TOL * scale - low) * np.eye(r.shape[-1])
+
+
+EDGES = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
+
+
+@pytest.mark.parametrize("modes", [1, 2, 32])
+@pytest.mark.parametrize("squeeze", [1.0, 10.0, 100.0])
+def test_validate_matches_the_complex_rule_at_the_edge(rng, modes, squeeze):
+    """d = 2, 4 and 64, cond(2R) from ~1 to 1e8: at smallest eigenvalues of 0,
+    +-0.5, +-1 and +-2 VALIDATION_TOL * scale, and well inside, the same accepts,
+    refusals and messages as the complex rule, alone and as one stack."""
+    sigma = ccr.canonical_sigma(modes)
+    base = squeezed_form(rng, modes, squeeze)
+    forms = [at_edge(sigma, base, t) for t in EDGES] + [base + 0.1 * np.eye(2 * modes)]
+    for r in forms:
+        assert validation_outcome(sigma, r) == complex_rule(sigma, r)
+    for order in (forms, forms[::-1], forms[-1:] + forms[:-1]):
+        stack = np.stack(order)
+        assert validation_outcome(sigma, stack) == complex_rule(sigma, stack)
+    refused = [complex_rule(sigma, r) is not None for r in forms]
+    assert refused[EDGES.index(-2.0)] and not any(refused[:3]) and not refused[-1]
+
+
+def central_sigma():
+    """One canonical mode and two central directions."""
+    sigma = np.zeros((4, 4))
+    sigma[0, 1], sigma[1, 0] = 1.0, -1.0
+    return sigma
+
+
+DEGENERATE_CASES = {
+    # rank-deficient R vanishing on the centre: valid, no full support
+    "central-kernel": (central_sigma(), np.diag([0.5, 0.5, 0.0, 1.0])),
+    "central-thermal": (central_sigma(), np.diag([1.5, 1.5, 2.0, 1e-3])),
+    # the same with the central direction just below and above zero
+    "central-edge-": (central_sigma(), np.diag([0.5, 0.5, -2.0 * VALIDATION_TOL * 2.0, 1.0])),
+    "central-edge+": (central_sigma(), np.diag([0.5, 0.5, 0.5 * VALIDATION_TOL * 2.0, 1.0])),
+    # R vanishing where sigma does not: R + i*sigma/2 is indefinite
+    "kernel-off-centre": (ccr.canonical_sigma(1), np.diag([1.0, 0.0])),
+    # sigma = 0: an indefinite R has a full support of signed eigenvalues
+    "indefinite-commutative": (np.zeros((2, 2)), np.diag([-1.0, 1.0])),
+    # a negative eigenvalue of 2R with a large form on the rest: mu < 0 and w < 0
+    "indefinite-twisted": (
+        np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                  [0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]),
+        np.diag([-1.0, 0.1, 0.1, 1.0])),
+    "zero-form": (ccr.canonical_sigma(2), np.zeros((4, 4))),
+    "zero-commutative": (np.zeros((4, 4)), np.zeros((4, 4))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_CASES))
+def test_validate_matches_the_complex_rule_on_degenerate_forms(case):
+    sigma, r = DEGENERATE_CASES[case]
+    assert validation_outcome(sigma, r) == complex_rule(sigma, r)
+
+
+def test_validate_matches_the_complex_rule_on_mixed_stacks(rng):
+    """Degenerate, edge and random forms on one d = 4 stack, each with its own sigma:
+    the first matrix the complex rule refuses is the one refused, with its message."""
+    cases = [DEGENERATE_CASES[k] for k in sorted(DEGENERATE_CASES) if k.startswith(("central", "zero"))]
+    cases += [(ccr.canonical_sigma(2), at_edge(ccr.canonical_sigma(2), squeezed_form(rng, 2, 10.0), t))
+              for t in EDGES]
+    cases += [(ccr.canonical_sigma(2), sampling.random_ccr_covariance(rng, ccr.canonical_sigma(2)).r)
+              for _ in range(4)]
+    for _ in range(20):
+        order = rng.permutation(len(cases))[: rng.integers(1, len(cases) + 1)]
+        sigma, r = (np.stack([cases[i][k] for i in order]) for k in (0, 1))
+        assert validation_outcome(sigma, r) == complex_rule(sigma, r)
+
+
+def test_certified_pair_runs_no_complex_kernel(rng, monkeypatch):
+    """A random 32-mode pair is certified PSD by its real factorisation: validation and
+    the pair functions run no complex eigvalsh, and no other complex kernel."""
+    sigma = ccr.canonical_sigma(32)
+    forms = [c.r for c in sampling.random_ccr_pair(rng, sigma)]
+    dtypes = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def spy(a, *args, _f=getattr(np.linalg, name), **kwargs):
+            dtypes.append(np.asarray(a).dtype)
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    s, t = (ccr.validate_ccr(sigma, r) for r in forms)
+    assert ccr.classify_ccr(s, t).kind == ccr.QUASI_EQUIVALENT
+    assert dtypes and set(dtypes) == {np.dtype(float)}
 
 
 def test_canonical_sigma_squares_to_minus_identity():
@@ -339,7 +477,10 @@ def test_pair_path_after_ab_form_is_real(rng, monkeypatch):
 
 
 def test_classify_after_trans_prob_factorises_once(rng, monkeypatch):
-    s, t = sampling.random_ccr_pair(rng, ccr.canonical_sigma(2))
+    """Validation, trans_prob_ccr and classify_ccr factorise each covariance once:
+    validation keeps the real factorisation that the pair functions read."""
+    sigma = ccr.canonical_sigma(2)
+    forms = [c.r for c in sampling.random_ccr_pair(rng, sigma)]
     means, metric_eighs, form_eighs = [], [], []
     real_gm, real_mc_eigh, real_eigh = matcore.geometric_mean, ccr.eigh, np.linalg.eigh
 
@@ -348,7 +489,7 @@ def test_classify_after_trans_prob_factorises_once(rng, monkeypatch):
         return real_gm(a, b, *args, **kwargs)
 
     def eig_spy(h):
-        metric_eighs.extend(c for c in (s, t) if np.array_equal(h, 2.0 * c.r))
+        metric_eighs.append(np.array(h))
         return real_mc_eigh(h)
 
     def eigh_spy(h, *args, **kwargs):
@@ -358,15 +499,16 @@ def test_classify_after_trans_prob_factorises_once(rng, monkeypatch):
     monkeypatch.setattr(matcore, "geometric_mean", gm_spy)
     monkeypatch.setattr(ccr, "eigh", eig_spy)
     monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+    s, t = (ccr.validate_ccr(sigma, r) for r in forms)
     tp = ccr.trans_prob_ccr(s, t)
     verdict = ccr.classify_ccr(s, t)
     ccr.is_standard_ccr(s)
     assert verdict.transition_probability == tp
     # gm(A, B) once per pair (classify reuses the analysis) and gm(S, conj S) never
     assert means == [False]
-    assert len(metric_eighs) == 2 and metric_eighs[0] is not metric_eighs[1]
-    # one eigh of a^T a per covariance
+    # one eigh of 2R and one of a^T a per covariance
     for c in (s, t):
+        assert sum(np.array_equal(h, 2.0 * c.r) for h in metric_eighs) == 1
         a = c.spectrum[0]
         assert sum(np.array_equal(h, a.T @ a) for h in form_eighs) == 1
 

@@ -417,8 +417,11 @@ def test_null_cutoff_is_validation_error(tmp_path, capsys):
 
 
 def test_non_numeric_options_are_validation_errors(tmp_path, capsys):
-    for options in ({"tol": "1e-8"}, {"n_max": 100.5}, {"n_max": True}):
+    for options in ({"tol": "1e-8"}, {"n_max": 100.5}, {"n_max": True}, {"tol": -1}):
         assert_validation_error(capsys, tmp_path, car_pair_scenario(options=options))
+    # a negative tolerance would report any difference as outside it
+    assert_validation_error(capsys, tmp_path, car_pair_scenario(options={"tol": -1}),
+                            command="oracle-compare", needle="'tol' must be at least 0")
 
 
 def test_literal_tail_must_be_a_pair(tmp_path, capsys):
@@ -617,6 +620,7 @@ def test_refusal_before_numbers_loads_no_numpy(tmp_path, case):
     code, report, imported = _qf(tmp_path, *_REFUSED_BEFORE_NUMBERS[case])
     assert code == 2 and "error" in report
     assert "numpy" not in imported and "quasifree.errors" in imported
+    assert "dataclasses" not in imported
 
 
 def test_pair_command_loads_only_its_modules(tmp_path):

@@ -255,6 +255,54 @@ def test_geometric_mean_rejects_indefinite(rng):
         matcore.geometric_mean(np.diag([1.0, -1.0]), np.eye(2))
 
 
+def numpy_geometric_mean(a, b):
+    """a^{1/2} (a^{-1/2} b a^{-1/2})^{1/2} a^{1/2} from numpy.linalg alone, a positive definite."""
+    w, v = np.linalg.eigh(a)
+    root, inv_root = ((v * f(w)) @ v.conj().T for f in (np.sqrt, lambda x: 1.0 / np.sqrt(x)))
+    m = inv_root @ b @ inv_root
+    wm, vm = np.linalg.eigh(0.5 * (m + m.conj().T))
+    return root @ ((vm * np.sqrt(np.clip(wm, 0.0, None))) @ vm.conj().T) @ root
+
+
+def random_real_pd(rng, d, ridge=0.1):
+    m = rng.standard_normal((d, d))
+    return m @ m.T / d + ridge * np.eye(d)
+
+
+@pytest.mark.parametrize("d", [3, 16, 64])
+def test_geometric_mean_of_full_supports_matches_the_formula(rng, d):
+    for a, b in ((random_real_pd(rng, d), random_real_pd(rng, d)),
+                 (random_pd(rng, d), random_pd(rng, d))):
+        ref = numpy_geometric_mean(a, b)
+        assert matcore.hs_norm(matcore.geometric_mean(a, b) - ref) <= 1e-12 * matcore.hs_norm(ref)
+
+
+def test_geometric_mean_factorises_full_supports_once(rng, monkeypatch):
+    """Full supports: the eigh of a and of b, and the square root's (3); a rank-deficient
+    operand adds the eigh of P_A + P_B and of a on the common support (5)."""
+    a, b = random_real_pd(rng, 64), random_real_pd(rng, 64)
+    calls = _lapack_spy(monkeypatch)
+    matcore.geometric_mean(a, b)
+    assert calls == [("eigh", (1, 64, 64))] * 3
+    calls.clear()
+    p = np.diag((np.arange(64) > 0).astype(float))
+    matcore.geometric_mean(a, p @ b @ p)
+    assert [kernel for kernel, _ in calls] == ["eigh"] * 5
+
+
+def test_geometric_mean_stack_of_full_and_deficient_supports_keeps_single_call_bits(rng):
+    a = np.stack([random_real_pd(rng, 64) for _ in range(4)])
+    b = np.stack([random_real_pd(rng, 64) for _ in range(4)])
+    v = np.linalg.qr(rng.standard_normal((64, 64)))[0]
+    a[1] = (v[:, :40] * rng.uniform(0.5, 2.0, 40)) @ v[:, :40].T  # rank 40
+    b[2] = (v[:, 10:] * rng.uniform(0.5, 2.0, 54)) @ v[:, 10:].T  # rank 54
+    g = matcore.geometric_mean(a, b)
+    for i in range(4):
+        assert np.array_equal(g[i], matcore.geometric_mean(a[i], b[i]))
+    # the deficient pairs live on the common support
+    assert np.linalg.matrix_rank(g[1]) == 40 and np.linalg.matrix_rank(g[2]) == 54
+
+
 
 # ------------------------------------------------------- 2 x 2 closed forms
 
