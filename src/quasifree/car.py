@@ -10,8 +10,9 @@ covariance is factorised once, by one real ``eigh`` of A^T A = -A^2 kept on
 the frozen :class:`CarCovariance`; sqrt(S) = G + iY and sqrt(I-S) = G - iY with
 G, Y real functions of it, so the overlap matrix M = 2(G_S G_T - Y_S Y_T) is
 real. One LU of M decides where it proves no singular value a zero, one SVD
-elsewhere. S keeps the result against its last partner T, so tp, log tp, the
-meet and the quadrature check on the same pair of objects factorise M once.
+elsewhere; on one mode (2 x 2) M = m I in closed form. S keeps the result against
+its last partner T, so tp, log tp, the meet and the quadrature check on the same
+pair of objects factorise M once.
 """
 
 from __future__ import annotations
@@ -74,6 +75,12 @@ class CarCovariance:
         singular-value cut that detects exactly-singular overlaps.
         """
         return matcore.root_parts(self.matrix.imag, *self.spectrum, DEGENERACY_SNAP)
+
+    @cached_property
+    def mode_roots(self):
+        """2 x 2 only: the scalars ``(g, y)`` with :attr:`roots` = (g I, y A/mu), mu = A[1, 0]."""
+        t, h = matcore.root_scales(self.spectrum[0][..., 0], DEGENERACY_SNAP)  # both x are mu^2
+        return 0.5 * t, h * self.matrix.imag[..., 1, 0]
 
 
 def validate_car(s) -> CarCovariance:
@@ -186,23 +193,32 @@ def wick_moment(s, vectors) -> complex:
 
 
 def _pair_roots(s, t):
-    """Real square-root parts ``((G_S, Y_S), (G_T, Y_T))`` of a same-shape pair."""
+    """``(d, (G_S, Y_S), (G_T, Y_T))`` of a same-shape pair: at d = 2 the scalars of
+    :attr:`CarCovariance.mode_roots`, else :attr:`CarCovariance.roots`."""
     cs, ct = _as_covariance(s), _as_covariance(t)
     if cs.matrix.shape != ct.matrix.shape:
         raise CovarianceError(f"dimension mismatch: {cs.matrix.shape} vs {ct.matrix.shape}")
-    return cs.roots, ct.roots
+    return (2, cs.mode_roots, ct.mode_roots) if cs.dim == 2 else (cs.dim, cs.roots, ct.roots)
 
 
 def _pair_overlap(s, t):
-    """:func:`_overlap` of the pair's real overlap matrix 2(G_S G_T - Y_S Y_T).
+    """``(log tp, zero count)`` of the pair's real overlap matrix 2(G_S G_T - Y_S Y_T).
 
-    Kept on S against T's matrix (by identity), one pair at a time; callers copy.
+    On 2 x 2 pairs M = m I, m = 2(g_S g_T + y_S y_T) of :attr:`CarCovariance.mode_roots`,
+    with both singular values |m|; larger ones take :func:`_overlap`. Kept on S
+    against T's matrix (by identity), one pair at a time; callers copy.
     """
     s, t = _as_covariance(s), _as_covariance(t)
     partner, out = s.__dict__.get("_overlap", (None, None))
     if partner is not t.matrix:
-        (gs, ys), (gt, yt) = _pair_roots(s, t)
-        out = _overlap(2.0 * (gs @ gt - ys @ yt))
+        d, (gs, ys), (gt, yt) = _pair_roots(s, t)
+        if d == 2:
+            m = np.abs(2.0 * (gs * gt + ys * yt))
+            zero = m <= ZERO_TOL * np.maximum(1.0, m)
+            with np.errstate(divide="ignore"):
+                out = np.where(zero, -np.inf, np.minimum(np.log(m), 0.0)), np.where(zero, 2, 0)
+        else:
+            out = _overlap(2.0 * (gs @ gt - ys @ yt))
         s.__dict__["_overlap"] = (t.matrix, out)
     return out
 
@@ -214,16 +230,14 @@ def _overlap(m: np.ndarray):
     log sigma capped at 0, -inf where a zero is. As every sigma <= 1, AM-GM over
     the d - 1 largest sigma^2 gives log sigma_min >= log|det M| - (d-1)/2
     log(||M||_F^2 / (d-1)): above log(CERTIFY_MARGIN * ZERO_TOL) no zero is
-    possible and one LU decides. Other matrices, and 2 x 2 stacks, take ``svdvals``.
+    possible and one LU decides. Other matrices take ``svdvals``.
     """
     d, shape = m.shape[-1], m.shape[:-2]
-    log_tp, zeros, svd = np.zeros(shape), np.zeros(shape, dtype=np.intp), np.ones(shape, dtype=bool)
-    if d != 2:
-        logdet = log_abs_det(m)
-        with np.errstate(divide="ignore", invalid="ignore"):  # M = 0 gives nan: no pass
-            bound = logdet - (d - 1) / 2 * np.log(np.sum(m * m, axis=(-2, -1)) / max(d - 1, 1))
-        log_tp[...] = np.minimum(0.5 * logdet, 0.0)
-        svd[...] = ~(bound > np.log(CERTIFY_MARGIN * ZERO_TOL))
+    logdet = log_abs_det(m)
+    with np.errstate(divide="ignore", invalid="ignore"):  # M = 0 gives nan: no pass
+        bound = logdet - (d - 1) / 2 * np.log(np.sum(m * m, axis=(-2, -1)) / max(d - 1, 1))
+    log_tp, zeros = np.minimum(0.5 * logdet, 0.0, out=np.empty(shape)), np.zeros(shape, np.intp)
+    svd = ~(bound > np.log(CERTIFY_MARGIN * ZERO_TOL))
     if np.any(svd):
         sv = svdvals(m[svd])
         zeros[svd] = np.count_nonzero(sv <= ZERO_TOL * np.maximum(1.0, sv[..., :1]), axis=-1)
@@ -265,10 +279,12 @@ def qe_distance_car(s, t):
     Finite-dimensional stand-in for the quasi-equivalence criterion: two
     sequences of states are quasi-equivalent iff these distances are square
     summable mode by mode. Read from the real parts as
-    sqrt(||G_S - G_T||^2 + ||Y_S - Y_T||^2). Stacked covariances give one
-    distance per pair.
+    sqrt(||G_S - G_T||^2 + ||Y_S - Y_T||^2), on 2 x 2 pairs sqrt(2((g_S - g_T)^2 +
+    (y_S - y_T)^2)), each square x * x. Stacked covariances give one distance per pair.
     """
-    (gs, ys), (gt, yt) = _pair_roots(s, t)
+    d, (gs, ys), (gt, yt) = _pair_roots(s, t)
+    if d == 2:
+        return scalar(np.sqrt(2.0 * (np.square(gs - gt) + np.square(ys - yt))))
     return hs_norm(np.concatenate([gs - gt, ys - yt], axis=-1))
 
 

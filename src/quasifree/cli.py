@@ -54,6 +54,18 @@ def _lazy(module: str, name: str) -> Callable:
     return call
 
 
+def _car_range(cov) -> tuple:
+    """The extreme eigenvalues 1/2 -+ sqrt(max x) of S, from its cached spectrum."""
+    r = math.sqrt(cov.spectrum[0].max(initial=0.0))
+    return 0.5 - r, 0.5 + r
+
+
+def _ccr_range(cov) -> tuple:
+    """The extreme eigenvalues of R + i*sigma/2, from ``matcore.eigvalsh``."""
+    w = _lazy("matcore", "eigvalsh")(cov.s_matrix)
+    return float(w[0]), float(w[-1])
+
+
 class _Algebra(NamedTuple):
     """What a scenario of one algebra reads and reports."""
 
@@ -61,16 +73,16 @@ class _Algebra(NamedTuple):
     shared: tuple        # matrices both covariances are validated with
     states: tuple        # a pair scenario's matrix for each state
     validate: Callable   # validate(*shared, state matrix) -> covariance
-    form: str            # the covariance matrix whose spectrum validate reports
+    eig_range: Callable  # covariance -> the (min, max) eigenvalue validate reports
     tp: Callable
     log_tp: Callable
     tp_squared: str      # report key of tp**2
 
 
-_CAR = _Algebra("car", (), ("S", "T"), _lazy("car", "validate_car"), "matrix",
+_CAR = _Algebra("car", (), ("S", "T"), _lazy("car", "validate_car"), _car_range,
                 _lazy("car", "trans_prob_car"), _lazy("car", "log_trans_prob_car"),
                 "abs_det_overlap_matrix")
-_CCR = _Algebra("ccr", ("sigma",), ("R_S", "R_T"), _lazy("ccr", "validate_ccr"), "s_matrix",
+_CCR = _Algebra("ccr", ("sigma",), ("R_S", "R_T"), _lazy("ccr", "validate_ccr"), _ccr_range,
                 _lazy("ccr", "trans_prob_ccr"), _lazy("ccr", "log_trans_prob_ccr"),
                 "det_factor")
 # scenario kind -> its algebra: car-pair, ccr-pair, car-sequence, ccr-sequence
@@ -252,13 +264,11 @@ def _sanitize(value):
 
 
 def _cmd_validate(scenario, inputs, opts):
-    import numpy as np
     results = {}
     if scenario["kind"].endswith("-pair"):
         for name, cov in zip("ST", inputs):
-            w = np.linalg.eigvalsh(getattr(cov, _KINDS[scenario["kind"]].form))
-            results[name] = {"dim": cov.dim, "min_eigenvalue": float(w[0]),
-                             "max_eigenvalue": float(w[-1])}
+            low, high = _KINDS[scenario["kind"]].eig_range(cov)
+            results[name] = {"dim": cov.dim, "min_eigenvalue": low, "max_eigenvalue": high}
     else:
         inputs.stack(1, 8)  # the family's covariances validate as they are built
         results["family"] = {"label": inputs.label, "modes_checked": 8}

@@ -9,9 +9,10 @@ BLAS thread count; another count can change the last bits of a LAPACK result.
 
 The kernels :func:`eigh`, :func:`eigvalsh`, :func:`svdvals` and :func:`log_abs_det`
 are what the pair functions of :mod:`quasifree.car` and :mod:`quasifree.ccr`
-call. On 2 x 2 matrices, the size every single-mode sequence term has, the first
-three evaluate LAPACK's closed forms (``dlaev2``, ``dlas2``) elementwise; on
-any other shape they call ``numpy.linalg`` unchanged.
+call. On 2 x 2 matrices, the size every single-mode sequence term has, the two
+Hermitian ones evaluate LAPACK's closed form ``dlaev2`` elementwise; every other
+call goes to ``numpy.linalg`` unchanged. One-mode CAR pairs need no SVD: their
+overlap is a multiple of I in closed form (:mod:`quasifree.car`).
 
 The spectral helpers also take stacks of matrices, shape ``(..., d, d)``,
 and give each matrix the same bits as alone; steps whose shapes depend on a
@@ -100,11 +101,6 @@ def _check_square(x: np.ndarray, name: str, stack: bool = False) -> np.ndarray:
     return x
 
 
-def _check_pair(x: np.ndarray, y: np.ndarray) -> None:
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-
-
 def require_psd(w: np.ndarray, name: str) -> None:
     """NotPositiveError unless each spectrum (ascending) is above -ZERO_TOL * its max |w|."""
     if w.shape[-1]:
@@ -113,11 +109,10 @@ def require_psd(w: np.ndarray, name: str) -> None:
                     lambda v: NotPositiveError(msg.format(v), v))
 
 
-# The 2 x 2 closed forms round only in +, -, *, / and sqrt (besides abs,
-# copysign, comparisons and selection, which are exact). These are correctly
-# rounded in numpy's vector and scalar loops alike, so each matrix of a stack
-# gets the bits it gets alone. No product of two entries is formed: they
-# neither overflow nor underflow where the matrix does not.
+# The 2 x 2 closed form rounds only in +, -, *, / and sqrt (abs, copysign,
+# comparisons and selection are exact), correctly in numpy's vector and scalar
+# loops alike, so each matrix of a stack gets the bits it gets alone. It forms no
+# product of two entries, so it neither overflows nor underflows where x does not.
 
 
 def _nonzero(x):
@@ -204,35 +199,8 @@ def eigvalsh(x: np.ndarray) -> np.ndarray:
 
 
 def svdvals(x: np.ndarray) -> np.ndarray:
-    """Singular values, descending, of a matrix or a stack of them.
-
-    A real 2 x 2 matrix is rotated to upper-triangular [[f, g], [0, h]] and
-    takes the closed form of LAPACK's ``dlas2``; every other shape, and
-    complex input, goes to ``numpy.linalg.svd(x, compute_uv=False)`` unchanged.
-    """
-    x = np.asarray(x)
-    if x.shape[-2:] != (2, 2) or x.dtype.kind == "c":
-        return np.linalg.svd(x, compute_uv=False)
-    x = x.astype(float, copy=False)
-    a, b, c, d = x[..., 0, 0], x[..., 0, 1], x[..., 1, 0], x[..., 1, 1]
-    f = _hypot(a, c)
-    scale = _nonzero(f)
-    co, si = a / scale + (f == 0.0), c / scale
-    ga, ha = np.abs(co * b + si * d), np.abs(co * d - si * b)
-    lo, hi = np.minimum(f, ha), np.maximum(f, ha)
-    # dlas2's two branches (|g| below or above hi) are one formula scaled by
-    # top = max(hi, |g|): with m = hi/top and n = |g|/top, the sum of roots
-    # D = sqrt(((1 + lo/hi) m)^2 + n^2) + sqrt(((hi - lo)/hi m)^2 + n^2)
-    # gives smax = top D/2 and smin = lo 2m/D
-    top = _nonzero(np.maximum(hi, ga))
-    m, n = hi / top, ga / top
-    hi = _nonzero(hi)
-    p, q = (1.0 + lo / hi) * m, ((hi - lo) / hi) * m
-    root = np.sqrt(p * p + n * n) + np.sqrt(q * q + n * n)
-    out = np.empty(f.shape + (2,))
-    np.multiply(0.5 * root, top, out=out[..., 0])
-    np.multiply(lo, (m + m) / _nonzero(root), out=out[..., 1])
-    return out
+    """Singular values, descending, of a matrix or a stack: ``numpy.linalg.svd``'s."""
+    return np.linalg.svd(x, compute_uv=False)
 
 
 def log_abs_det(x: np.ndarray) -> np.ndarray:
@@ -251,18 +219,23 @@ def sqrt_psd(h: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ adjoint(v)
 
 
-def root_parts(a: np.ndarray, x: np.ndarray, u: np.ndarray, snap: float):
-    """Real ``(G, Y)`` with sqrt(I/2 + i*a) = G + iY, a real antisymmetric, ||a|| <= 1/2.
-
-    ``(x, u)`` is the ``eigh`` of a^T a. For the eigenvalues 1/2 +- r of
-    I/2 + i*a (r = sqrt x), G = t/2 and Y = a/t with t = sqrt(1/2 + r) +
-    sqrt(1/2 - r), free of cancellation. An r within ``snap`` of 1/2 counts as
-    exactly 1/2 (t = 1, Y = a/(2r)); ``snap = 0`` snaps nothing.
-    """
+def root_scales(x: np.ndarray, snap: float):
+    """``(t, h)``, elementwise in x = r^2: t = sqrt(1/2 + r) + sqrt(1/2 - r), free of
+    cancellation, and h = 1/t, except t = 1 and h = 1/(2r) where r is within ``snap``
+    of 1/2 (``snap = 0`` snaps nothing)."""
     r = np.sqrt(np.clip(x, 0.0, 0.25))
     hit = 0.5 - r <= snap
     t = np.where(hit, 1.0, np.sqrt(0.5 + r) + np.sqrt(np.maximum(0.5 - r, 0.0)))
-    h = np.where(hit, 0.5 / np.maximum(r, 0.25), 1.0 / t)  # r > 1/4 where snapped
+    return t, np.where(hit, 0.5 / np.maximum(r, 0.25), 1.0 / t)  # r > 1/4 where snapped
+
+
+def root_parts(a: np.ndarray, x: np.ndarray, u: np.ndarray, snap: float):
+    """Real ``(G, Y)`` with sqrt(I/2 + i*a) = G + iY, a real antisymmetric, ||a|| <= 1/2.
+
+    ``(x, u)`` is the ``eigh`` of a^T a, and I/2 + i*a has eigenvalues 1/2 +- sqrt x:
+    G = t/2 and Y = a h with ``(t, h)`` of :func:`root_scales`.
+    """
+    t, h = root_scales(x, snap)
     ut = adjoint(u)
     return (u * (0.5 * t)[..., None, :]) @ ut, a @ ((u * h[..., None, :]) @ ut)
 
@@ -339,7 +312,8 @@ def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = hermitian_part(_check_square(a, "first matrix", stack=True))
     b = hermitian_part(_check_square(b, "second matrix", stack=True))
-    _check_pair(a, b)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     shape = a.shape
     a, b = (m.reshape(math.prod(shape[:-2]), *shape[-2:]) for m in (a, b))
 

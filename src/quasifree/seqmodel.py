@@ -353,11 +353,10 @@ def classify_sequence(family: ModeFamily, n_max: int = DEFAULT_N_MAX) -> Sequenc
     cut splits them; fully degenerate families can genuinely split them, and
     refusing to answer is deliberate there.)
 
-    ``n_max`` above N_MAX_CAP = 2**20 raises :class:`SizeCapError`: at the cap the
-    scan costs 3.4-3.6 us/mode for the CAR built-ins and 10.9-12.1 us/mode for the
-    CCR built-ins (2-vCPU x86_64 VM, one BLAS thread), ~3.6-3.8 s and ~11-13 s in
-    all. A literal or concatenated-literal family costs its listed pairs plus O(n)
-    summation: car_counterexample() takes 0.23-0.25 s at the cap.
+    ``n_max`` above N_MAX_CAP = 2**20 raises :class:`SizeCapError`: at the cap the scan
+    costs ~1.1 us/mode for the CAR built-ins and ~5.4-5.6 us/mode for the CCR built-ins
+    (2-vCPU x86_64 VM, one BLAS thread). A literal costs its listed pairs plus O(n)
+    summation: car_counterexample() takes ~0.12 s at the cap.
     """
     n_max = _mode_count(n_max, "n_max")
     if n_max < MIN_N_MAX:

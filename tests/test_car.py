@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 from doubled_space import doubled_conjugate, validate_doubled_covariance
 
-from quasifree import car, car_oracle, matcore, sampling, tolerances
+from quasifree import car, car_oracle, matcore, sampling, seqmodel, tolerances
 from quasifree.errors import CovarianceError
 
 # the transition probability between the mu = 0.3 and mu = 0.1 states,
@@ -802,3 +802,122 @@ def test_covariances_pickle_after_pair_calls(rng):
     for s2, t2 in (pickle.loads(pickle.dumps((s, t))), (pickle.loads(pickle.dumps(s)), t)):
         assert np.array_equal(s2.matrix, s.matrix) and np.array_equal(t2.matrix, t.matrix)
         assert all(map(_same_bits, _pair_values(s2, t2), want))
+
+
+# ------------------------------------------------------ one-mode closed forms
+
+SNAP = tolerances.DEGENERACY_SNAP
+# pure, near pure, the snap edge and one ulp either side, zero of both signs, underflow
+EDGE_MUS = [0.5, -0.5, 0.5 - 1e-13, -(0.5 - 1e-13), 0.0, -0.0, 1e-300, -1e-300, 0.3,
+            *(m for edge in (0.5 - SNAP, SNAP - 0.5)
+              for m in (edge, np.nextafter(edge, 1.0), np.nextafter(edge, -1.0)))]
+
+
+def _matrix_route(s, t):
+    """``(tp, log tp, meet, qe)`` of 2 x 2 pairs through their 2 x 2 matrices, with numpy.
+
+    G and Y from ``matcore.root_parts``, M = 2(G_S G_T - Y_S Y_T), LAPACK's singular
+    values under the zero rule, and the HS norm of [G_S - G_T, Y_S - Y_T].
+    """
+    (gs, ys), (gt, yt) = (matcore.root_parts(c.matrix.imag, *c.spectrum, SNAP) for c in (s, t))
+    sv = np.linalg.svd(2.0 * (gs @ gt - ys @ yt), compute_uv=False)
+    zeros = np.count_nonzero(sv <= tolerances.ZERO_TOL * np.maximum(1.0, sv[..., :1]), axis=-1)
+    with np.errstate(divide="ignore"):
+        log_tp = np.minimum(0.5 * np.sum(np.log(sv), axis=-1), 0.0)
+    log_tp[zeros > 0] = -np.inf
+    qe = np.linalg.norm(np.concatenate([gs - gt, ys - yt], axis=-1), axis=(-2, -1))
+    return np.exp(log_tp), log_tp, zeros, qe
+
+
+def _mode_values(s, t):
+    return (car.trans_prob_car(s, t), car.log_trans_prob_car(s, t), car.meet_criterion(s, t),
+            car.qe_distance_car(s, t))
+
+
+def test_one_mode_closed_forms_keep_the_matrix_route_bits(rng):
+    edges = np.array(EDGE_MUS)
+    mu_s = np.concatenate([np.repeat(edges, edges.size), rng.uniform(-0.5, 0.5, 2000),
+                           0.5 - 10.0 ** rng.uniform(-16, -1, 500)])
+    mu_t = np.concatenate([np.tile(edges, edges.size), rng.uniform(-0.5, 0.5, 2000),
+                           -0.5 + 10.0 ** rng.uniform(-16, -1, 500)])
+    s, t = car.mu_covariance(mu_s), car.mu_covariance(mu_t)
+    want = _matrix_route(s, t)
+    assert all(map(_same_bits, _mode_values(s, t), want))
+    # the edges reach both zero counts and both sides of the snap
+    assert set(want[2].tolist()) == {0, 2} and np.isinf(want[1]).any()
+    for i in [*range(edges.size**2), *range(edges.size**2, mu_s.size, 5)]:
+        a, b = car.mu_covariance(mu_s[i]), car.mu_covariance(mu_t[i])
+        got = _mode_values(a, b)
+        assert [type(x) for x in got] == [float, float, int, float]
+        assert all(_same_bits(x, w[i]) for x, w in zip(got, want)), (mu_s[i], mu_t[i])
+
+
+def test_one_mode_closed_forms_read_the_roots_entries(rng):
+    s = car.mu_covariance(np.concatenate([EDGE_MUS, rng.uniform(-0.5, 0.5, 64)]))
+    (g_mat, y_mat), (g, y) = s.roots, s.mode_roots
+    assert np.array_equal(g_mat[:, 0, 0], g) and np.array_equal(g_mat[:, 1, 1], g)
+    assert np.array_equal(y_mat[:, 1, 0], y) and np.array_equal(y_mat[:, 0, 1], -y)
+    assert not np.any(g_mat[:, 0, 1]) and not np.any(y_mat[:, 0, 0])
+
+
+def _reference_table(family, n):
+    """qe^2 and -log tp of modes 1..n, 2 x 2 modes through :func:`_matrix_route`."""
+    qe_sq, neg_log_tp = np.empty(n), np.empty(n)
+    for modes, s, t in family.stack(1, n):
+        if s.dim == 2:
+            _, log_tp, _, qe = _matrix_route(s, t)
+        else:
+            log_tp, qe = car.log_trans_prob_car(s, t), car.qe_distance_car(s, t)
+        qe_sq[modes - 1] = [x**2 for x in qe.tolist()]
+        neg_log_tp[modes - 1] = -log_tp
+    return qe_sq, neg_log_tp
+
+
+def _car_families(rng):
+    edges = [car.mu_covariance(m) for m in EDGE_MUS]
+    pairs = [(a, b) for a in edges for b in edges[::3]]
+    pairs += [tuple(car.mu_covariance(m) for m in rng.uniform(-0.5, 0.5, 2)) for _ in range(40)]
+    literal = seqmodel.literal_family(seqmodel.CAR, pairs)
+    mixed = seqmodel.literal_family(seqmodel.CAR, pairs[:5] + [sampling.random_car_pair(rng, 4)]
+                                    + pairs[5:9], tail=pairs[9])
+    rule = seqmodel.ModeFamily(seqmodel.CAR, "rule", lambda k: (car.mu_covariance(0.3),
+                                                                car.mu_covariance(0.3 + 0.1 / k)))
+    return [seqmodel.car_power_family(p) for p in (0.5, 1.0, 2.0)] + [
+        seqmodel.car_counterexample(),
+        seqmodel.car_mu_sequence(lambda k: 0.5 - 1.0 / (k + 2), lambda k: 0.5 - 1.0 / (k + 1)),
+        rule, literal, mixed,
+        seqmodel.concat_families(literal, 7, seqmodel.car_power_family(2.0)),
+        seqmodel.concat_families(seqmodel.car_power_family(1.0), 100, mixed),
+    ]
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096])
+def test_one_mode_term_tables_keep_the_matrix_route_bits(rng, n):
+    for family in _car_families(rng):
+        got = seqmodel._term_table(family, n)
+        assert all(map(_same_bits, got, _reference_table(family, n))), family.label
+
+
+def test_one_mode_scans_take_no_matrix_roots_and_no_svd(rng, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-mode CAR pair took the matrix route")
+
+    for module, name in ((matcore, "root_parts"), (matcore, "svdvals"), (car, "svdvals"),
+                         (np.linalg, "svd")):
+        monkeypatch.setattr(module, name, refuse)
+    for family in _car_families(rng)[:7]:
+        seqmodel.classify_sequence(family, n_max=1024)
+    assert _mode_values(car.mu_covariance(0.5), car.mu_covariance(-0.5)) == (0.0, -math.inf, 2,
+                                                                            math.sqrt(2.0))
+
+
+def test_quadrature_check_of_one_dimensional_covariances(monkeypatch):
+    # the only 2 x 2 overlap left, M = I, takes the LU like every other size
+    calls = []
+    for name in ("slogdet", "svd"):
+        def spy(a, *args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    assert car.quadrature_identity_check([[0.5]], [[0.5]]) == (1.0, 1.0)
+    assert calls == [("slogdet", (1, 1)), ("slogdet", (2, 2))]

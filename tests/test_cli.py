@@ -65,6 +65,44 @@ def test_validate_car_pair(tmp_path, capsys):
     assert report["results"]["S"]["min_eigenvalue"] == pytest.approx(0.2)
 
 
+def _linalg_calls(monkeypatch) -> list:
+    """Record (kernel, shape) of every numpy.linalg spectral, SVD or determinant call."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd", "slogdet", "det"):
+        def spy(a, *args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def test_validate_car_pair_reads_the_cached_spectrum(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(5)
+    four = [c.matrix for c in sampling.random_car_pair(rng, 4)]
+    calls = _linalg_calls(monkeypatch)
+    code, report, _ = run_cli(capsys, ["validate", write_scenario(tmp_path, car_pair_scenario())])
+    # a 2 x 2 pair validates in closed form and reports 1/2 -+ sqrt(max x)
+    assert code == 0 and calls == []
+    assert report["results"]["T"] == {"dim": 2, "min_eigenvalue": 0.4, "max_eigenvalue": 0.6}
+    sc = car_pair_scenario(s=matrix_json(four[0]), t=matrix_json(four[1]))
+    code, report, _ = run_cli(capsys, ["validate", write_scenario(tmp_path, sc)])
+    # larger: validation's one real eigh per covariance, and nothing for the report
+    assert code == 0 and calls == [("eigh", (4, 4))] * 2
+    for name, m in zip("ST", four):
+        w = np.linalg.eigvalsh(m)
+        got = report["results"][name]
+        assert got["min_eigenvalue"] == pytest.approx(w[0], abs=1e-15)
+        assert got["max_eigenvalue"] == pytest.approx(w[-1], abs=1e-15)
+
+
+def test_validate_one_mode_ccr_pair_makes_no_linalg_call(tmp_path, capsys, monkeypatch):
+    sc = {"kind": "ccr-pair", "sigma": SIGMA_1, "R_S": thermal_r(3.0), "R_T": thermal_r(1.0)}
+    calls = _linalg_calls(monkeypatch)
+    code, report, _ = run_cli(capsys, ["validate", write_scenario(tmp_path, sc)])
+    assert code == 0 and calls == []
+    assert report["results"]["S"]["max_eigenvalue"] == pytest.approx(2.0, abs=1e-15)
+
+
 def test_validate_rejects_bad_covariance(tmp_path, capsys):
     bad = car_pair_scenario(s=[[0.9, 0.0], [0.0, 0.9]])
     path = write_scenario(tmp_path, bad)

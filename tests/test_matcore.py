@@ -366,9 +366,10 @@ def test_eigh_2x2_closed_form_matches_lapack(rng, family):
 
 @pytest.mark.parametrize("family", EDGE_FAMILIES)
 def test_svdvals_2x2_closed_form_matches_lapack(rng, family):
+    """2 x 2 singular values have no closed form of their own any more: LAPACK's, bit for bit."""
     x = edge_2x2(rng)[family]
     sv = matcore.svdvals(x)
-    assert np.all(np.abs(sv - np.linalg.svd(x, compute_uv=False)) <= TOL * _scale(x)[:, None])
+    assert _same_bits(sv, np.linalg.svd(x, compute_uv=False))
     assert np.all(sv[:, 0] >= sv[:, 1]) and np.all(sv >= 0.0)
     if family in ("zero", "singular overlap"):
         assert not sv.any()
@@ -403,13 +404,12 @@ def test_2x2_kernels_give_each_matrix_its_bits_alone(rng):
     h = matcore.hermitian_part(x)
     z = matcore.hermitian_part(x + 1j * rng.standard_normal(x.shape))
     w, v = matcore.eigh(h)
-    wz, wr, sv = matcore.eigvalsh(z), matcore.eigvalsh(h), matcore.svdvals(x)
+    wz, wr = matcore.eigvalsh(z), matcore.eigvalsh(h)
     for i in range(x.shape[0]):
         wi, vi = matcore.eigh(h[i])
         assert _same_bits(wi, w[i]) and _same_bits(vi, v[i])
         assert _same_bits(matcore.eigvalsh(h[i]), wr[i])
         assert _same_bits(matcore.eigvalsh(z[i]), wz[i])
-        assert _same_bits(matcore.svdvals(x[i]), sv[i])
 
 
 def test_kernels_call_lapack_off_2x2(rng):
@@ -442,8 +442,6 @@ def test_2x2_closed_forms_match_lapack_hypothesis(x):
     assert np.all(np.abs(w - np.linalg.eigvalsh(h)) <= TOL * scale)
     assert np.max(np.abs((v * (w / scale)) @ v.T - h / scale)) <= 4 * EPS
     assert np.max(np.abs(v.T @ v - np.eye(2))) <= 2 * EPS
-    sv = matcore.svdvals(x)
-    assert np.all(np.abs(sv - np.linalg.svd(x, compute_uv=False)) <= TOL * _scale(x))
 
 
 # ---------------------------------------------------------- kernel routing
