@@ -278,12 +278,12 @@ def _transition_analysis(cov_s: CcrCovariance, cov_t: CcrCovariance):
     a = ab_form(cov_s).reshape(n, d, d)
     b = ab_form(cov_t).reshape(n, d, d)
     mismatch = _supports_differ(cov_s, cov_t)
-    g = hermitian_part(a + b)
+    g = a + b  # exactly symmetric, as ab_form is
     w, v = eigh(g)
     keep = w > ZERO_TOL * np.maximum(np.trace(g, axis1=-2, axis2=-1), 0.0)[:, None]
     log_t = np.where(mismatch, -np.inf, 0.0)
     factors = []
-    for sel, wk, basis, _ in support_groups(w, v, keep):
+    for sel, wk, basis in support_groups(w, v, keep):
         live = ~mismatch[sel]
         idx = np.flatnonzero(sel)[live]
         if basis.shape[-1] == 0 or idx.size == 0:

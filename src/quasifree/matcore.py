@@ -243,21 +243,16 @@ def root_parts(a: np.ndarray, x: np.ndarray, u: np.ndarray, snap: float):
 def support_groups(w: np.ndarray, v: np.ndarray, keep: np.ndarray):
     """Split eigendecompositions ``(w, v)`` of a stack by the rank of the support ``keep``.
 
-    Support columns move behind the rest in order (a no-op for an ascending
-    ``eigh`` under a threshold), so rank r has support ``v[..., -r:]``. Yields
-    ``(sel, w_r, basis, null)`` per rank: a mask over the stack, then the
-    support eigenvalues, support basis and kernel basis of those matrices.
+    ``keep`` holds from some column on, as a threshold on an ascending ``eigh``
+    does, so rank r has support ``v[..., -r:]``. Yields ``(sel, w_r, basis)``
+    per rank: a mask over the stack, then the support eigenvalues and support
+    basis of those matrices.
     """
-    if np.any(keep[..., :-1] > keep[..., 1:]):
-        order = np.argsort(keep, axis=-1, kind="stable")
-        w = np.take_along_axis(w, order, -1)
-        v = np.take_along_axis(v, order[..., None, :], -1)
     rank = np.count_nonzero(keep, axis=-1)
     d = keep.shape[-1]
     for r in np.flatnonzero(np.bincount(np.ravel(rank), minlength=d + 1)).tolist():
         sel = rank == r
-        vs = v[sel]
-        yield sel, w[sel][:, d - r :], vs[..., d - r :], vs[..., : d - r]
+        yield sel, w[sel][:, d - r :], v[sel][..., d - r :]
 
 
 def sandwich(b: np.ndarray, x: np.ndarray, w=None) -> np.ndarray:
@@ -336,7 +331,7 @@ def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         pa, pb = ((v[rest] * k[rest][:, None, :]) @ adjoint(v[rest])
                   for v, k in ((va, keep_a), (vb, keep_b)))
         ww, vv = eigh(pa + pb)
-        for sel, _, basis, _ in support_groups(ww, vv, ww >= 2.0 - COMMON_SUPPORT_TOL):
+        for sel, _, basis in support_groups(ww, vv, ww >= 2.0 - COMMON_SUPPORT_TOL):
             if basis.shape[-1]:
                 idx = rest[sel]
                 wc, vc = eigh(sandwich(basis, a[idx]))

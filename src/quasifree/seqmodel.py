@@ -54,8 +54,8 @@ DEFAULT_N_MAX = 4096
 MIN_N_MAX = 64
 # Stacked matrix entries (modes x d^2) per table call: 1024 2x2 or 256 4x4 modes.
 BLOCK_ENTRIES = 4096
-# Largest mode count the sequence APIs evaluate (SizeCapError above it): a scan at the cap
-# takes ~3.5-4 s for CAR and ~11-13 s for CCR built-ins, ~0.25 s for a short literal.
+# Largest mode count the sequence APIs evaluate (SizeCapError above it); README gives
+# what a scan at the cap takes.
 N_MAX_CAP = 1 << 20
 
 
@@ -64,8 +64,10 @@ class ModeFamily:
     """Rule-based sequence of independent covariance pairs of one kind.
 
     ``stacker(lo, hi)``, if given, returns what :meth:`stack` does, built
-    without ``pair_at``. ``tail_from``, if given, is a mode from which on every
-    mode is the same pair; scans evaluate the modes up to it only.
+    without ``pair_at``; without it, :meth:`stack` calls ``pair_at`` once per
+    mode and checks each pair (:func:`_checked_pair`). ``tail_from``, if given,
+    is a mode from which on every mode is the same pair; scans evaluate the
+    modes up to it only.
     """
 
     kind: str
@@ -76,6 +78,7 @@ class ModeFamily:
 
     def pair_at(self, k: int):
         """The (S_k, T_k) pair at mode index k >= 1."""
+        k = _mode_count(k, "mode index")
         if k < 1:
             raise ValueError(f"mode index must be >= 1, got {k}")
         return self.rule(k)
@@ -86,25 +89,25 @@ class ModeFamily:
             raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
         if self.stacker is not None:
             return self.stacker(lo, hi)
-        modes = range(lo, hi + 1)
-        return _group_pairs(self.kind, modes, [self.pair_at(k) for k in modes])
+        groups: dict = {}  # dimension -> (mode, S, T) of each of its pairs
+        for k in range(lo, hi + 1):
+            s, t = _checked_pair(self.kind, k, self.pair_at(k))
+            groups.setdefault(s.dim, []).append((k, s, t))
+        return [(np.array(m), _stack(s), _stack(t)) for m, s, t in
+                (zip(*grp) for grp in groups.values())]
 
 
-def _group_pairs(kind: str, keys, pairs) -> list:
-    """Stack pairs by dimension: a list of (keys, S stack, T stack).
-
-    ``keys`` are mode indices; a pair whose S and T differ in dimension raises
-    :class:`CovarianceError` naming its mode.
-    """
-    groups: dict = {}
-    for key, pair in zip(keys, pairs):
-        # CAR pair functions also take bare matrices; validate them as the pair API does
-        s, t = (car._as_covariance(c) if kind == CAR else c for c in pair)
-        if s.dim != t.dim:
-            raise CovarianceError(f"mode {key}: S has dimension {s.dim}, T has {t.dim}")
-        groups.setdefault(s.dim, []).append((key, s, t))
-    return [(np.array([g[0] for g in grp]), _stack([g[1] for g in grp]),
-             _stack([g[2] for g in grp])) for grp in groups.values()]
+def _checked_pair(kind: str, key: int, pair) -> tuple:
+    """The pair at mode ``key`` as covariances of ``kind``: CovarianceError naming the
+    mode for a covariance of the other kind or an S and T of different dimension."""
+    for c in pair:
+        if isinstance(c, ccr.CcrCovariance) != (kind == CCR):
+            raise CovarianceError(f"mode {key}: a {kind} family got a {type(c).__name__}")
+    # CAR pair functions also take bare matrices; validate them as the pair API does
+    s, t = (car._as_covariance(c) if kind == CAR else c for c in pair)
+    if s.dim != t.dim:
+        raise CovarianceError(f"mode {key}: S has dimension {s.dim}, T has {t.dim}")
+    return s, t
 
 
 def _stack(covs):
@@ -181,44 +184,30 @@ def literal_family(kind: str, pairs, tail=None, label: str = "literal") -> ModeF
 
     ``tail`` defaults to an identical pair repeating the last listed first
     covariance, which contributes zero to every partial sum. Pairs may differ
-    in dimension; the S and T of one pair may not (:class:`CovarianceError`
-    naming the mode, the tail by its first mode). A scan evaluates the listed
-    pairs and the tail once, so it costs them plus O(n) summation.
+    in dimension; the S and T of one pair may not, and a covariance of the
+    other kind is refused (:class:`CovarianceError` naming the mode, the tail
+    by its first mode). Pairs are checked and validated once, when the family
+    is built; a scan stacks the listed pairs and the tail from ``pair_at``
+    and evaluates each once, so it costs them plus O(n) summation.
     """
     if kind not in (CAR, CCR):
         raise ValueError(f"kind must be {CAR!r} or {CCR!r}, got {kind!r}")
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one explicit pair")
-    if tail is None:
-        tail = (pairs[-1][0], pairs[-1][0])
-    items = pairs + [tail]
-    groups = []  # per dimension: the row of each item in the stacks (-1: elsewhere), stacks
-    # keyed by mode: the tail by its first mode
-    for keys, s, t in _group_pairs(kind, range(1, len(items) + 1), items):
-        row = np.full(len(items), -1)
-        row[keys - 1] = np.arange(keys.size)
-        groups.append((row, s, t))
-
-    def rule(k: int):
-        return pairs[k - 1] if k <= len(pairs) else tail
-
-    def stacker(lo: int, hi: int) -> list:
-        modes = np.arange(lo, hi + 1)
-        out = []
-        for row, s, t in groups:
-            rows = row[np.minimum(modes, len(items)) - 1]
-            sel = rows >= 0
-            if sel.any():
-                out.append((modes[sel], _take(s, rows[sel]), _take(t, rows[sel])))
-        return out
-
-    return ModeFamily(kind=kind, label=label, rule=rule, stacker=stacker, tail_from=len(items))
+    items = [_checked_pair(kind, k, pair) for k, pair in enumerate(pairs, 1)]
+    # the tail is keyed by its first mode
+    items.append(_checked_pair(kind, len(items) + 1, (items[-1][0],) * 2 if tail is None else tail))
+    return ModeFamily(kind=kind, label=label, rule=lambda k: items[min(k, len(items)) - 1],
+                      tail_from=len(items))
 
 
 def concat_families(first: ModeFamily, n_first: int, second: ModeFamily,
                     label: str | None = None) -> ModeFamily:
-    """First n_first modes of one family followed by another (same kind)."""
+    """First n_first >= 0 modes of one family followed by another (same kind)."""
+    n_first = _mode_count(n_first, "n_first")
+    if n_first < 0:
+        raise ValueError(f"n_first must be >= 0, got {n_first}")
     if first.kind != second.kind:
         raise ValueError(f"kind mismatch: {first.kind} vs {second.kind}")
 

@@ -436,6 +436,7 @@ def test_ab_form_is_real_and_cached(rng):
     for cov in covs:
         a = ccr.ab_form(cov)
         assert a.dtype == np.float64 and not a.flags.writeable
+        assert np.array_equal(a, a.T)  # exactly: the transition analysis sums two as they are
         assert ccr.ab_form(cov) is a
         ref = complex_route_ab_form(cov)
         assert np.max(np.abs(a - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))

@@ -171,18 +171,22 @@ def test_sqrt_psd_rejects_indefinite():
 
 
 def test_support_groups_split_by_rank_and_keep_order():
-    w = np.array([[-2.0, 0.0, 1.0], [0.0, 1.0, 2.0], [0.0, 0.0, 3.0]])
-    v = np.stack([np.eye(3), 2.0 * np.eye(3), 3.0 * np.eye(3)]).astype(complex)
-    groups = list(matcore.support_groups(w, v, w != 0.0))
-    assert [g[0].tolist() for g in groups] == [[False, False, True], [True, True, False]]
-    _, w1, basis1, null1 = groups[0]
+    # thresholds on ascending spectra: each mask holds from some column on
+    w = np.array([[-1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [-2.0, 0.0, 3.0], [0.0, 2.0, 4.0]])
+    v = np.stack([(i + 1.0) * np.eye(3) for i in range(4)]).astype(complex)
+    groups = list(matcore.support_groups(w, v, w > 0.5))
+    assert [len(g) for g in groups] == [3, 3, 3]
+    assert [g[0].tolist() for g in groups] == [
+        [True, False, False, False], [False, False, True, False], [False, True, False, True]]
+    _, w0, basis0 = groups[0]
+    assert w0.shape == (1, 0) and basis0.shape == (1, 3, 0)
+    _, w1, basis1 = groups[1]
     assert w1.tolist() == [[3.0]] and np.array_equal(basis1[0], 3.0 * np.eye(3)[:, 2:])
-    _, w2, basis2, null2 = groups[1]
-    # support columns move behind the kernel column, each side in order
-    assert w2.tolist() == [[-2.0, 1.0], [1.0, 2.0]]
-    assert np.array_equal(basis2[0], np.eye(3)[:, [0, 2]])
-    assert np.array_equal(null2[0], np.eye(3)[:, [1]])
-    assert np.array_equal(basis2[1], 2.0 * np.eye(3)[:, 1:])
+    _, w2, basis2 = groups[2]
+    # the support columns of each matrix, in order, and the matrices in stack order
+    assert w2.tolist() == [[1.0, 2.0], [2.0, 4.0]]
+    assert np.array_equal(basis2[0], 2.0 * np.eye(3)[:, 1:])
+    assert np.array_equal(basis2[1], 4.0 * np.eye(3)[:, 1:])
 
 
 def test_stacked_helpers_match_single_matrices_bitwise(rng):

@@ -37,6 +37,11 @@ def test_pair_at_index_guard():
     fam = seqmodel.car_power_family(2.0)
     with pytest.raises(ValueError, match=">= 1"):
         fam.pair_at(0)
+    assert fam.pair_at(np.int64(3))[1].matrix.tolist() == fam.pair_at(3)[1].matrix.tolist()
+    literal = seqmodel.literal_family(seqmodel.CAR, [flat_pair()])
+    for k in (1.5, 2.0, "1"):  # not read as mode 1 or the tail
+        with pytest.raises(ValueError, match="mode index must be an integer"):
+            literal.pair_at(k)
 
 
 def test_car_power_family_modes():
@@ -85,6 +90,33 @@ def test_concat_families_kind_guard():
         seqmodel.concat_families(
             seqmodel.car_power_family(2.0), 4, seqmodel.ccr_thermal_power_family(2.0)
         )
+
+
+def test_concat_families_n_first_guard():
+    first, second = seqmodel.car_power_family(2.0), seqmodel.car_power_family(1.0)
+    with pytest.raises(ValueError, match="n_first must be >= 0, got -3"):
+        seqmodel.concat_families(first, -3, second)
+    for n_first in (2.5, 2.0, None):
+        with pytest.raises(ValueError, match="n_first must be an integer"):
+            seqmodel.concat_families(first, n_first, second)
+    # zero modes of the first family: the second one, mode for mode
+    joined = seqmodel.concat_families(first, np.int64(0), second)
+    for got, want in zip(seqmodel._term_table(joined, 64), seqmodel._term_table(second, 64)):
+        assert np.array_equal(got, want)
+
+
+def test_literal_family_refuses_the_other_kind():
+    ccr_pair = ccr.thermal_covariance(1.0), ccr.thermal_covariance(2.0)
+    car_pair = flat_pair()
+    with pytest.raises(CovarianceError, match="mode 2: a ccr family got a ndarray"):
+        seqmodel.literal_family(seqmodel.CCR, [ccr_pair, (np.eye(2), np.eye(2))])
+    with pytest.raises(CovarianceError, match="mode 2: a ccr family got a CarCovariance"):
+        seqmodel.literal_family(seqmodel.CCR, [ccr_pair], tail=car_pair)
+    with pytest.raises(CovarianceError, match="mode 1: a car family got a CcrCovariance"):
+        seqmodel.literal_family(seqmodel.CAR, [(car_pair[0], ccr_pair[1]), car_pair])
+    rule = seqmodel.ModeFamily(seqmodel.CAR, "rule", lambda k: car_pair if k < 5 else ccr_pair)
+    with pytest.raises(CovarianceError, match="mode 5: a car family got a CcrCovariance"):
+        rule.stack(1, 8)
 
 
 # ------------------------------------------------------- per-mode table
@@ -382,9 +414,7 @@ def test_table_does_not_call_pair_at(monkeypatch, rng):
     families = [
         seqmodel.car_power_family(2.0),
         seqmodel.ccr_thermal_power_family(2.0),
-        seqmodel.car_counterexample(),
         seqmodel.car_mu_sequence(lambda k: 0.1, lambda k: 0.1 + 0.3 / k),
-        seqmodel.literal_family(seqmodel.CAR, [sampling.random_car_pair(rng, 4)]),
     ]
 
     def fail(self, k):
@@ -393,6 +423,29 @@ def test_table_does_not_call_pair_at(monkeypatch, rng):
     monkeypatch.setattr(seqmodel.ModeFamily, "pair_at", fail)
     for fam in families:
         seqmodel.classify_sequence(fam, n_max=seqmodel.MIN_N_MAX)
+    monkeypatch.undo()
+
+    # a literal scan reads each listed pair and the tail through pair_at, once
+    literals = [
+        seqmodel.car_counterexample(),
+        seqmodel.literal_family(seqmodel.CAR, [sampling.random_car_pair(rng, 4)]),
+        mixed_literal(rng, (2, 4, 8, 32, 6, 2, 16, 4) * 4, 32),
+        ccr_mixed_supports(),
+    ]
+    calls = []
+    pair_at = seqmodel.ModeFamily.pair_at
+
+    def spy(self, k):
+        calls.append(k)
+        return pair_at(self, k)
+
+    monkeypatch.setattr(seqmodel.ModeFamily, "pair_at", spy)
+    monkeypatch.setattr(seqmodel, "BLOCK_ENTRIES", 64)  # windows of 16 2x2 modes or fewer
+    for fam in literals:
+        for n in (1, 2, 3, 16, 17, 40, 64, seqmodel.N_MAX_CAP):
+            calls.clear()
+            seqmodel._term_table(fam, n)
+            assert calls == list(range(1, min(n, fam.tail_from) + 1)), (fam.label, n)
 
 
 def test_n_max_cap():
