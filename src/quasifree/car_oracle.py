@@ -32,6 +32,8 @@ MAX_MODES = 10
 # the density's self-checks: trace one and two-point moments, then positivity
 SELF_CHECK_TOL = 1e-10
 SELF_CHECK_PSD_TOL = 1e-9
+# entries of the rotated generators density_from_covariance builds at once (1 MiB)
+GENERATOR_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -58,11 +60,10 @@ class CliffordRep:
     def combine(self, coef: np.ndarray) -> np.ndarray:
         """Dense sum_k coef[k, m] c_k for each column m of ``coef``, shape (m, dim, dim)."""
         rows = np.arange(self.dim)
-        cols = rows ^ self.flips[:, None]
+        terms = coef.T[:, :, None] * self.phases
         out = np.zeros((coef.shape[1], self.dim, self.dim), dtype=complex)
-        # add.at: generators may share a flip (X and Y on one site do)
-        np.add.at(out, (slice(None), np.broadcast_to(rows, cols.shape), cols),
-                  coef.T[:, :, None] * self.phases)
+        # X and Y of a site share its flip: one sum per site; + 0.0 makes a -0 sum +0
+        out[:, rows, rows ^ self.flips[0::2, None]] = terms[:, 0::2] + terms[:, 1::2] + 0.0
         return out
 
     def pair_moments(self, rho: np.ndarray) -> np.ndarray:
@@ -140,9 +141,11 @@ def density_from_covariance(s) -> np.ndarray:
     coef = np.einsum("ij,ij->j", pairs[:, 0::2], sm @ pairs[:, 1::2])
     dim = rep.dim
     rho = np.eye(dim, dtype=complex) / dim
-    for j in range(n):
-        b, b_prime = rep.combine(pairs[:, 2 * j : 2 * j + 2])
-        rho = rho - 2.0 * coef[j] * ((rho @ b) @ b_prime)
+    step = max(1, GENERATOR_BLOCK_ENTRIES // (2 * dim * dim))  # all pairs to 6 modes, 1 from 8
+    for lo in range(0, n, step):
+        gens = rep.combine(pairs[:, 2 * lo : 2 * (lo + step)])
+        for j in range(len(gens) // 2):
+            rho = rho - 2.0 * coef[lo + j] * ((rho @ gens[2 * j]) @ gens[2 * j + 1])
 
     rho = hermitian_part(rho)
     trace_err = abs(float(np.trace(rho).real) - 1.0)

@@ -34,8 +34,8 @@ from .matcore import (
     adjoint, eigh, eigvalsh, hermitian_part, hs_norm, raise_first_above, scalar, support_groups,
 )
 from .tolerances import (
-    CERTIFY_MARGIN, CONDITION_BOUND, EXACT_TOL, KERNEL_LEAK_TOL, SUPPORT_GAP, VALIDATION_TOL,
-    ZERO_TOL)
+    CERTIFY_MARGIN, CONDITION_BOUND, EXACT_TOL, FORM_BOUND, KERNEL_LEAK_TOL, SUPPORT_GAP,
+    VALIDATION_TOL, ZERO_TOL)
 
 __all__ = [
     "CENTRAL_ELEMENT_MISMATCH",
@@ -159,6 +159,7 @@ def validate_ccr(sigma, r) -> CcrCovariance:
     above CERTIFY_MARGIN * ZERO_TOL * cond(2R) certifies S >= 0 (README "Design
     notes"). Every other matrix is decided by the smallest eigenvalue of the
     complex R + i*sigma/2, which the error message carries when positivity fails.
+    Entries above FORM_BOUND / d are refused: the analysis's forms would overflow.
     """
     sigma = _as_real(sigma, "sigma")
     r = _as_real(r, "R")
@@ -166,8 +167,11 @@ def validate_ccr(sigma, r) -> CcrCovariance:
         raise CovarianceError(f"sigma must be square, got shape {sigma.shape}")
     if r.shape[-2:] != sigma.shape[-2:]:
         raise CovarianceError(f"shape mismatch: sigma {sigma.shape} vs R {r.shape}")
-    if not (np.all(np.isfinite(sigma)) and np.all(np.isfinite(r))):
+    top = np.maximum(np.max(np.abs(sigma), initial=0.0), np.max(np.abs(r), initial=0.0))
+    if not np.isfinite(top):
         raise CovarianceError("sigma and R must have finite entries")
+    if top > FORM_BOUND / max(r.shape[-1], 1):  # past it the analysis's forms overflow
+        raise CovarianceError(f"an entry of sigma or R exceeds FORM_BOUND / d: {top:.3e}")
     sigma_in, r_in = np.broadcast_arrays(sigma, r)
 
     def scale():  # of the forms as given
@@ -294,6 +298,8 @@ def _transition_analysis(cov_s: CcrCovariance, cov_t: CcrCovariance):
         with np.errstate(divide="ignore"):
             log_t[idx] = np.minimum(0.5 * np.sum(np.log(wc), axis=-1), 0.0)
         factors.append((idx, wc))
+    if np.isnan(log_t).any():  # refused, not reported: no answer is right
+        raise CovarianceError("transition analysis overflowed: log tp is NaN")
     result = (log_t, np.count_nonzero(keep, axis=-1), mismatch, factors)
     for x in result[:3]:
         x.setflags(write=False)

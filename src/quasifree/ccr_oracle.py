@@ -140,7 +140,9 @@ def _on_modes(n_modes: int, *factors) -> np.ndarray:
     ops = [np.eye(len(factors[0][1]))] * n_modes
     for j, x in factors:
         ops[j] = ops[j] @ x
-    return functools.reduce(np.kron, ops)
+    # np.kron as one broadcast product, with its bits
+    return functools.reduce(lambda a, b: (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        len(a) * len(b), -1), ops)
 
 
 def boson_ops(n_modes: int, cutoff: int) -> BosonOps:

@@ -343,9 +343,9 @@ def classify_sequence(family: ModeFamily, n_max: int = DEFAULT_N_MAX) -> Sequenc
     refusing to answer is deliberate there.)
 
     ``n_max`` above N_MAX_CAP = 2**20 raises :class:`SizeCapError`: at the cap the scan
-    costs ~1.1 us/mode for the CAR built-ins and ~5.4-5.6 us/mode for the CCR built-ins
+    costs ~1.0-1.2 us/mode for the CAR built-ins and ~5.4-5.6 us/mode for the CCR built-ins
     (2-vCPU x86_64 VM, one BLAS thread). A literal costs its listed pairs plus O(n)
-    summation: car_counterexample() takes ~0.12 s at the cap.
+    summation: car_counterexample() takes ~0.13 s at the cap.
     """
     n_max = _mode_count(n_max, "n_max")
     if n_max < MIN_N_MAX:

@@ -9,6 +9,7 @@ notes" gives each one's scale at every site and its derivation.
 VALIDATION_TOL = 1e-10  # input symmetry and positivity defects, relative to 1 + max |entry|
 ZERO_TOL = 1e-10  # structural zero of a spectrum or singular values, relative to its site's scale
 CERTIFY_MARGIN = 2.0  # a certificate clears this x ZERO_TOL: CAR overlap LU, CCR mu x cond(2R)
+FORM_BOUND = 1e307  # d x largest |entry| of sigma and R: validate_ccr refuses larger forms
 EXACT_TOL = 1e-12  # absolute: an imaginary part that is zero, two symplectic forms that are one
 DEGENERACY_SNAP = 1e-12  # a CAR eigenvalue this close to 0 or 1 is exactly degenerate
 SUPPORT_GAP = 1e-6  # CCR supports differ when their projections are farther apart (HS)

@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 from doubled_space import doubled_conjugate, validate_doubled_covariance
 
-from quasifree import car, car_oracle, matcore, sampling, seqmodel, tolerances
+from quasifree import car, car_oracle, cli, matcore, sampling, seqmodel, tolerances
 from quasifree.errors import CovarianceError
 
 # the transition probability between the mu = 0.3 and mu = 0.1 states,
@@ -921,3 +921,119 @@ def test_quadrature_check_of_one_dimensional_covariances(monkeypatch):
         monkeypatch.setattr(np.linalg, name, spy)
     assert car.quadrature_identity_check([[0.5]], [[0.5]]) == (1.0, 1.0)
     assert calls == [("slogdet", (1, 1)), ("slogdet", (2, 2))]
+
+
+# ---------------------------------------------- one-mode spectrum in closed form
+
+# 5000 uniform offsets and the edges: zeros of both signs, pure, underflowing squares
+SPECTRUM_EDGES = [0.0, -0.0, 0.5, -0.5, 1e-300, -1e-300, 1e-160, 1e-12, 0.5 - 1e-11]
+
+
+def _spectrum_mus(rng):
+    return np.concatenate([rng.uniform(-0.5, 0.5, 5000), SPECTRUM_EDGES, EDGE_MUS])
+
+
+def _eigh_route(cov):
+    """The factorisation the 2 x 2 closed form replaces: ``matcore.eigh`` of A^T A."""
+    a = cov.matrix.imag
+    return matcore.eigh(matcore.adjoint(a) @ a)
+
+
+@pytest.fixture
+def eigh_route(monkeypatch):
+    """Run ``body()`` with every spectrum read through :func:`_eigh_route`."""
+    def run(body):
+        with monkeypatch.context() as m:
+            m.setattr(car.CarCovariance, "spectrum", property(_eigh_route))
+            return body()
+    return run
+
+
+def _same_arrays(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_mode_spectrum_keeps_the_eigh_bits(rng):
+    mus = _spectrum_mus(rng)
+    stack = car.mu_covariance(mus)
+    assert all(map(_same_arrays, stack.spectrum, _eigh_route(stack)))
+    assert np.signbit(stack.spectrum[1][..., 1, 0]).all()  # the basis [[1, 0], [-0, 1]]
+    for mu in [*mus[:: len(mus) // 200].tolist(), *SPECTRUM_EDGES]:
+        cov = car.mu_covariance(mu)
+        assert all(map(_same_arrays, cov.spectrum, _eigh_route(cov))), mu
+    # raw matrices whose defects validation removes: Hermiticity, the relation, a
+    # real part of the off-diagonal, each within VALIDATION_TOL
+    tol = tolerances.VALIDATION_TOL
+    herm, real, off = (rng.uniform(-tol, tol, 500) / k for k in (2, 4, 2))
+    raw = np.stack([mu_matrix(*args) for args in zip(mus[:500], herm, real)])
+    raw[:, 1, 0] += off
+    for cov in (car.validate_car(raw), *map(car.validate_car, raw[:50])):
+        assert all(map(_same_arrays, cov.spectrum, _eigh_route(cov)))
+
+
+def test_lowest_eigenvalue_reads_the_last_of_an_ascending_spectrum(rng):
+    stack = car.validate_car(np.stack([sampling.random_car_covariance(rng, 8).matrix
+                                       for _ in range(16)]))
+    covs = [car.validate_car(np.zeros((0, 0))), car.mu_covariance(_spectrum_mus(rng)), stack,
+            *(sampling.random_car_covariance(rng, d) for d in (2, 4, 16, 64))]
+    for cov in covs:
+        want = 0.5 - np.sqrt(np.max(cov.spectrum[0], axis=-1, initial=0.0))
+        assert _same_arrays(np.asarray(car._lowest_eigenvalue(cov)), np.asarray(want))
+
+
+def test_single_covariance_readers_keep_the_eigh_bits(rng, eigh_route):
+    mus = [m for m in _spectrum_mus(rng)[::50].tolist() + SPECTRUM_EDGES]
+
+    def readers():
+        out = []
+        for mu in mus:
+            cov = car.mu_covariance(mu)
+            out += [car.quadrature(cov), np.array(car.is_standard_car(cov)),
+                    np.array(cli._car_range(cov))]  # the range qf validate reports
+            if car.is_standard_car(cov):
+                out.append(car.hamiltonian_of(cov))
+        return out
+
+    want = eigh_route(readers)
+    got = readers()
+    assert len(got) == len(want) > 2 * len(mus) and all(map(_same_arrays, got, want))
+
+
+def _spectrum_families():
+    mu = 0.3141592653589793
+    pairs = [tuple(car.mu_covariance(m) for m in p)
+             for p in ((0.3, 0.1), (0.5, -0.5), (0.0, 0.2), (0.5 - 1e-13, 0.49), (-0.0, 1e-300))]
+    return [seqmodel.car_power_family(1.0), seqmodel.car_power_family(2.0),
+            seqmodel.car_mu_sequence(lambda k: mu, lambda k: mu + 0.1 * k**-1.5),
+            seqmodel.car_counterexample(), seqmodel.literal_family(seqmodel.CAR, pairs)]
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096])
+def test_mode_spectrum_term_tables_keep_the_eigh_bits(n, eigh_route):
+    want = eigh_route(lambda: [seqmodel._term_table(f, n) for f in _spectrum_families()])
+    got = [seqmodel._term_table(f, n) for f in _spectrum_families()]
+    for family, a, b in zip(_spectrum_families(), got, want):
+        assert all(map(_same_arrays, a, b)), family.label
+
+
+def test_validating_a_mode_stack_runs_no_eigen_kernel(rng, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 2 x 2 CAR covariance took an eigen kernel")
+
+    for name in dir(np.linalg):
+        if inspect.isfunction(getattr(np.linalg, name)):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(matcore, "eigh", refuse)
+    monkeypatch.setattr(car, "eigh", refuse)
+    raw = np.stack([mu_matrix(mu) for mu in rng.uniform(-0.5, 0.5, 1024)])
+    cov = car.validate_car(raw)
+    assert cov.matrix.shape == (1024, 2, 2) and "spectrum" in vars(cov)
+    with pytest.raises(CovarianceError, match="not PSD"):
+        car.validate_car(np.stack([raw[0], mu_matrix(0.7)]))
+
+
+def test_validate_refuses_a_mode_whose_square_overflows():
+    # mu^2 = inf: the A^T A route read a NaN spectrum here and accepted the matrix
+    for mu in (1e155, -1e200, 1.7e308):
+        with np.errstate(over="ignore"), pytest.raises(CovarianceError, match="eigenvalue -inf"):
+            car.validate_car(mu_matrix(mu))

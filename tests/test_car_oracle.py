@@ -240,3 +240,37 @@ def test_formula_matches_oracle_five_and_six_modes(rng, n):
         oracle = car_oracle.overlap(car_oracle.density_from_covariance(s),
                                     car_oracle.density_from_covariance(t))
         assert abs(car.trans_prob_car(s, t) - oracle) <= 1e-10
+
+
+def _combine_by_add_at(rep, coef):
+    """The reference construction: every generator's terms added into zeros by ``np.add.at``."""
+    rows = np.arange(rep.dim)
+    cols = rows ^ rep.flips[:, None]
+    out = np.zeros((coef.shape[1], rep.dim, rep.dim), dtype=complex)
+    np.add.at(out, (slice(None), np.broadcast_to(rows, cols.shape), cols),
+              coef.T[:, :, None] * rep.phases)
+    return out
+
+
+def _same_bytes(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_combine_matches_the_add_at_construction_bitwise(rng, n):
+    rep = car_oracle.jw_generators(n)
+    signed = rng.standard_normal((2 * n, 3))
+    signed[rng.random(signed.shape) < 0.3] = -0.0  # -0 terms: each site sums to +0
+    for coef in (np.eye(2 * n), -np.eye(2 * n), signed, np.zeros((2 * n, 2)),
+                 car_oracle._pairing(sampling.random_car_covariance(rng, 2 * n).matrix.imag)):
+        assert _same_bytes(rep.combine(coef), _combine_by_add_at(rep, coef))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_density_blocks_keep_the_pairwise_add_at_bits(rng, n, monkeypatch):
+    covs = [sampling.random_car_covariance(rng, 2 * n) for _ in range(2 if n < 7 else 1)]
+    got = [car_oracle.density_from_covariance(s) for s in covs]
+    # one pair per block, each built by np.add.at
+    monkeypatch.setattr(car_oracle, "GENERATOR_BLOCK_ENTRIES", 0)
+    monkeypatch.setattr(car_oracle.CliffordRep, "combine", _combine_by_add_at)
+    assert all(map(_same_bytes, got, map(car_oracle.density_from_covariance, covs)))

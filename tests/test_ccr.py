@@ -11,7 +11,7 @@ from scipy import integrate
 
 from quasifree import ccr, matcore, sampling, seqmodel
 from quasifree.errors import CovarianceError
-from quasifree.tolerances import VALIDATION_TOL
+from quasifree.tolerances import FORM_BOUND, VALIDATION_TOL
 
 
 def width_of(q):
@@ -79,6 +79,57 @@ def test_validate_rejects_non_finite():
     r[1, 1, 1] = math.inf
     with pytest.raises(CovarianceError, match="finite"):
         ccr.validate_ccr(ccr.canonical_sigma(1), r)
+
+
+# the vacuum against R = c I on one mode: right below FORM_BOUND / d, refused above it
+# (c from 2.3e307 read NaN, from 4.6e307 Disjoint and from 9e307 tp 1 without the bound)
+OVERFLOW_WIDTHS = [1e300, 1e306, 5e306, 1e307, 2.2e307, 2.3e307, 4.4e307, 4.6e307, 8.9e307,
+                   9e307, 1e308, 1.7e308]
+
+
+def test_huge_forms_are_refused_or_right():
+    sigma, vacuum = ccr.canonical_sigma(1), ccr.thermal_covariance(1.0)
+    answered = 0
+    for c in OVERFLOW_WIDTHS:
+        if 2 * c > FORM_BOUND:
+            with pytest.raises(CovarianceError, match="FORM_BOUND"):
+                ccr.validate_ccr(sigma, c * np.eye(2))
+            continue
+        t = ccr.validate_ccr(sigma, c * np.eye(2))
+        exact = 0.5 * (math.log(2.0) - math.log(2.0 * c) - math.log1p(0.5 / c))  # tp^2 = 2/(1+2c)
+        assert ccr.log_trans_prob_ccr(vacuum, t) == pytest.approx(exact, rel=1e-14)
+        verdict = ccr.classify_ccr(vacuum, t)
+        assert verdict.kind == ccr.QUASI_EQUIVALENT and verdict.transition_probability > 0.0
+        equiv, dist = ccr.qe_distance_ccr(vacuum, t)
+        assert equiv and math.isfinite(dist)
+        answered += 1
+    assert answered == 3
+
+
+@pytest.mark.parametrize("n_modes", [1, 4])
+def test_dense_forms_at_the_bound_keep_their_answer(rng, n_modes):
+    """Far above the symplectic scale tp depends on the shape of R alone, so forms
+    scaled to just under FORM_BOUND / d read what they read at 1e200."""
+    sigma, entry = ccr.canonical_sigma(n_modes), FORM_BOUND / (2 * n_modes)
+    s, t = sampling.random_ccr_pair(rng, sigma)
+    top = max(np.max(np.abs(s.r)), np.max(np.abs(t.r)))
+    (lo_s, lo_t), (hi_s, hi_t) = ([ccr.validate_ccr(sigma, c.r * (scale / top)) for c in (s, t)]
+                                  for scale in (1e200, 0.999 * entry))
+    with np.errstate(over="ignore"):  # qe_distance_ccr's Frobenius norms square the entries
+        assert ccr.log_trans_prob_ccr(hi_s, hi_t) == pytest.approx(
+            ccr.log_trans_prob_ccr(lo_s, lo_t), rel=1e-12)
+        assert ccr.qe_distance_ccr(hi_s, hi_t)[0]
+        assert ccr.classify_ccr(hi_s, hi_t).kind == ccr.QUASI_EQUIVALENT
+    with pytest.raises(CovarianceError, match="FORM_BOUND"):
+        ccr.validate_ccr(sigma, np.stack([t.r, s.r * (1.001 * entry / np.max(np.abs(s.r)))]))
+
+
+def test_transition_analysis_refuses_a_nan_log_tp():
+    # built directly, past validation's bound: the forms overflow to a NaN log tp
+    sigma = ccr.canonical_sigma(1)
+    wide = ccr.CcrCovariance(sigma=sigma, r=3e307 * np.eye(2))
+    with np.errstate(all="ignore"), pytest.raises(CovarianceError, match="NaN"):
+        ccr.log_trans_prob_ccr(ccr.thermal_covariance(1.0), wide)
 
 
 def test_stacked_pair_api_matches_pairs_bitwise(rng):

@@ -1,5 +1,6 @@
 """Tests for the truncated-Fock bosonic oracle."""
 
+import functools
 import math
 
 import numpy as np
@@ -259,3 +260,19 @@ def test_overlap_uses_given_states_at_their_cutoff(monkeypatch):
                         lambda h, cutoff: built.append(cutoff) or real(h, cutoff))
     assert ccr_oracle.overlap_ccr(s, t) == want
     assert built and 20 not in built
+
+
+def test_mode_products_match_numpy_kron_bitwise(rng):
+    for _ in range(200):
+        n, cutoff = rng.integers(1, 4), rng.integers(2, 6)
+        factors = [(int(rng.integers(n)), rng.standard_normal((cutoff, cutoff)))
+                   for _ in range(rng.integers(1, 3))]
+        for _, x in factors:
+            x[rng.random(x.shape) < 0.3] = -0.0
+        if rng.random() < 0.3:
+            factors[0] = (factors[0][0], factors[0][1] + 1j * rng.standard_normal((cutoff,) * 2))
+        ops = [np.eye(cutoff)] * n
+        for j, x in factors:
+            ops[j] = ops[j] @ x
+        got, want = ccr_oracle._on_modes(n, *factors), functools.reduce(np.kron, ops)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

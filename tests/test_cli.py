@@ -243,6 +243,15 @@ def test_wide_ccr_pair_is_quasi_equivalent(tmp_path, capsys):
     assert report["results"]["transition_probability"] == pytest.approx(math.exp(log_tp))
 
 
+def test_trans_prob_refuses_a_form_past_the_overflow_bound(tmp_path, capsys):
+    # R = 1e308 I on one mode read tp 1.0 with exit 0 before validate_ccr bounded the entries
+    sc = {"kind": "ccr-pair", "sigma": SIGMA_1, "R_S": thermal_r(1.0),
+          "R_T": [[1e308, 0.0], [0.0, 1e308]]}
+    code, report, err = run_cli(capsys, ["trans-prob", write_scenario(tmp_path, sc)])
+    assert code == 2 and report["exit_code"] == 2 and "results" not in report
+    assert "FORM_BOUND" in report["error"] and "Traceback" not in err
+
+
 # ----------------------------------------------------------------- classify
 
 
