@@ -117,7 +117,11 @@ def validate_car(s) -> CarCovariance:
     # rebuilding from the imaginary part alone cancels without rounding
     m = 0.5 * np.eye(d) + 1j * np.imag(h)
     m.setflags(write=False)
-    cov = CarCovariance(m)
+    return _psd_checked(CarCovariance(m), scale)
+
+
+def _psd_checked(cov: CarCovariance, scale) -> CarCovariance:
+    """``cov``, unless a lowest eigenvalue is below -VALIDATION_TOL * its ``scale()``."""
     matcore.raise_first_above(-_lowest_eigenvalue(cov)[..., None], VALIDATION_TOL, scale,
                               lambda v: CovarianceError(f"not PSD: eigenvalue {-v:.6e}"), axis=-1)
     return cov
@@ -132,14 +136,21 @@ def _lowest_eigenvalue(cov: CarCovariance) -> np.ndarray:
 def mu_covariance(mu) -> CarCovariance:
     """Two-dimensional covariance with eigenvalues 1/2 +- mu (pure at |mu| = 1/2).
 
-    An array of offsets gives the stack of their covariances.
+    An array of offsets gives the stack of their covariances. Real offsets are built valid,
+    as the 0.5 I + 1j [[0, -mu], [mu, 0]] that :func:`validate_car` rebuilds: only its refusals
+    of non-finite and of non-PSD input (on the closed-form spectrum) are checked.
     """
     mu = np.asarray(mu)
     m = np.zeros(mu.shape + (2, 2), dtype=complex)
-    m[..., 0, 0] = m[..., 1, 1] = 0.5
-    m[..., 0, 1] = -1j * mu
-    m[..., 1, 0] = 1j * mu
-    return validate_car(m)
+    m.real[..., 0, 0] = m.real[..., 1, 1] = 0.5
+    if mu.dtype.kind not in "biuf":  # complex offsets take every check
+        m[..., 0, 1], m[..., 1, 0] = -1j * mu, 1j * mu
+        return validate_car(m)
+    if not np.all(np.isfinite(mu)):
+        raise CovarianceError("covariance has non-finite entries")
+    m.imag[..., 0, 1], m.imag[..., 1, 0] = 0.0 - mu, mu + 0.0  # a zero offset gives +0
+    m.setflags(write=False)
+    return _psd_checked(CarCovariance(m), lambda: 1.0 + np.maximum(0.5, np.abs(mu)))
 
 
 def _as_covariance(s) -> CarCovariance:

@@ -397,9 +397,12 @@ def qe_distance_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance):
         v, keep, inv = v_t[sel], keep_t[sel], inv_t[sel]
         rank = np.count_nonzero(keep, axis=-1)
         gv = g @ v
-        # 2R_S must vanish on the kernel of 2R_T
-        bound = KERNEL_LEAK_TOL * (1.0 + np.linalg.norm(g, axis=(-2, -1)))[:, None]
-        leak = np.any(~keep & (np.linalg.norm(gv, axis=-2) > bound), axis=-1)
+        # 2R_S must vanish on the kernel of 2R_T. Both sides times 2^-e <= 1, 2^e above g's top
+        # eigenvalue, so no square in a norm overflows; exact, so the comparisons are unscaled
+        top = cov_s.metric_spectrum[0].reshape(n, d)[sel, -1]
+        s = np.ldexp(1.0, -np.maximum(np.frexp(top)[1], 0))[:, None]
+        bound = KERNEL_LEAK_TOL * (s + np.linalg.norm(g * s[:, :, None], axis=(-2, -1))[:, None])
+        leak = np.any(~keep & (np.linalg.norm(gv * s[:, :, None], axis=-2) > bound), axis=-1)
         wr = eigvalsh(inv[:, :, None] * (adjoint(v) @ gv) * inv[:, None, :])
         lo = np.take_along_axis(wr, np.clip(d - rank, 0, d - 1)[:, None], -1)[:, 0]
         # scale-free: positive on supp R_T and within CONDITION_BOUND of its top

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -121,25 +122,38 @@ def _take(cov, rows: np.ndarray):
     return type(cov)(*(getattr(cov, f.name)[rows] for f in fields(cov)))
 
 
-def _scalar_rule_family(kind: str, make, f, g, label: str) -> ModeFamily:
-    """Pairs (make(f(k)), make(g(k))), with make also taking an array of values."""
+def _array_rule_family(kind: str, make, f, g, label: str) -> ModeFamily:
+    """Pairs (make(f(ks)), make(g(ks))) for a range ks of mode indices, f and g giving
+    one value per index; ``pair_at(k)`` takes the value of ``range(k, k + 1)``."""
 
     def stacker(lo: int, hi: int) -> list:
         ks = range(lo, hi + 1)
-        pair = (make(np.array([h(k) for k in ks])) for h in (f, g))
-        return [(np.arange(lo, hi + 1), *pair)]
+        return [(np.arange(lo, hi + 1), make(f(ks)), make(g(ks)))]
 
-    return ModeFamily(kind, label, lambda k: (make(f(k)), make(g(k))), stacker)
+    def rule(k: int) -> tuple:
+        return make(f(range(k, k + 1))[0]), make(g(range(k, k + 1))[0])
+
+    return ModeFamily(kind, label, rule, stacker)
+
+
+def _each(h):
+    """The array rule of a scalar one: h(k) for each mode index k."""
+    return lambda ks: np.array([h(k) for k in ks])
+
+
+def _inverse_power(ks: range, p) -> np.ndarray:
+    """k^-p by libm's pow, the bits of Python's ``k**-p``: numpy's ``**`` differs on ~5%."""
+    return np.fromiter(map(math.pow, ks, repeat(-p)), float, len(ks))
 
 
 def car_mu_sequence(mu, nu, label: str = "car-mu") -> ModeFamily:
     """CAR family of 2-dim modes with eigenvalue offsets mu(k) vs nu(k)."""
-    return _scalar_rule_family(CAR, car.mu_covariance, mu, nu, label)
+    return _array_rule_family(CAR, car.mu_covariance, _each(mu), _each(nu), label)
 
 
 def ccr_thermal_sequence(c1, c2, label: str = "ccr-thermal") -> ModeFamily:
     """CCR family of single-mode thermal pairs with widths c1(k) vs c2(k) >= 1."""
-    return _scalar_rule_family(CCR, ccr.thermal_covariance, c1, c2, label)
+    return _array_rule_family(CCR, ccr.thermal_covariance, _each(c1), _each(c2), label)
 
 
 def car_power_family(p: float) -> ModeFamily:
@@ -150,16 +164,14 @@ def car_power_family(p: float) -> ModeFamily:
     perturbation (quasi-equivalent) for p > 1, divergent (disjoint) for
     p <= 1 with per-mode distance squared >= 1/(2k) at p = 1.
     """
-    return car_mu_sequence(
-        lambda k: 0.5, lambda k: 0.5 * (1.0 - k**-p), label=f"car-power-{p:g}"
-    )
+    return _array_rule_family(CAR, car.mu_covariance, lambda ks: np.full(len(ks), 0.5),
+                               lambda ks: 0.5 * (1.0 - _inverse_power(ks, p)), f"car-power-{p:g}")
 
 
 def ccr_thermal_power_family(p: float) -> ModeFamily:
     """Built-in CCR family: thermal widths 1 + k^-p against constant 1."""
-    return ccr_thermal_sequence(
-        lambda k: 1.0 + k**-p, lambda k: 1.0, label=f"ccr-thermal-power-{p:g}"
-    )
+    return _array_rule_family(CCR, ccr.thermal_covariance, lambda ks: 1.0 + _inverse_power(ks, p),
+                               lambda ks: np.full(len(ks), 1.0), f"ccr-thermal-power-{p:g}")
 
 
 def car_counterexample() -> ModeFamily:
@@ -265,6 +277,16 @@ def _term_table(family: ModeFamily, n: int):
     return qe_sq, neg_log_tp
 
 
+def _prefix_sum(terms: np.ndarray, c: int, tail_from: int | None) -> float:
+    """``math.fsum(terms[:c])`` of a term table. Past m = min(c, tail_from) the c - m copies
+    of the tail term t are ldexp(t, b), one for each set bit b of c - m: each piece is exact,
+    so both lists have one exact sum, which fsum rounds to the same bits."""
+    m = c if tail_from is None else min(c, tail_from)
+    r = c - m
+    tail = [math.ldexp(float(terms[m - 1]), b) for b in range(r.bit_length()) if r >> b & 1]
+    return math.fsum(terms[:m].tolist() + tail)
+
+
 def _mode_count(n, name: str) -> int:
     """A mode count as an int: an int or numpy integer, else a ValueError naming it."""
     try:
@@ -284,7 +306,7 @@ def partial_qe_sum(family: ModeFamily, n: int) -> float:
     n = _mode_count(n, "n")
     if n < 1:
         raise ValueError(f"N must be >= 1, got {n}")
-    return math.fsum(_term_table(family, n)[0].tolist())
+    return _prefix_sum(_term_table(family, n)[0], n, family.tail_from)
 
 
 def partial_log_tp(family: ModeFamily, n: int) -> float:
@@ -297,7 +319,7 @@ def partial_log_tp(family: ModeFamily, n: int) -> float:
     n = _mode_count(n, "n")
     if n < 1:
         raise ValueError(f"N must be >= 1, got {n}")
-    return math.fsum(_term_table(family, n)[1].tolist())
+    return _prefix_sum(_term_table(family, n)[1], n, family.tail_from)
 
 
 @dataclass(frozen=True)
@@ -343,9 +365,9 @@ def classify_sequence(family: ModeFamily, n_max: int = DEFAULT_N_MAX) -> Sequenc
     refusing to answer is deliberate there.)
 
     ``n_max`` above N_MAX_CAP = 2**20 raises :class:`SizeCapError`: at the cap the scan
-    costs ~1.0-1.2 us/mode for the CAR built-ins and ~5.4-5.6 us/mode for the CCR built-ins
-    (2-vCPU x86_64 VM, one BLAS thread). A literal costs its listed pairs plus O(n)
-    summation: car_counterexample() takes ~0.13 s at the cap.
+    costs ~0.6-0.7 us/mode for the CAR built-ins and ~6-8 us/mode for the CCR built-ins
+    (2-vCPU x86_64 VM, one BLAS thread). A literal costs its listed pairs plus an O(n)
+    table copy: car_counterexample() takes ~1-2 ms at the cap.
     """
     n_max = _mode_count(n_max, "n_max")
     if n_max < MIN_N_MAX:
@@ -353,8 +375,8 @@ def classify_sequence(family: ModeFamily, n_max: int = DEFAULT_N_MAX) -> Sequenc
     checkpoints = (n_max // 8, n_max // 4, n_max // 2, n_max)
     qe_terms, tp_terms = _term_table(family, n_max)
     # math.fsum: correctly rounded, and +inf once any term is infinite
-    qe_sums = [math.fsum(qe_terms[:c].tolist()) for c in checkpoints]
-    tp_sums = [math.fsum(tp_terms[:c].tolist()) for c in checkpoints]
+    qe_sums = [_prefix_sum(qe_terms, c, family.tail_from) for c in checkpoints]
+    tp_sums = [_prefix_sum(tp_terms, c, family.tail_from) for c in checkpoints]
     qe_last = float(qe_terms[-1])
     tp_last = float(tp_terms[-1])
 

@@ -1035,5 +1035,66 @@ def test_validating_a_mode_stack_runs_no_eigen_kernel(rng, monkeypatch):
 def test_validate_refuses_a_mode_whose_square_overflows():
     # mu^2 = inf: the A^T A route read a NaN spectrum here and accepted the matrix
     for mu in (1e155, -1e200, 1.7e308):
-        with np.errstate(over="ignore"), pytest.raises(CovarianceError, match="eigenvalue -inf"):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(CovarianceError, match="eigenvalue -inf"):
             car.validate_car(mu_matrix(mu))
+
+
+# ------------------------------------------- one-mode covariances built valid
+
+# the spectrum grid, offsets either side of the pure edge, subnormals, and offsets past
+# 1/2 that the PSD check admits within VALIDATION_TOL * (1 + max|entry|)
+BUILT_EDGES = [*SPECTRUM_EDGES, 0.5 + 1e-12, 0.5 - 1e-12, -(0.5 + 1e-12), 5e-324, -5e-324,
+               0.5 + 1.2e-10, -(0.5 + 1.4e-10)]
+
+
+def _validated(mu):
+    """The route ``mu_covariance`` replaces: ``validate_car`` of the raw matrix."""
+    mus = np.asarray(mu, dtype=float)
+    raw = np.stack([mu_matrix(m) for m in mus.ravel().tolist()]).reshape(mus.shape + (2, 2))
+    return car.validate_car(raw)
+
+
+def _cached(cov):
+    return [cov.matrix, *cov.spectrum, *cov.roots, *cov.mode_roots]
+
+
+def test_mu_covariance_keeps_the_validate_car_bits(rng):
+    mus = np.concatenate([_spectrum_mus(rng), BUILT_EDGES])
+    assert all(map(_same_arrays, _cached(car.mu_covariance(mus)), _cached(_validated(mus))))
+    for mu in [*mus[:: len(mus) // 300].tolist(), *BUILT_EDGES, *EDGE_MUS]:
+        got, want = car.mu_covariance(mu), _validated(mu)
+        assert all(map(_same_arrays, _cached(got), _cached(want))), mu
+        assert not got.matrix.flags.writeable
+    # integer, boolean and complex-typed real offsets give the float offset's covariance
+    for mu, same in ((0, 0.0), (np.array([0, 0]), [0.0, 0.0]), (np.complex128(0.3), 0.3),
+                     (False, 0.0)):
+        assert _same_arrays(car.mu_covariance(mu).matrix, _validated(same).matrix)
+
+
+@pytest.mark.parametrize("mu", [0.7, -0.51, math.nan, math.inf, -math.inf, 1e155, 1.7e308,
+                                [0.1, 0.9], 0.5 + 1.6e-10, [0.2, math.nan], True])
+def test_mu_covariance_refuses_as_validate_car_does(mu):
+    messages = []
+    for build in (car.mu_covariance, _validated):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(CovarianceError) as err:
+            build(mu)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_mu_covariance_takes_complex_offsets_through_validate_car():
+    with pytest.raises(CovarianceError, match="not Hermitian"):
+        car.mu_covariance(0.3 + 0.1j)
+
+
+def test_car_power_scan_never_validates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CAR rule scan called validate_car")
+
+    monkeypatch.setattr(car, "validate_car", refuse)
+    v = seqmodel.classify_sequence(seqmodel.car_power_family(2.0), n_max=1024)
+    assert v.kind == "QuasiEquivalent"
+    seqmodel.classify_sequence(
+        seqmodel.car_mu_sequence(lambda k: 0.3, lambda k: 0.3 + 0.1 * k**-1.5), n_max=1024)

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -954,3 +955,19 @@ def test_covariances_pickle_after_pair_calls(rng):
     for s2, t2 in (pickle.loads(pickle.dumps((s, t))), (pickle.loads(pickle.dumps(s)), t)):
         assert np.array_equal(s2.r, s.r) and np.array_equal(t2.r, t.r)
         assert ccr.trans_prob_ccr(s2, t2) == tp and ccr.classify_ccr(s2, t2) == verdict
+
+
+def test_kernel_leak_check_of_large_forms_does_not_overflow(rng):
+    """Forms with entries past ~1e154 keep the flag of a moderate scaling: the leak bound's
+    norms are taken on forms scaled by a power of two, so no square overflows."""
+    sigma = ccr.canonical_sigma(1)
+    for _ in range(10):
+        s, t = sampling.random_ccr_pair(rng, sigma)
+        pairs = {c: [ccr.validate_ccr(c * sigma, c * x.r) for x in (s, t)]
+                 for c in (1e100, 1e160, 1e200)}
+        want, _ = ccr.qe_distance_ccr(*pairs[1e100])
+        for c in (1e160, 1e200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                flag, dist = ccr.qe_distance_ccr(*pairs[c])
+            assert flag == want and math.isfinite(dist), c

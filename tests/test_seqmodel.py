@@ -707,3 +707,103 @@ def test_dichotomy_on_rotated_thermal_families(fam, n_max):
         assert verdict.kind == seqmodel.INCONCLUSIVE
     else:
         assert len(classes) == 1 and verdict.kind == want[classes.pop()]
+
+
+# ------------------------------------------------------ built-in array rules
+
+POWERS = (0.5, 1, 1.1, 1.3, 2, 3)
+
+
+@pytest.mark.parametrize("p", POWERS)
+def test_inverse_power_has_the_bits_of_python_pow(p):
+    ks = range(1, (1 << 20) + 1)
+    want = np.array([k**-p for k in ks])
+    assert seqmodel._inverse_power(ks, p).tobytes() == want.tobytes()
+
+
+def _rule_values(fam, lo, hi):
+    """The values a built-in rule gave modes lo..hi, read exactly off its stacked covariances."""
+    (_, s, t), = fam.stack(lo, hi)
+    if fam.kind == seqmodel.CAR:  # A[1, 0] = mu
+        return s.matrix.imag[:, 1, 0], t.matrix.imag[:, 1, 0]
+    return 2.0 * s.r[:, 0, 0], 2.0 * t.r[:, 0, 0]  # R = (c/2) I
+
+
+@pytest.mark.parametrize("p", POWERS)
+def test_builtin_rules_keep_the_scalar_bits(p):
+    families = ((seqmodel.car_power_family(p), lambda k: 0.5, lambda k: 0.5 * (1.0 - k**-p)),
+                (seqmodel.ccr_thermal_power_family(p), lambda k: 1.0 + k**-p, lambda k: 1.0))
+    top = 1 << 20
+    for fam, f, g in families:
+        for lo, hi in ((1, 1024), (top - 1023, top), (777_777, 778_800)):
+            got = _rule_values(fam, lo, hi)
+            for values, h in zip(got, (f, g)):
+                want = np.array([h(k) for k in range(lo, hi + 1)])
+                assert values.tobytes() == want.tobytes(), (fam.label, lo)
+        for k in (1, 2, 7, 1000, top):
+            single = _rule_values(seqmodel.literal_family(fam.kind, [fam.pair_at(k)]), 1, 1)
+            assert [x.tobytes() for x in single] == [np.array([f(k)]).tobytes(),
+                                                     np.array([g(k)]).tobytes()], (fam.label, k)
+
+
+def test_user_rules_are_called_once_per_mode_and_index():
+    calls = []
+
+    def mu(k):
+        calls.append(k)
+        return 0.3
+
+    fam = seqmodel.car_mu_sequence(mu, lambda k: 0.3 + 0.01 / k)
+    seqmodel._term_table(fam, 100)
+    assert calls == list(range(1, 101))
+    calls.clear()
+    s, _ = fam.pair_at(7)
+    assert calls == [7] and s.matrix.shape == (2, 2)
+
+
+# ------------------------------------------------- checkpoint sums of stated tails
+
+TAIL_TERMS = (0.0, -0.0, 5e-324, 3.1e-310, math.inf, 0.1, 1e-17, 12345.678)
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096, 1 << 20])
+def test_prefix_sums_of_a_tail_equal_the_plain_fsum(rng, n):
+    big = n == 1 << 20  # fewer cases: each plain fsum reads a million terms
+    checkpoints = (n,) if big else (n // 8, n // 4, n // 2, n - 1, n)
+    for tail_from in (5, n // 3) if big else (1, 5, n // 3, n, n + 10):
+        m = min(n, tail_from)
+        head = rng.uniform(0.0, 1.0, m - 1) * 10.0 ** rng.integers(-20, 3, m - 1)
+        randoms = () if big else (*rng.uniform(0.0, 2.0, 3), *10.0 ** rng.uniform(-300, 3, 3))
+        for t in (*TAIL_TERMS, *randoms):
+            terms = np.concatenate([head, np.full(n - m + 1, t)])
+            for c in checkpoints:
+                want = math.fsum(terms[:c].tolist())
+                assert seqmodel._prefix_sum(terms, c, tail_from).hex() == want.hex(), (t, c)
+
+
+def _stated_tail_families(rng):
+    """Literal and concatenated-literal families whose tail terms are 0, subnormal or +inf."""
+    pure, tiny = car.mu_covariance(0.5), car.mu_covariance(1e-160)
+    zero = car.mu_covariance(0.0)
+    pairs = [tuple(car.mu_covariance(m) for m in rng.uniform(-0.5, 0.5, 2)) for _ in range(9)]
+    lits = [seqmodel.literal_family(seqmodel.CAR, pairs),
+            seqmodel.literal_family(seqmodel.CAR, pairs, tail=(zero, tiny)),  # subnormal qe^2
+            seqmodel.literal_family(seqmodel.CAR, pairs, tail=(pure, car.mu_covariance(-0.5))),
+            seqmodel.literal_family(seqmodel.CAR, pairs, tail=pairs[3])]
+    return [seqmodel.car_counterexample(), *lits,
+            seqmodel.concat_families(seqmodel.car_power_family(1.0), 30, lits[1]),
+            seqmodel.concat_families(lits[3], 4, lits[2])]
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096, 1 << 20])
+def test_stated_tail_sums_equal_the_plain_fsum(rng, n):
+    families = _stated_tail_families(rng)
+    assert 0.0 < seqmodel._term_table(families[2], 64)[0][-1] < 2.3e-308  # a subnormal tail
+    for fam in families:
+        v = seqmodel.classify_sequence(fam, n)
+        qe, tp = seqmodel._term_table(fam, n)
+        for terms, sums in ((qe, v.qe_partial_sums), (tp, v.neg_log_tp_partial_sums)):
+            want = [math.fsum(terms[:c].tolist()).hex() for c in v.checkpoints]
+            assert [x.hex() for x in sums] == want, fam.label
+        assert seqmodel.partial_log_tp(fam, n - 3).hex() == math.fsum(tp[:n - 3].tolist()).hex()
+        assert seqmodel.partial_qe_sum(fam, n).hex() == math.fsum(qe.tolist()).hex()
