@@ -200,7 +200,7 @@ def literal_family(kind: str, pairs, tail=None, label: str = "literal") -> ModeF
     other kind is refused (:class:`CovarianceError` naming the mode, the tail
     by its first mode). Pairs are checked and validated once, when the family
     is built; a scan stacks the listed pairs and the tail from ``pair_at``
-    and evaluates each once, so it costs them plus O(n) summation.
+    and evaluates each once, so it costs them plus O(log n) summation.
     """
     if kind not in (CAR, CCR):
         raise ValueError(f"kind must be {CAR!r} or {CCR!r}, got {kind!r}")
@@ -240,21 +240,20 @@ def concat_families(first: ModeFamily, n_first: int, second: ModeFamily,
 
 
 def _term_table(family: ModeFamily, n: int):
-    """Arrays of qe^2 and -log tp for modes 1..n, at most BLOCK_ENTRIES entries per call.
+    """Arrays of qe^2 and -log tp for modes 1..m, m = min(n, tail_from), at most BLOCK_ENTRIES
+    entries per call: every later mode is the stated tail, whose terms are the last entries.
 
-    Pair functions see modes 1..min(n, tail_from); later modes copy the terms of
-    mode tail_from, which are theirs. Each window is sized by the largest dimension
-    of the last one, and each pair function runs once per dimension group (or row
-    chunk of it), log tp first (the CCR peak is lower before qe caches its roots).
-    Each mode gets the bits of a call on its own pair; squares are taken in
-    Python, as for one pair. The logs are the pair modules' own: a -log tp term
-    is +inf exactly where that module's zero rule holds, a qe^2 term where CCR
-    metric equivalence fails.
+    Each window is sized by the largest dimension of the last one, and each pair function
+    runs once per dimension group (or row chunk of it), log tp first (the CCR peak is lower
+    before qe caches its roots). Each mode gets the bits of a call on its own pair; squares
+    are taken in Python, as for one pair. The logs are the pair modules' own: a -log tp term
+    is +inf exactly where that module's zero rule holds, a qe^2 term where CCR metric
+    equivalence fails.
     """
     if n > N_MAX_CAP:
         raise SizeCapError(f"{n} modes exceed the sequence cap of {N_MAX_CAP} modes")
-    qe_sq, neg_log_tp = np.empty(n), np.empty(n)
     m = n if family.tail_from is None else min(n, family.tail_from)
+    qe_sq, neg_log_tp = np.empty(m), np.empty(m)
     lo, dim = 1, 2  # dim: the largest in the last window, which sizes the next one
     while lo <= m:
         hi = min(lo + max(BLOCK_ENTRIES // dim**2, 1) - 1, m)
@@ -273,18 +272,20 @@ def _term_table(family: ModeFamily, n: int):
                 qe_sq[modes[rows] - 1] = [x**2 for x in dist.tolist()]
                 neg_log_tp[modes[rows] - 1] = -log_tp
         lo = hi + 1
-    qe_sq[m:], neg_log_tp[m:] = qe_sq[m - 1], neg_log_tp[m - 1]
     return qe_sq, neg_log_tp
 
 
-def _prefix_sum(terms: np.ndarray, c: int, tail_from: int | None) -> float:
-    """``math.fsum(terms[:c])`` of a term table. Past m = min(c, tail_from) the c - m copies
-    of the tail term t are ldexp(t, b), one for each set bit b of c - m: each piece is exact,
-    so both lists have one exact sum, which fsum rounds to the same bits."""
-    m = c if tail_from is None else min(c, tail_from)
-    r = c - m
-    tail = [math.ldexp(float(terms[m - 1]), b) for b in range(r.bit_length()) if r >> b & 1]
-    return math.fsum(terms[:m].tolist() + tail)
+def _series_sums(family: ModeFamily, n: int, checkpoints) -> list:
+    """(fsum of modes 1..c at each checkpoint c <= n, term of mode n) of the qe^2 and the
+    -log tp series: correctly rounded, and +inf once any term is infinite. The c - m modes
+    past a table of m entries (:func:`_term_table`) are ldexp(t, b) of its last term t, one
+    for each set bit b of c - m: each piece is exact, so fsum gets the plain sum's bits."""
+    out = []
+    for terms in map(np.ndarray.tolist, _term_table(family, n)):
+        pieces = [[math.ldexp(terms[-1], b) for b in range(r.bit_length()) if r >> b & 1]
+                  for r in (max(c - len(terms), 0) for c in checkpoints)]
+        out.append(([math.fsum(terms[:c] + p) for c, p in zip(checkpoints, pieces)], terms[-1]))
+    return out
 
 
 def _mode_count(n, name: str) -> int:
@@ -306,7 +307,8 @@ def partial_qe_sum(family: ModeFamily, n: int) -> float:
     n = _mode_count(n, "n")
     if n < 1:
         raise ValueError(f"N must be >= 1, got {n}")
-    return _prefix_sum(_term_table(family, n)[0], n, family.tail_from)
+    (sums, _), _ = _series_sums(family, n, (n,))
+    return sums[0]
 
 
 def partial_log_tp(family: ModeFamily, n: int) -> float:
@@ -319,7 +321,8 @@ def partial_log_tp(family: ModeFamily, n: int) -> float:
     n = _mode_count(n, "n")
     if n < 1:
         raise ValueError(f"N must be >= 1, got {n}")
-    return _prefix_sum(_term_table(family, n)[1], n, family.tail_from)
+    _, (sums, _) = _series_sums(family, n, (n,))
+    return sums[0]
 
 
 @dataclass(frozen=True)
@@ -366,19 +369,14 @@ def classify_sequence(family: ModeFamily, n_max: int = DEFAULT_N_MAX) -> Sequenc
 
     ``n_max`` above N_MAX_CAP = 2**20 raises :class:`SizeCapError`: at the cap the scan
     costs ~0.6-0.7 us/mode for the CAR built-ins and ~6-8 us/mode for the CCR built-ins
-    (2-vCPU x86_64 VM, one BLAS thread). A literal costs its listed pairs plus an O(n)
-    table copy: car_counterexample() takes ~1-2 ms at the cap.
+    (2-vCPU x86_64 VM, one BLAS thread). A literal costs its listed pairs plus O(log n)
+    summation: car_counterexample() takes ~0.15-0.3 ms at the cap.
     """
     n_max = _mode_count(n_max, "n_max")
     if n_max < MIN_N_MAX:
         raise ValueError(f"n_max must be at least {MIN_N_MAX}, got {n_max}")
     checkpoints = (n_max // 8, n_max // 4, n_max // 2, n_max)
-    qe_terms, tp_terms = _term_table(family, n_max)
-    # math.fsum: correctly rounded, and +inf once any term is infinite
-    qe_sums = [_prefix_sum(qe_terms, c, family.tail_from) for c in checkpoints]
-    tp_sums = [_prefix_sum(tp_terms, c, family.tail_from) for c in checkpoints]
-    qe_last = float(qe_terms[-1])
-    tp_last = float(tp_terms[-1])
+    (qe_sums, qe_last), (tp_sums, tp_last) = _series_sums(family, n_max, checkpoints)
 
     window = n_max - n_max // 2
     qe_class = _series_class(qe_sums[-2], qe_sums[-1], qe_last, window)

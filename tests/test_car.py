@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from doubled_space import doubled_conjugate, validate_doubled_covariance
+from term_tables import expanded_table
 
 from quasifree import car, car_oracle, cli, matcore, sampling, seqmodel, tolerances
 from quasifree.errors import CovarianceError
@@ -894,7 +895,7 @@ def _car_families(rng):
 @pytest.mark.parametrize("n", [64, 1024, 4096])
 def test_one_mode_term_tables_keep_the_matrix_route_bits(rng, n):
     for family in _car_families(rng):
-        got = seqmodel._term_table(family, n)
+        got = expanded_table(family, n)
         assert all(map(_same_bits, got, _reference_table(family, n))), family.label
 
 
@@ -1010,8 +1011,8 @@ def _spectrum_families():
 
 @pytest.mark.parametrize("n", [64, 1024, 4096])
 def test_mode_spectrum_term_tables_keep_the_eigh_bits(n, eigh_route):
-    want = eigh_route(lambda: [seqmodel._term_table(f, n) for f in _spectrum_families()])
-    got = [seqmodel._term_table(f, n) for f in _spectrum_families()]
+    want = eigh_route(lambda: [expanded_table(f, n) for f in _spectrum_families()])
+    got = [expanded_table(f, n) for f in _spectrum_families()]
     for family, a, b in zip(_spectrum_families(), got, want):
         assert all(map(_same_arrays, a, b)), family.label
 

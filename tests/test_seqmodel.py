@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from term_tables import expanded_table
 
 from quasifree import car, ccr, sampling, seqmodel
 from quasifree.errors import ConsistencyViolation, CovarianceError, SizeCapError
@@ -101,7 +102,7 @@ def test_concat_families_n_first_guard():
             seqmodel.concat_families(first, n_first, second)
     # zero modes of the first family: the second one, mode for mode
     joined = seqmodel.concat_families(first, np.int64(0), second)
-    for got, want in zip(seqmodel._term_table(joined, 64), seqmodel._term_table(second, 64)):
+    for got, want in zip(expanded_table(joined, 64), expanded_table(second, 64)):
         assert np.array_equal(got, want)
 
 
@@ -139,8 +140,7 @@ def pair_api_terms(family, n):
 
 
 def assert_table_matches_pair_api(family, n):
-    table = seqmodel._term_table(family, n)
-    for got, want in zip(table, pair_api_terms(family, n)):
+    for got, want in zip(expanded_table(family, n), pair_api_terms(family, n)):
         assert np.array_equal(got, np.array(want))
 
 
@@ -197,10 +197,10 @@ def test_table_bit_identical_across_budgets(rng, monkeypatch):
         mixed_literal(rng, (2, 4, 8, 32, 6, 2, 16, 4) * 4, 4),
     ]
     n = 4096
-    default = [seqmodel._term_table(fam, n) for fam in families]
+    default = [expanded_table(fam, n) for fam in families]
     monkeypatch.setattr(seqmodel, "BLOCK_ENTRIES", 100)
     for fam, want in zip(families, default):
-        for got, ref in zip(seqmodel._term_table(fam, n), want):
+        for got, ref in zip(expanded_table(fam, n), want):
             assert np.array_equal(got, ref), fam.label
 
 
@@ -285,15 +285,15 @@ def test_one_pair_call_per_2x2_scan_at_n_max_1024(monkeypatch):
         "log_trans_prob_car", "log_trans_prob_ccr", "qe_distance_car", "qe_distance_ccr"]
 
 
-def scan_working_memory(fam):
-    """Traced peak of a scan at n = 4096 and 65536, less the table's 16 bytes per mode."""
+def scan_working_memory(fam, table_bytes_per_mode=16):
+    """Traced peak of a scan at n = 4096 and 65536, less the table's bytes per mode."""
     seqmodel._term_table(fam, seqmodel.MIN_N_MAX)  # imports and caches outside the trace
     extra = {}
     for n in (4096, 65536):
         tracemalloc.start()
         try:
             seqmodel._term_table(fam, n)
-            extra[n] = tracemalloc.get_traced_memory()[1] - 16 * n
+            extra[n] = tracemalloc.get_traced_memory()[1] - table_bytes_per_mode * n
         finally:
             tracemalloc.stop()
     return extra
@@ -353,12 +353,12 @@ def test_tail_from_of_literals_and_concatenations(rng):
 
 @pytest.mark.parametrize("n", [1, 40, 200])
 def test_tail_terms_bit_identical(rng, n):
-    """Copied tail terms are the pair API's and a written-out tail's own bits."""
+    """Tail terms are the pair API's and a written-out tail's own bits."""
     for fam in tail_families(rng):
         assert_table_matches_pair_api(fam, n)
         written = seqmodel.literal_family(
             fam.kind, [fam.pair_at(k) for k in range(1, n + 1)], tail=fam.pair_at(n + 1))
-        for got, want in zip(seqmodel._term_table(fam, n), seqmodel._term_table(written, n)):
+        for got, want in zip(expanded_table(fam, n), expanded_table(written, n)):
             assert np.array_equal(got, want), fam.label
 
 
@@ -372,8 +372,7 @@ def test_pair_functions_see_modes_up_to_tail_from(rng, monkeypatch, n):
         want = n if fam.tail_from is None else min(n, fam.tail_from)
         for name in (f"qe_distance_{fam.kind}", f"log_trans_prob_{fam.kind}"):
             assert sum(modes for f, modes, _ in calls if f == name) == want, fam.label
-        for terms in table:
-            assert (terms[want:] == terms[want - 1]).all()
+        assert [terms.size for terms in table] == [want, want], fam.label
 
 
 @pytest.mark.parametrize("make", [
@@ -381,12 +380,27 @@ def test_pair_functions_see_modes_up_to_tail_from(rng, monkeypatch, n):
     lambda rng: mixed_literal(rng, (2, 4, 8, 32, 6, 2, 16, 4) * 4, 32),
 ], ids=["vacuum-vs-30x32", "car-tail-32x32"])
 def test_literal_scan_memory_does_not_grow_with_n(rng, make):
-    """A literal's listed pairs are evaluated once, whatever n: beyond the
-    table's 16 bytes per mode, the peak stays small and does not grow."""
-    extra = scan_working_memory(make(rng))
+    """A literal's listed pairs are evaluated once, whatever n, and its table
+    ends at the tail: the whole peak stays small and does not grow."""
+    extra = scan_working_memory(make(rng), table_bytes_per_mode=0)
     # stacking 1024 copies of the tail would hold 32 MiB (CAR) or 128 MiB (CCR)
     assert extra[4096] < 4 * 2**20
     assert extra[65536] <= 1.05 * extra[4096]
+
+
+@pytest.mark.parametrize("api", ["classify_sequence", "partial_qe_sum", "partial_log_tp"])
+def test_stated_tail_scans_build_no_table_of_n_entries(api):
+    """At the cap, car_counterexample() evaluates and sums its two distinct modes: two
+    tables of 2^20 entries would hold 16 MiB."""
+    fam, scan = seqmodel.car_counterexample(), getattr(seqmodel, api)
+    scan(fam, seqmodel.MIN_N_MAX)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        scan(fam, seqmodel.N_MAX_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
 
 
 def test_table_literal_mixed_dimensions(rng, small_blocks):
@@ -405,7 +419,7 @@ def test_table_concat_stacked_then_fallback(small_blocks):
 
 def test_table_ccr_literal_mixed_supports(small_blocks):
     fam = ccr_mixed_supports()
-    qe_sq, neg_log_tp = seqmodel._term_table(fam, 18)
+    qe_sq, neg_log_tp = expanded_table(fam, 18)
     assert math.isinf(qe_sq[5]) and math.isinf(neg_log_tp[7])  # support gap, central witness
     assert_table_matches_pair_api(fam, 18)
 
@@ -494,9 +508,8 @@ def test_block_additivity_within_rounding():
     f2 = seqmodel.car_power_family(1.0)
     cat = seqmodel.concat_families(f1, 10, f2)
     # per-mode terms of the concatenation are bit-identical to the pieces'
-    cat_terms = seqmodel._term_table(cat, 25)
-    for got, head, tail in zip(cat_terms, seqmodel._term_table(f1, 10),
-                               seqmodel._term_table(f2, 15)):
+    cat_terms = expanded_table(cat, 25)
+    for got, head, tail in zip(cat_terms, expanded_table(f1, 10), expanded_table(f2, 15)):
         assert np.array_equal(got, np.concatenate([head, tail]))
     lhs = seqmodel.partial_qe_sum(cat, 25)
     rhs = seqmodel.partial_qe_sum(f1, 10) + seqmodel.partial_qe_sum(f2, 15)
@@ -701,7 +714,7 @@ def test_dichotomy_on_rotated_thermal_families(fam, n_max):
     half = n_max // 2
     classes = {seqmodel._series_class(math.fsum(terms[:half].tolist()),
                                       math.fsum(terms.tolist()), float(terms[-1]), n_max - half)
-               for terms in seqmodel._term_table(fam, n_max)}
+               for terms in expanded_table(fam, n_max)}
     want = {"convergent": ccr.QUASI_EQUIVALENT, "divergent": ccr.DISJOINT}
     if "inconclusive" in classes:
         assert verdict.kind == seqmodel.INCONCLUSIVE
@@ -767,7 +780,7 @@ TAIL_TERMS = (0.0, -0.0, 5e-324, 3.1e-310, math.inf, 0.1, 1e-17, 12345.678)
 
 
 @pytest.mark.parametrize("n", [64, 1024, 4096, 1 << 20])
-def test_prefix_sums_of_a_tail_equal_the_plain_fsum(rng, n):
+def test_prefix_sums_of_a_tail_equal_the_plain_fsum(rng, monkeypatch, n):
     big = n == 1 << 20  # fewer cases: each plain fsum reads a million terms
     checkpoints = (n,) if big else (n // 8, n // 4, n // 2, n - 1, n)
     for tail_from in (5, n // 3) if big else (1, 5, n // 3, n, n + 10):
@@ -775,10 +788,15 @@ def test_prefix_sums_of_a_tail_equal_the_plain_fsum(rng, n):
         head = rng.uniform(0.0, 1.0, m - 1) * 10.0 ** rng.integers(-20, 3, m - 1)
         randoms = () if big else (*rng.uniform(0.0, 2.0, 3), *10.0 ** rng.uniform(-300, 3, 3))
         for t in (*TAIL_TERMS, *randoms):
+            table = np.append(head, t)  # m entries: modes past m repeat the last
+            monkeypatch.setattr(seqmodel, "_term_table", lambda *_: (table, -table))
             terms = np.concatenate([head, np.full(n - m + 1, t)])
-            for c in checkpoints:
+            (qe, qe_last), (tp, tp_last) = seqmodel._series_sums(None, n, checkpoints)
+            assert (qe_last, tp_last) == (t, -t)
+            for c, got, neg in zip(checkpoints, qe, tp):
                 want = math.fsum(terms[:c].tolist())
-                assert seqmodel._prefix_sum(terms, c, tail_from).hex() == want.hex(), (t, c)
+                assert got.hex() == want.hex(), (t, c)
+                assert neg.hex() == math.fsum((-terms[:c]).tolist()).hex(), (t, c)
 
 
 def _stated_tail_families(rng):
@@ -798,10 +816,10 @@ def _stated_tail_families(rng):
 @pytest.mark.parametrize("n", [64, 1024, 4096, 1 << 20])
 def test_stated_tail_sums_equal_the_plain_fsum(rng, n):
     families = _stated_tail_families(rng)
-    assert 0.0 < seqmodel._term_table(families[2], 64)[0][-1] < 2.3e-308  # a subnormal tail
+    assert 0.0 < expanded_table(families[2], 64)[0][-1] < 2.3e-308  # a subnormal tail
     for fam in families:
         v = seqmodel.classify_sequence(fam, n)
-        qe, tp = seqmodel._term_table(fam, n)
+        qe, tp = expanded_table(fam, n)
         for terms, sums in ((qe, v.qe_partial_sums), (tp, v.neg_log_tp_partial_sums)):
             want = [math.fsum(terms[:c].tolist()).hex() for c in v.checkpoints]
             assert [x.hex() for x in sums] == want, fam.label
