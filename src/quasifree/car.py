@@ -93,10 +93,10 @@ class CarCovariance:
 def validate_car(s) -> CarCovariance:
     """Check and normalize a candidate covariance matrix, or a stack of them.
 
-    Symmetrizes within VALIDATION_TOL and enforces S + conj(S) = I exactly on the
-    stored matrix; raises :class:`CovarianceError` with the violation
-    magnitude otherwise. Positivity is read from the real factorisation that
-    the returned covariance keeps: the smallest eigenvalue is 1/2 - sqrt(max x).
+    Refuses an entry past |S_ij| <= 1 first, then symmetrizes within VALIDATION_TOL and
+    enforces S + conj(S) = I exactly on the stored matrix; raises :class:`CovarianceError`
+    with the violation magnitude otherwise. Positivity is read from the real factorisation
+    that the returned covariance keeps: the smallest eigenvalue is 1/2 - sqrt(max x).
     """
     s = np.asarray(s, dtype=complex)
     if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
@@ -108,6 +108,7 @@ def validate_car(s) -> CarCovariance:
     def scale():  # of the matrix as given
         return 1.0 + np.max(np.abs(s), axis=(-2, -1), initial=0.0)
 
+    _check_entries(np.abs(s), scale)
     matcore.raise_first_above(np.abs(s - dagger(s)), VALIDATION_TOL, scale,
                               lambda v: CovarianceError(f"not Hermitian: max deviation {v:.3e}"))
     h = hermitian_part(s)
@@ -118,6 +119,14 @@ def validate_car(s) -> CarCovariance:
     m = 0.5 * np.eye(d) + 1j * np.imag(h)
     m.setflags(write=False)
     return _psd_checked(CarCovariance(m), scale)
+
+
+def _check_entries(size, scale, axis=(-2, -1)) -> None:
+    """CovarianceError unless each entry magnitude in ``size`` is at most 1 within
+    VALIDATION_TOL * ``scale()``: 0 <= S <= I bounds |S_ij| by 1, and past it the
+    spectrum's products can overflow, so this runs before any of them."""
+    matcore.raise_first_above(size - 1.0, VALIDATION_TOL, scale, lambda v: CovarianceError(
+        f"an entry exceeds the bound |S_ij| <= 1 of 0 <= S <= I: {1.0 + v:.6e}"), axis)
 
 
 def _psd_checked(cov: CarCovariance, scale) -> CarCovariance:
@@ -138,7 +147,8 @@ def mu_covariance(mu) -> CarCovariance:
 
     An array of offsets gives the stack of their covariances. Real offsets are built valid,
     as the 0.5 I + 1j [[0, -mu], [mu, 0]] that :func:`validate_car` rebuilds: only its refusals
-    of non-finite and of non-PSD input (on the closed-form spectrum) are checked.
+    of non-finite input, of |mu| past 1 and of non-PSD input (on the closed-form spectrum) are
+    checked.
     """
     mu = np.asarray(mu)
     m = np.zeros(mu.shape + (2, 2), dtype=complex)
@@ -148,9 +158,15 @@ def mu_covariance(mu) -> CarCovariance:
         return validate_car(m)
     if not np.all(np.isfinite(mu)):
         raise CovarianceError("covariance has non-finite entries")
+    size = np.abs(mu)
+
+    def scale():  # of the matrix built
+        return 1.0 + np.maximum(0.5, size)
+
+    _check_entries(size, scale, axis=())
     m.imag[..., 0, 1], m.imag[..., 1, 0] = 0.0 - mu, mu + 0.0  # a zero offset gives +0
     m.setflags(write=False)
-    return _psd_checked(CarCovariance(m), lambda: 1.0 + np.maximum(0.5, np.abs(mu)))
+    return _psd_checked(CarCovariance(m), scale)
 
 
 def _as_covariance(s) -> CarCovariance:

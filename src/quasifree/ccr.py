@@ -30,9 +30,7 @@ import numpy as np
 
 from . import matcore
 from .errors import CovarianceError
-from .matcore import (
-    adjoint, eigh, eigvalsh, hermitian_part, hs_norm, raise_first_above, scalar, support_groups,
-)
+from .matcore import adjoint, eigh, eigvalsh, hermitian_part, hs_norm, raise_first_above, scalar
 from .tolerances import (
     CERTIFY_MARGIN, CONDITION_BOUND, EXACT_TOL, FORM_BOUND, KERNEL_LEAK_TOL, SUPPORT_GAP,
     VALIDATION_TOL, ZERO_TOL)
@@ -269,10 +267,11 @@ def _transition_analysis(cov_s: CcrCovariance, cov_t: CcrCovariance):
     Returns (log_t, rank, mismatch, factors) for the flattened stack of pairs:
     the log transition probabilities (at most 0), the rank of supp(A + B),
     whether a central element separates the states (:func:`_supports_differ`;
-    log -inf there), and per support group of the other pairs their indices
-    and determinant factors, the eigenvalues of 2 gm(A, B) whitened by A + B
-    (a factor exactly 0 also gives log -inf). Kept on S against T's arrays
-    (by identity), one pair at a time; the arrays are read-only.
+    log -inf there), and (n, d) determinant factors, ascending: the eigenvalues
+    of 2 gm(A, B) whitened by A + B on its support and padded by the identity,
+    which leaves 1 after a pair's first rank factors and on a mismatched pair (a
+    factor exactly 0 also gives log -inf). Kept on S against T's arrays (by
+    identity), one pair at a time; the arrays are read-only.
     """
     memo = cov_s.__dict__.get("_transition", (None, None, None))
     if memo[0] is cov_t.sigma and memo[1] is cov_t.r:
@@ -285,23 +284,22 @@ def _transition_analysis(cov_s: CcrCovariance, cov_t: CcrCovariance):
     g = a + b  # exactly symmetric, as ab_form is
     w, v = eigh(g)
     keep = w > ZERO_TOL * np.maximum(np.trace(g, axis1=-2, axis2=-1), 0.0)[:, None]
-    log_t = np.where(mismatch, -np.inf, 0.0)
-    factors = []
-    for sel, wk, basis in support_groups(w, v, keep):
-        live = ~mismatch[sel]
-        idx = np.flatnonzero(sel)[live]
-        if basis.shape[-1] == 0 or idx.size == 0:
-            continue  # both forms vanish entirely: the states coincide (trivial character)
-        basis, wk = basis[live], wk[live]
-        core = matcore.sandwich(basis, 2.0 * matcore.geometric_mean(a[idx], b[idx]), wk)
-        wc = np.clip(eigvalsh(core), 0.0, 1.0)
-        with np.errstate(divide="ignore"):
-            log_t[idx] = np.minimum(0.5 * np.sum(np.log(wc), axis=-1), 0.0)
-        factors.append((idx, wc))
+    rank, live = np.count_nonzero(keep, axis=-1), ~mismatch
+    # whitened by A + B on its support, the identity off it: each factor there is 1
+    inv = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)[live]
+    core = matcore.sandwich(v[live] * inv[:, None, :],
+                            2.0 * matcore.geometric_mean(a[live], b[live]), keep[live])
+    factors = np.ones((n, d))
+    factors[live] = np.clip(eigvalsh(core), 0.0, 1.0)
+    # the padding's 1s sort after every factor below 1, so log tp sums the first rank
+    # factors: numpy's pairwise sum groups its terms by how many there are
+    with np.errstate(divide="ignore"):
+        log_sum = np.sum(np.log(factors), axis=-1, where=np.arange(d) < rank[:, None])
+    log_t = np.where(mismatch, -np.inf, np.minimum(0.5 * log_sum, 0.0))
     if np.isnan(log_t).any():  # refused, not reported: no answer is right
         raise CovarianceError("transition analysis overflowed: log tp is NaN")
-    result = (log_t, np.count_nonzero(keep, axis=-1), mismatch, factors)
-    for x in result[:3]:
+    result = (log_t, rank, mismatch, factors)
+    for x in result:
         x.setflags(write=False)
     cov_s.__dict__["_transition"] = (cov_t.sigma, cov_t.r, result)
     return result
@@ -361,8 +359,8 @@ def classify_ccr(cov_s: CcrCovariance, cov_t: CcrCovariance) -> CcrVerdict:
     diagnostics = {"support_dim": int(rank[0]), "ab_support_mismatch": bool(mismatch[0])}
     if mismatch[0]:
         diagnostics["central_witness"] = _central_witness(cov_s, cov_t)
-    for _, wc in factors:
-        diagnostics["det_eigenvalues"] = wc[0].tolist()
+    if not mismatch[0] and rank[0]:
+        diagnostics["det_eigenvalues"] = factors[0, :rank[0]].tolist()
     diagnostics["metric_equivalent"], diagnostics["qe_hs_distance"] = qe_distance_ccr(cov_s, cov_t)
     kind, reason = ((DISJOINT, CENTRAL_ELEMENT_MISMATCH) if log_t[0] == -math.inf
                     else (QUASI_EQUIVALENT, POSITIVE_TRANSITION_PROBABILITY))

@@ -15,8 +15,8 @@ call goes to ``numpy.linalg`` unchanged. One-mode CAR pairs need no SVD: their
 overlap is a multiple of I in closed form (:mod:`quasifree.car`).
 
 The spectral helpers also take stacks of matrices, shape ``(..., d, d)``,
-and give each matrix the same bits as alone; steps whose shapes depend on a
-support rank split the stack by rank with :func:`support_groups`. Products
+and give each matrix the same bits as alone; a step on a support of any rank
+pads it to full size by the identity (:func:`sandwich`). Products
 take C-contiguous operands (:func:`adjoint`, not the view :func:`dagger`): a
 transposed view makes numpy's stacked ``matmul`` of 1024 2 x 2 or 256 4 x 4
 products 1.5-4x slower, more than the copy costs (one BLAS thread).
@@ -39,7 +39,6 @@ __all__ = [
     "projection_defect",
     "root_parts",
     "sqrt_psd",
-    "support_groups",
 ]
 
 
@@ -84,14 +83,15 @@ def raise_first(bad, values, error) -> None:
 
 def raise_first_above(dev, tol, scale, error, axis=(-2, -1)) -> None:
     """Raise ``error(v)`` for the first matrix whose largest ``dev`` entry (over
-    ``axis``) v exceeds ``tol * scale()``, ``scale()`` giving each matrix's scale.
+    ``axis``) v is not within ``tol * scale()``, ``scale()`` giving each matrix's scale;
+    a NaN v is not within it.
 
     Every scale is at least 1, so a stack whose largest entry is within ``tol``
     passes on one reduction; per-matrix maxima and scales are formed only if not.
     """
-    if np.max(dev, initial=0.0) > tol:
+    if not np.max(dev, initial=0.0) <= tol:
         worst = np.max(dev, axis=axis, initial=0.0)
-        raise_first(worst > tol * scale(), worst, error)
+        raise_first(~(worst <= tol * scale()), worst, error)
 
 
 def _check_square(x: np.ndarray, name: str, stack: bool = False) -> np.ndarray:
@@ -240,26 +240,13 @@ def root_parts(a: np.ndarray, x: np.ndarray, u: np.ndarray, snap: float):
     return (u * (0.5 * t)[..., None, :]) @ ut, a @ ((u * h[..., None, :]) @ ut)
 
 
-def support_groups(w: np.ndarray, v: np.ndarray, keep: np.ndarray):
-    """Split eigendecompositions ``(w, v)`` of a stack by the rank of the support ``keep``.
-
-    ``keep`` holds from some column on, as a threshold on an ascending ``eigh``
-    does, so rank r has support ``v[..., -r:]``. Yields ``(sel, w_r, basis)``
-    per rank: a mask over the stack, then the support eigenvalues and support
-    basis of those matrices.
-    """
-    rank = np.count_nonzero(keep, axis=-1)
-    d = keep.shape[-1]
-    for r in np.flatnonzero(np.bincount(np.ravel(rank), minlength=d + 1)).tolist():
-        sel = rank == r
-        yield sel, w[sel][:, d - r :], v[sel][..., d - r :]
-
-
-def sandwich(b: np.ndarray, x: np.ndarray, w=None) -> np.ndarray:
-    """Hermitian part of b^* x b; with ``w``, of the columns of b scaled by w^(-1/2)."""
-    if w is not None:
-        b = b * (1.0 / np.sqrt(w))[..., None, :]
-    return hermitian_part(adjoint(b) @ x @ b)
+def sandwich(b: np.ndarray, x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Hermitian part of b^* x b for a stack of bases b whose columns are zero where ``keep``
+    is False, with 1 on the diagonal there: the block on the support, padded by the identity."""
+    s = hermitian_part(adjoint(b) @ x @ b)
+    i = np.arange(s.shape[-1])
+    s[..., i, i] = np.where(keep, s[..., i, i], 1.0)
+    return s
 
 
 def pfaffian(a: np.ndarray) -> complex:
@@ -302,8 +289,7 @@ def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     mean); off the common support the result is zero. Eigenvalues at or below
     ``ZERO_TOL * trace`` count as outside the support. A matrix of a stack whose
     two supports are both full takes the roots of a from a's own ``eigh`` (three
-    ``eigh`` in all); every other one is first restricted to the common support
-    (five).
+    ``eigh`` in all); every other one is first restricted to the padded common support (five).
     """
     a = hermitian_part(_check_square(a, "first matrix", stack=True))
     b = hermitian_part(_check_square(b, "second matrix", stack=True))
@@ -325,17 +311,16 @@ def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     full = np.all(keep_a, axis=-1) & np.all(keep_b, axis=-1)
     if np.any(full):
         g[full] = _mean_from(wa[full], va[full], b[full])
-    # otherwise on the common support, the eigenvalue-2 space of P_A + P_B
+    # otherwise on the common support, the eigenvalue-2 space of P_A + P_B, padded
     rest = np.flatnonzero(~full)
     if rest.size:
         pa, pb = ((v[rest] * k[rest][:, None, :]) @ adjoint(v[rest])
                   for v, k in ((va, keep_a), (vb, keep_b)))
         ww, vv = eigh(pa + pb)
-        for sel, _, basis in support_groups(ww, vv, ww >= 2.0 - COMMON_SUPPORT_TOL):
-            if basis.shape[-1]:
-                idx = rest[sel]
-                wc, vc = eigh(sandwich(basis, a[idx]))
-                g[idx] = basis @ _mean_from(wc, vc, sandwich(basis, b[idx])) @ adjoint(basis)
+        keep = ww >= 2.0 - COMMON_SUPPORT_TOL
+        basis = vv * keep[:, None, :]
+        wc, vc = eigh(sandwich(basis, a[rest], keep))
+        g[rest] = basis @ _mean_from(wc, vc, sandwich(basis, b[rest], keep)) @ adjoint(basis)
 
     return hermitian_part(g).reshape(shape)
 

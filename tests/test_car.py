@@ -1034,11 +1034,20 @@ def test_validating_a_mode_stack_runs_no_eigen_kernel(rng, monkeypatch):
 
 
 def test_validate_refuses_a_mode_whose_square_overflows():
-    # mu^2 = inf: the A^T A route read a NaN spectrum here and accepted the matrix
-    for mu in (1e155, -1e200, 1.7e308):
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(CovarianceError, match="eigenvalue -inf"):
-            car.validate_car(mu_matrix(mu))
+    # mu^2 = inf: the A^T A route read a NaN spectrum here and accepted the matrix. The entry
+    # bound |S_ij| <= 1 of 0 <= S <= I refuses it before any product, with one message
+    # whether the covariance is validated or built
+    for mu in (1.5, 1e155, -1e200, 1.7e308):
+        errors = []
+        for build in (lambda m: car.validate_car(np.stack([mu_matrix(0.25), mu_matrix(m)])),
+                      lambda m: car.mu_covariance(np.array([0.25, m]))):
+            with pytest.raises(CovarianceError, match=r"exceeds the bound \|S_ij\| <= 1") as exc:
+                build(mu)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+    # within VALIDATION_TOL * (1 + max|entry|) of the bound, the PSD check decides
+    with pytest.raises(CovarianceError, match="not PSD"):
+        car.mu_covariance(1.0 + 1e-10)
 
 
 # ------------------------------------------- one-mode covariances built valid

@@ -147,6 +147,77 @@ def test_stacked_pair_api_matches_pairs_bitwise(rng):
     assert list(ccr.is_standard_ccr(s)) == [ccr.is_standard_ccr(a) for a, _ in pairs]
 
 
+def degenerate_pairs(rng, modes, center):
+    """sigma, canonical on ``modes`` modes and zero on ``center`` central directions, sheared
+    so that the center mixes into every coordinate, and pairs of forms on it whose supports
+    are full, deficient (a shared rank-k form on the center, k = 1 .. center - 1), zero (on
+    sigma = 0 only) or different (mismatched)."""
+    k, d = 2 * modes, 2 * modes + center
+    shear = np.eye(d)
+    shear[:k, k:] = rng.standard_normal((k, center))
+    shear[k:, k:] += 0.3 * rng.standard_normal((center, center))
+    sigma = np.zeros((d, d))
+    sigma[:k, :k] = ccr.canonical_sigma(modes)
+    q = np.linalg.qr(rng.standard_normal((center, center)))[0]
+
+    def form(rank, cols=slice(None)):
+        r = np.zeros((d, d))
+        if modes:
+            r[:k, :k] = sampling.random_ccr_covariance(rng, ccr.canonical_sigma(modes)).r
+        basis = q[:, cols][:, :rank]
+        r[k:, k:] = (basis * rng.uniform(0.3, 2.0, rank)) @ basis.T
+        return shear @ r @ shear.T
+
+    ranks = [center, *range(1, center), *([0] if modes == 0 else [])]
+    pairs = [(form(rank), form(rank)) for rank in ranks]
+    pairs.append((form(center - 1), form(center - 1, slice(1, None))))  # supports differ
+    return shear @ sigma @ shear.T, pairs
+
+
+@pytest.mark.parametrize("modes, center", [(0, 4), (0, 10), (1, 3), (2, 6)])
+def test_stacked_pairs_of_every_support_rank_match_single_calls_bitwise(rng, modes, center):
+    """One padded pass serves a stack that mixes full, deficient, zero and mismatched
+    supports: each pair keeps the bits of its own call, and classify_ccr reports as many
+    determinant factors as the support has, none where a central element separates the
+    states or the support is empty."""
+    sigma, pairs = degenerate_pairs(rng, modes, center)
+    pairs = [tuple(ccr.validate_ccr(sigma, r) for r in pair) for pair in pairs]
+    s, t = (ccr.validate_ccr(sigma, np.stack([p[i].r for p in pairs])) for i in (0, 1))
+    log_tp, tp, (equiv, dist) = (ccr.log_trans_prob_ccr(s, t), ccr.trans_prob_ccr(s, t),
+                                 ccr.qe_distance_ccr(s, t))
+    factors = ccr._transition_analysis(s, t)[3]
+    assert factors.shape == (len(pairs), sigma.shape[0]) and not factors.flags.writeable
+    kinds = set()
+    for i, (a, b) in enumerate(pairs):
+        assert log_tp[i] == ccr.log_trans_prob_ccr(a, b) and tp[i] == ccr.trans_prob_ccr(a, b)
+        assert (equiv[i], dist[i]) == ccr.qe_distance_ccr(a, b)
+        diag = ccr.classify_ccr(a, b).diagnostics
+        rank, mismatch = diag["support_dim"], diag["ab_support_mismatch"]
+        kinds.add("mismatch" if mismatch else rank)
+        if mismatch or rank == 0:
+            assert "det_eigenvalues" not in diag
+            assert log_tp[i] == (-math.inf if mismatch else 0.0)
+        else:
+            assert diag["det_eigenvalues"] == factors[i, :rank].tolist()
+            assert np.all(factors[i, rank:] == 1.0)
+    assert "mismatch" in kinds and (0 in kinds) == (modes == 0)
+    assert len(kinds) == len(pairs)  # every support rank occurs
+
+
+def test_deficient_support_reads_the_pair_compressed_to_it(rng):
+    """On sigma = 0, forms sharing an r-dimensional support give the tp of the r x r pair
+    they compress to."""
+    d, r = 9, 4
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0][:, :r]
+    x, y = (sampling.random_psd(rng, r, complex_entries=False) + 0.1 * np.eye(r)
+            for _ in range(2))
+    wide = [ccr.validate_ccr(np.zeros((d, d)), q @ m @ q.T) for m in (x, y)]
+    narrow = [ccr.validate_ccr(np.zeros((r, r)), m) for m in (x, y)]
+    assert ccr.classify_ccr(*wide).diagnostics["support_dim"] == r
+    assert ccr.log_trans_prob_ccr(*wide) == pytest.approx(ccr.log_trans_prob_ccr(*narrow),
+                                                          rel=1e-12)
+
+
 def passive_rotation(rng, modes):
     """The orthogonal symplectic of a random unitary on ``modes`` modes."""
     z = rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes))

@@ -252,6 +252,20 @@ def test_trans_prob_refuses_a_form_past_the_overflow_bound(tmp_path, capsys):
     assert "FORM_BOUND" in report["error"] and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["validate", "trans-prob"])
+@pytest.mark.parametrize("entry", [1e200, 1e308])
+def test_car_pair_past_the_entry_bound_is_refused(tmp_path, capsys, command, entry):
+    # 0.5 I + iA on 4 x 4 with A[0, 1] = -A[1, 0] = entry: A^T A overflowed, and validate
+    # read "valid": true at 1e200 while LAPACK failed to converge elsewhere
+    s = 0.5 * np.eye(4, dtype=complex)
+    s[0, 1], s[1, 0] = 1j * entry, -1j * entry
+    sc = car_pair_scenario(s=matrix_json(s), t=matrix_json(0.5 * np.eye(4)))
+    code, report, err = run_cli(capsys, [command, write_scenario(tmp_path, sc)])
+    assert code == 2 and report["exit_code"] == 2 and "results" not in report
+    assert "|S_ij| <= 1" in report["error"] and "converge" not in report["error"]
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------------- classify
 
 

@@ -170,32 +170,46 @@ def test_sqrt_psd_rejects_indefinite():
     assert exc.value.min_eigenvalue == pytest.approx(-0.1)
 
 
-def test_support_groups_split_by_rank_and_keep_order():
-    # thresholds on ascending spectra: each mask holds from some column on
-    w = np.array([[-1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [-2.0, 0.0, 3.0], [0.0, 2.0, 4.0]])
-    v = np.stack([(i + 1.0) * np.eye(3) for i in range(4)]).astype(complex)
-    groups = list(matcore.support_groups(w, v, w > 0.5))
-    assert [len(g) for g in groups] == [3, 3, 3]
-    assert [g[0].tolist() for g in groups] == [
-        [True, False, False, False], [False, False, True, False], [False, True, False, True]]
-    _, w0, basis0 = groups[0]
-    assert w0.shape == (1, 0) and basis0.shape == (1, 3, 0)
-    _, w1, basis1 = groups[1]
-    assert w1.tolist() == [[3.0]] and np.array_equal(basis1[0], 3.0 * np.eye(3)[:, 2:])
-    _, w2, basis2 = groups[2]
-    # the support columns of each matrix, in order, and the matrices in stack order
-    assert w2.tolist() == [[1.0, 2.0], [2.0, 4.0]]
-    assert np.array_equal(basis2[0], 2.0 * np.eye(3)[:, 1:])
-    assert np.array_equal(basis2[1], 4.0 * np.eye(3)[:, 1:])
+def test_raise_first_above_refuses_a_nan_deviation():
+    dev = np.zeros((3, 2, 2))
+    dev[1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="matrix nan"):
+        matcore.raise_first_above(dev, 1e-10, lambda: np.ones(3),
+                                  lambda v: ValueError(f"matrix {v}"))
+    matcore.raise_first_above(np.zeros((3, 2, 2)), 1e-10, None, None)  # passes on one max
+
+
+def common_support_stack(rng, d, dtype):
+    """Pairs (a, b) of PSD d x d matrices whose common support has each rank k = 0..d, with
+    its orthonormal basis c: each operand also has columns of its own off it."""
+    pairs = []
+    for k in range(d + 1):
+        z = rng.standard_normal((d, d)) + (1j * rng.standard_normal((d, d)) if dtype is complex
+                                           else 0.0)
+        q = np.linalg.qr(z)[0]
+        extra = (d - k) // 2
+        qa = q[:, : k + extra]
+        qb = np.concatenate([q[:, :k], q[:, k + extra : k + 2 * extra]], axis=1)
+        a, b = ((m * rng.uniform(0.5, 2.0, m.shape[1])) @ m.conj().T for m in (qa, qb))
+        pairs.append((a, b, q[:, :k]))
+    return pairs
 
 
 def test_stacked_helpers_match_single_matrices_bitwise(rng):
+    """Common supports of every rank 0..d in one stack, real and complex: each mean keeps
+    the bits of its own call, and is the mean of the pair compressed to the common support."""
+    for dtype in (float, complex):
+        pairs = common_support_stack(rng, 6, dtype)
+        a, b = (np.stack(m) for m in zip(*[p[:2] for p in pairs]))
+        g = matcore.geometric_mean(a, b)
+        assert g.dtype == dtype
+        for i, (ai, bi, c) in enumerate(pairs):
+            assert np.array_equal(g[i], matcore.geometric_mean(ai, bi))
+            ch = c.conj().T
+            ref = c @ numpy_geometric_mean(ch @ ai @ c, ch @ bi @ c) @ ch if c.shape[1] else 0 * ai
+            assert matcore.hs_norm(g[i] - ref) <= 1e-12 * matcore.hs_norm(ref)
     a = np.stack([random_pd(rng, 4) for _ in range(3)])
-    b = np.stack([random_pd(rng, 4) for _ in range(3)])
-    b[1] = np.diag([1.0, 1.0, 0.0, 0.0])  # a rank-deficient support in the stack
-    g = matcore.geometric_mean(a, b)
     for i in range(3):
-        assert np.array_equal(g[i], matcore.geometric_mean(a[i], b[i]))
         assert np.array_equal(matcore.sqrt_psd(a)[i], matcore.sqrt_psd(a[i]))
         assert matcore.hs_norm(a)[i] == matcore.hs_norm(a[i])
 
