@@ -187,7 +187,7 @@ def validate_ccr(sigma, r) -> CcrCovariance:
     # certified PSD: 2R keeps its full support and mu = 1/2 - sqrt(max x) clears
     # CERTIFY_MARGIN * ZERO_TOL * cond(2R); only the rest take the complex spectrum
     w, full = cov.metric_spectrum[0], np.all(cov.support[0], axis=-1)
-    mu = 0.5 - np.sqrt(np.max(cov.spectrum[1], axis=-1, initial=0.0))
+    mu = matcore.lowest_eigenvalue(cov.spectrum[1])
     certified = full & (mu * np.min(w, axis=-1, initial=np.inf)
                         > CERTIFY_MARGIN * ZERO_TOL * np.max(w, axis=-1, initial=0.0))
     if not np.all(certified):
@@ -218,7 +218,7 @@ def thermal_covariance(c, n_modes: int = 1) -> CcrCovariance:
 def _check_same_space(a: CcrCovariance, b: CcrCovariance) -> None:
     if a.r.shape != b.r.shape:
         raise CovarianceError(f"dimension mismatch: {a.r.shape} vs {b.r.shape}")
-    if float(np.max(np.abs(a.sigma - b.sigma), initial=0.0)) > EXACT_TOL:
+    if not float(np.max(np.abs(a.sigma - b.sigma), initial=0.0)) <= EXACT_TOL:  # NaN differs
         raise CovarianceError("covariances live on different symplectic forms")
 
 
@@ -284,7 +284,7 @@ def _transition_analysis(cov_s: CcrCovariance, cov_t: CcrCovariance):
     g = a + b  # exactly symmetric, as ab_form is
     w, v = eigh(g)
     keep = w > ZERO_TOL * np.maximum(np.trace(g, axis1=-2, axis2=-1), 0.0)[:, None]
-    rank, live = np.count_nonzero(keep, axis=-1), ~mismatch
+    rank, live = np.count_nonzero(keep, axis=-1), ~mismatch & np.any(keep, axis=-1)
     # whitened by A + B on its support, the identity off it: each factor there is 1
     inv = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)[live]
     core = matcore.sandwich(v[live] * inv[:, None, :],
@@ -425,5 +425,4 @@ def is_standard_ccr(cov: CcrCovariance) -> bool:
     (e.g. the vacuum), holds for fully thermal states; on a trivial metric
     support it holds vacuously.
     """
-    x = cov.spectrum[1]
-    return scalar(0.5 - np.sqrt(np.max(x, axis=-1, initial=0.0)) > ZERO_TOL)
+    return scalar(matcore.lowest_eigenvalue(cov.spectrum[1]) > ZERO_TOL)

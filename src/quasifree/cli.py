@@ -258,8 +258,8 @@ def _sanitize(value):
         return _sanitize(complex(value))
     if isinstance(value, np.floating):
         return _sanitize(float(value))
-    if isinstance(value, np.integer):
-        return int(value)
+    if isinstance(value, (np.integer, np.bool_)):  # json.dumps takes neither
+        return value.item()
     return value
 
 

@@ -94,6 +94,12 @@ def raise_first_above(dev, tol, scale, error, axis=(-2, -1)) -> None:
         raise_first(~(worst <= tol * scale()), worst, error)
 
 
+def lowest_eigenvalue(x: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue 1/2 - sqrt(max x) of each I/2 + i*a, x ascending eigenvalues of a^T a."""
+    # x ascends, so max x is its last entry: a max over the whole short axis is ~7x slower
+    return 0.5 - np.sqrt(np.max(x[..., -1:], axis=-1, initial=0.0))
+
+
 def _check_square(x: np.ndarray, name: str, stack: bool = False) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim < 2 or x.ndim > 2 and not stack or x.shape[-1] != x.shape[-2]:
@@ -105,7 +111,7 @@ def require_psd(w: np.ndarray, name: str) -> None:
     """NotPositiveError unless each spectrum (ascending) is above -ZERO_TOL * its max |w|."""
     if w.shape[-1]:
         low, msg = w[..., 0], f"{name} is not PSD: minimal eigenvalue {{:.6e}}"
-        raise_first(low < -ZERO_TOL * np.max(np.abs(w), axis=-1), low,
+        raise_first(~(low >= -ZERO_TOL * np.max(np.abs(w), axis=-1)), low,  # NaN fails
                     lambda v: NotPositiveError(msg.format(v), v))
 
 

@@ -79,10 +79,7 @@ class ModeFamily:
 
     def pair_at(self, k: int):
         """The (S_k, T_k) pair at mode index k >= 1."""
-        k = _mode_count(k, "mode index")
-        if k < 1:
-            raise ValueError(f"mode index must be >= 1, got {k}")
-        return self.rule(k)
+        return self.rule(_mode_count(k, "mode index", 1))
 
     def stack(self, lo: int, hi: int) -> list:
         """Modes lo..hi as stacked covariances: a list of (modes, S, T), one per dimension."""
@@ -217,9 +214,7 @@ def literal_family(kind: str, pairs, tail=None, label: str = "literal") -> ModeF
 def concat_families(first: ModeFamily, n_first: int, second: ModeFamily,
                     label: str | None = None) -> ModeFamily:
     """First n_first >= 0 modes of one family followed by another (same kind)."""
-    n_first = _mode_count(n_first, "n_first")
-    if n_first < 0:
-        raise ValueError(f"n_first must be >= 0, got {n_first}")
+    n_first = _mode_count(n_first, "n_first", 0)
     if first.kind != second.kind:
         raise ValueError(f"kind mismatch: {first.kind} vs {second.kind}")
 
@@ -239,9 +234,10 @@ def concat_families(first: ModeFamily, n_first: int, second: ModeFamily,
     )
 
 
-def _term_table(family: ModeFamily, n: int):
-    """Arrays of qe^2 and -log tp for modes 1..m, m = min(n, tail_from), at most BLOCK_ENTRIES
-    entries per call: every later mode is the stated tail, whose terms are the last entries.
+def _term_table(family: ModeFamily, n: int, series=("qe", "tp")):
+    """One array per name in ``series`` ("qe": qe^2, "tp": -log tp) for modes 1..m,
+    m = min(n, tail_from), whose pair functions alone run, at most BLOCK_ENTRIES entries per
+    call: every later mode is the stated tail, whose terms are the last entries.
 
     Each window is sized by the largest dimension of the last one, and each pair function
     runs once per dimension group (or row chunk of it), log tp first (the CCR peak is lower
@@ -253,7 +249,7 @@ def _term_table(family: ModeFamily, n: int):
     if n > N_MAX_CAP:
         raise SizeCapError(f"{n} modes exceed the sequence cap of {N_MAX_CAP} modes")
     m = n if family.tail_from is None else min(n, family.tail_from)
-    qe_sq, neg_log_tp = np.empty(m), np.empty(m)
+    tables = {name: np.empty(m) for name in series}
     lo, dim = 1, 2  # dim: the largest in the last window, which sizes the next one
     while lo <= m:
         hi = min(lo + max(BLOCK_ENTRIES // dim**2, 1) - 1, m)
@@ -265,64 +261,68 @@ def _term_table(family: ModeFamily, n: int):
                 rows = slice(i, i + step)
                 # a group that fits is passed whole: a slice drops its cached factorisations
                 cs, ct = (s, t) if modes.size <= step else (_take(s, rows), _take(t, rows))
-                if family.kind == CAR:
-                    log_tp, dist = car.log_trans_prob_car(cs, ct), car.qe_distance_car(cs, ct)
-                else:
-                    log_tp, dist = ccr.log_trans_prob_ccr(cs, ct), ccr.qe_distance_ccr(cs, ct)[1]
-                qe_sq[modes[rows] - 1] = [x**2 for x in dist.tolist()]
-                neg_log_tp[modes[rows] - 1] = -log_tp
+                at = modes[rows] - 1
+                if "tp" in tables:
+                    tables["tp"][at] = -(car.log_trans_prob_car(cs, ct) if family.kind == CAR
+                                         else ccr.log_trans_prob_ccr(cs, ct))
+                if "qe" in tables:
+                    dist = (car.qe_distance_car(cs, ct) if family.kind == CAR
+                            else ccr.qe_distance_ccr(cs, ct)[1])
+                    tables["qe"][at] = [x**2 for x in dist.tolist()]
         lo = hi + 1
-    return qe_sq, neg_log_tp
+    return [tables[name] for name in series]
 
 
-def _series_sums(family: ModeFamily, n: int, checkpoints) -> list:
-    """(fsum of modes 1..c at each checkpoint c <= n, term of mode n) of the qe^2 and the
-    -log tp series: correctly rounded, and +inf once any term is infinite. The c - m modes
-    past a table of m entries (:func:`_term_table`) are ldexp(t, b) of its last term t, one
-    for each set bit b of c - m: each piece is exact, so fsum gets the plain sum's bits."""
+def _series_sums(family: ModeFamily, n: int, checkpoints, series=("qe", "tp")) -> list:
+    """(fsum of modes 1..c at each checkpoint c <= n, term of mode n) of each named series
+    (:func:`_term_table`): correctly rounded, and +inf once any term is infinite. The c - m
+    modes past a table of m entries are ldexp(t, b) of its last term t, one for each set bit
+    b of c - m: each piece is exact, so fsum gets the plain sum's bits."""
     out = []
-    for terms in map(np.ndarray.tolist, _term_table(family, n)):
+    for terms in map(np.ndarray.tolist, _term_table(family, n, series)):
         pieces = [[math.ldexp(terms[-1], b) for b in range(r.bit_length()) if r >> b & 1]
                   for r in (max(c - len(terms), 0) for c in checkpoints)]
         out.append(([math.fsum(terms[:c] + p) for c, p in zip(checkpoints, pieces)], terms[-1]))
     return out
 
 
-def _mode_count(n, name: str) -> int:
-    """A mode count as an int: an int or numpy integer, else a ValueError naming it."""
+def _mode_count(n, name: str, least: int | None = None) -> int:
+    """An int or numpy integer as an int of at least ``least``, else a ValueError naming it."""
     try:
-        return operator.index(n)
+        n = operator.index(n)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {n!r}") from None
+    if least is not None and n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+    return n
 
 
 def partial_qe_sum(family: ModeFamily, n: int) -> float:
-    """Sum over modes 1..n of squared per-mode quasi-equivalence distances.
+    """Sum over modes 1..n of squared per-mode quasi-equivalence distances; no tp is computed.
 
     +inf as soon as any CCR mode fails metric equivalence. Nondecreasing in n
     and additive over blocks of modes: terms are summed with math.fsum, so the
     value is the correctly rounded sum and block groupings agree to within an
     ulp or two of each other.
     """
-    n = _mode_count(n, "n")
-    if n < 1:
-        raise ValueError(f"N must be >= 1, got {n}")
-    (sums, _), _ = _series_sums(family, n, (n,))
-    return sums[0]
+    return _partial_sum(family, n, "qe")
 
 
 def partial_log_tp(family: ModeFamily, n: int) -> float:
-    """Sum over modes 1..n of -log of per-mode transition probabilities.
+    """Sum over modes 1..n of -log of per-mode transition probabilities; no distance is computed.
 
     +inf as soon as any mode's transition probability is an exact zero under
     its pair module's rule; finite values mean the product of transition
     probabilities is exp(-result), also where that product underflows.
     """
-    n = _mode_count(n, "n")
-    if n < 1:
-        raise ValueError(f"N must be >= 1, got {n}")
-    _, (sums, _) = _series_sums(family, n, (n,))
-    return sums[0]
+    return _partial_sum(family, n, "tp")
+
+
+def _partial_sum(family: ModeFamily, n: int, series: str) -> float:
+    """The fsum over modes 1..n of one series of :func:`_term_table`, the only one computed."""
+    n = _mode_count(n, "n", 1)
+    [([total], _)] = _series_sums(family, n, (n,), (series,))
+    return total
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,12 @@ def test_wick_moment_rejects_non_finite_vectors(bad):
             car.wick_moment(s, vectors)
 
 
+def test_wick_moment_rejects_a_vector_of_another_length():
+    s = car.mu_covariance(0.3)
+    with pytest.raises(CovarianceError, match=r"^vector length \(3,\) does not match dimension 2$"):
+        car.wick_moment(s, [[1.0, 0.0], [0.0, 1.0, 0.0]])
+
+
 def test_wick_moment_trivial_cases(rng):
     s = sampling.random_car_covariance(rng, 4)
     vs = rng.standard_normal((3, 4))
@@ -979,7 +985,8 @@ def test_lowest_eigenvalue_reads_the_last_of_an_ascending_spectrum(rng):
             *(sampling.random_car_covariance(rng, d) for d in (2, 4, 16, 64))]
     for cov in covs:
         want = 0.5 - np.sqrt(np.max(cov.spectrum[0], axis=-1, initial=0.0))
-        assert _same_arrays(np.asarray(car._lowest_eigenvalue(cov)), np.asarray(want))
+        assert _same_arrays(np.asarray(matcore.lowest_eigenvalue(cov.spectrum[0])),
+                            np.asarray(want))
 
 
 def test_single_covariance_readers_keep_the_eigh_bits(rng, eigh_route):

@@ -208,6 +208,11 @@ def test_overlap_extremes():
         car_oracle.overlap(up, np.eye(4) / 4.0)
 
 
+def test_fidelity_rejects_two_shapes():
+    with pytest.raises(ValueError, match=r"^shape mismatch: \(2, 2\) vs \(4, 4\)$"):
+        car_oracle.fidelity_tr(np.diag([1.0, 0.0]), np.eye(4) / 4.0)
+
+
 def test_fidelity_dominates_overlap(rng):
     for _ in range(5):
         s, t = sampling.random_car_pair(rng, 4)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from quasifree import ccr, matcore, sampling, seqmodel
-from quasifree.errors import CovarianceError
+from quasifree.errors import CovarianceError, NotPositiveError
 from quasifree.tolerances import FORM_BOUND, VALIDATION_TOL
 
 
@@ -126,11 +126,42 @@ def test_dense_forms_at_the_bound_keep_their_answer(rng, n_modes):
 
 
 def test_transition_analysis_refuses_a_nan_log_tp():
-    # built directly, past validation's bound: the forms overflow to a NaN log tp
+    # built directly, past validation's bound: the forms overflow, and the geometric mean's
+    # PSD check refuses the NaN spectrum before any log tp is formed (A + B is still finite)
     sigma = ccr.canonical_sigma(1)
     wide = ccr.CcrCovariance(sigma=sigma, r=3e307 * np.eye(2))
-    with np.errstate(all="ignore"), pytest.raises(CovarianceError, match="NaN"):
+    with np.errstate(all="ignore"), pytest.raises(
+            NotPositiveError, match=r"^matrix is not PSD: minimal eigenvalue nan$") as info:
         ccr.log_trans_prob_ccr(ccr.thermal_covariance(1.0), wide)
+    assert type(info.value) is NotPositiveError
+
+
+
+def test_a_nan_symplectic_form_is_another_space():
+    sigma = ccr.canonical_sigma(1).copy()
+    sigma[0, 1] = np.nan
+    bad, good = ccr.CcrCovariance(sigma=sigma, r=np.eye(2)), ccr.thermal_covariance(2.0)
+    for call in (ccr.log_trans_prob_ccr, ccr.trans_prob_ccr, ccr.classify_ccr,
+                 ccr.qe_distance_ccr):
+        for s, t in ((bad, good), (good, bad)):
+            with pytest.raises(CovarianceError, match="^covariances live on different symplectic"):
+                call(s, t)
+
+
+def test_pairs_with_no_support_take_no_geometric_mean(monkeypatch):
+    # R within VALIDATION_TOL below 0 on a zero sigma: validation accepts it, and
+    # both supports are empty, so tp is 1 and no mean of the negative forms is formed
+    sigma = np.zeros((1, 1))
+    s, t = (ccr.validate_ccr(sigma, [[-c * 1e-13]]) for c in (1.0, 2.0))
+    calls = []
+    mean = matcore.geometric_mean
+    monkeypatch.setattr(matcore, "geometric_mean", lambda a, b: calls.append(a) or mean(a, b))
+    assert ccr.log_trans_prob_ccr(s, t) == 0.0 and ccr.trans_prob_ccr(s, t) == 1.0
+    verdict = ccr.classify_ccr(s, t)
+    assert (verdict.kind, verdict.diagnostics["support_dim"]) == (ccr.QUASI_EQUIVALENT, 0)
+    stack = ccr.validate_ccr(sigma, [[[-1e-13]], [[1.0]]])
+    assert list(ccr.log_trans_prob_ccr(stack, stack)) == [0.0, 0.0]
+    assert sum(a.shape[0] for a in calls) == 1  # the stack's supported pair alone
 
 
 def test_stacked_pair_api_matches_pairs_bitwise(rng):

@@ -45,6 +45,12 @@ def test_quadratic_hamiltonian_validation():
         ccr_oracle.quadratic_hamiltonian(np.eye(3))
 
 
+def test_quadratic_hamiltonian_rejects_a_non_square_omega():
+    for omega in (np.ones((1, 2)), np.ones(2), np.ones((1, 1, 1))):
+        with pytest.raises(ValueError, match="^omega must be square, got shape"):
+            ccr_oracle.quadratic_hamiltonian(omega)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_quadratic_hamiltonian_rejects_non_finite(bad):
     # NaN passes the Hermitian and symmetric checks, and gaussian_density then
@@ -146,6 +152,14 @@ def test_overlap_inconclusive_when_schedule_exhausted():
     with pytest.raises(InconclusiveError, match="not converged"):
         # one cutoff gives no increment to converge on
         ccr_oracle.overlap_ccr(s, t, schedule=(20,))
+
+
+def test_overlap_inconclusive_when_the_schedule_reaches_the_dimension_cap():
+    s, t = (ccr_oracle.gaussian_density(ccr_oracle.quadratic_hamiltonian(np.diag(w)), 20)
+            for w in ([1.0, 1.5], [2.0, 3.0]))
+    assert 101**2 > ccr_oracle.MAX_FOCK_DIM  # the second cutoff is past the cap
+    with pytest.raises(InconclusiveError, match=r"cutoff cap 100: last increment None$"):
+        ccr_oracle.overlap_ccr(s, t, schedule=(20, 100))
 
 
 def test_two_mode_coupled_state():

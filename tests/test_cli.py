@@ -439,6 +439,18 @@ def test_oracle_compare_ccr_unsupported_shape(tmp_path, capsys):
     assert "thermal-diagonal" in report["error"]
 
 
+@pytest.mark.parametrize("sigma, r", [
+    (ccr.canonical_sigma(2).tolist(), np.eye(4).tolist()),
+    ([[0.0, 2.0], [-2.0, 0.0]], thermal_r(3.0)),
+], ids=["two-modes", "non-canonical-sigma"])
+def test_oracle_compare_ccr_refuses_all_but_one_canonical_mode(tmp_path, capsys, sigma, r):
+    sc = {"kind": "ccr-pair", "sigma": sigma, "R_S": r, "R_T": r}
+    code, report, err = run_cli(capsys, ["oracle-compare", write_scenario(tmp_path, sc)])
+    assert code == 4 and report["exit_code"] == 4
+    assert "supports single-mode thermal-diagonal" in report["error"]
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------- demo-counterexample
 
 
@@ -461,6 +473,30 @@ def test_report_is_valid_json_throughout(tmp_path, capsys):
     json.dumps(report, allow_nan=False)
 
 
+def refuse_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("value, want", [
+    (complex(1.5, -2.0), [1.5, -2.0]),
+    (complex(math.nan, 0.0), "inconclusive"),
+    (np.array([[1.0, math.nan], [math.inf, -math.inf]]),
+     [[1.0, "inconclusive"], ["infinity", "-infinity"]]),
+    (np.array([1 + 2j, 3 + 0j]), [[1.0, 2.0], 3.0]),
+    (np.float32(0.25), 0.25),
+    (np.float32(math.inf), "infinity"),
+    (np.int64(-7), -7),
+    (np.complex128(complex(2.0, math.nan)), [2.0, "inconclusive"]),
+    (np.complex64(0.5 - 1j), [0.5, -1.0]),
+    (np.bool_(True), True),
+    (np.bool_(False), False),
+], ids=["complex", "complex-nan", "ndarray", "ndarray-complex", "float32", "float32-inf",
+        "int64", "complex128", "complex64", "bool-true", "bool-false"])
+def test_sanitize_makes_every_result_type_json(value, want):
+    got = json.loads(json.dumps(cli._sanitize({"x": value})), parse_constant=refuse_constant)
+    assert got["x"] == want and type(got["x"]) is type(want)
+
+
 # ------------------------------------------------- malformed scenarios
 
 
@@ -470,6 +506,38 @@ def assert_validation_error(capsys, tmp_path, scenario, command="validate", need
     assert code == 2 and report["exit_code"] == 2
     assert needle in report["error"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("s", [[0.5, 0.5], [], "0.5", [[0.5], 0.5]])
+def test_matrix_must_be_a_list_of_rows(tmp_path, capsys, s):
+    assert_validation_error(capsys, tmp_path, car_pair_scenario(s=s),
+                            needle="S must be a non-empty list of rows")
+
+
+def test_ragged_matrix_is_validation_error(tmp_path, capsys):
+    assert_validation_error(capsys, tmp_path, car_pair_scenario(t=[[0.5, 0.0], [0.0]]),
+                            needle="T: row 1 has length 1, expected 2")
+
+
+def test_pair_of_two_dimensions_is_validation_error(tmp_path, capsys):
+    sc = car_pair_scenario(t=matrix_json(0.5 * np.eye(4)))
+    for command in ("validate", "trans-prob"):
+        assert_validation_error(capsys, tmp_path, sc, command=command,
+                                needle="dimension mismatch: 2 vs 4")
+
+
+@pytest.mark.parametrize("family", [{"rule": "literal"}, {"rule": "literal", "pairs": []},
+                                    {"rule": "literal", "pairs": {"a": 1}}])
+def test_literal_family_needs_pairs(tmp_path, capsys, family):
+    assert_validation_error(capsys, tmp_path, {"kind": "car-sequence", "family": family},
+                            command="classify",
+                            needle="literal family needs a non-empty 'pairs' list")
+
+
+@pytest.mark.parametrize("extra", [{}, {"family": None}, {"family": ["literal"]}])
+def test_sequence_scenario_needs_a_family_object(tmp_path, capsys, extra):
+    assert_validation_error(capsys, tmp_path, {"kind": "ccr-sequence", **extra},
+                            command="classify", needle="sequence scenario needs a 'family' object")
 
 
 def test_null_cutoff_is_validation_error(tmp_path, capsys):

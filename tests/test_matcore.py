@@ -179,6 +179,22 @@ def test_raise_first_above_refuses_a_nan_deviation():
     matcore.raise_first_above(np.zeros((3, 2, 2)), 1e-10, None, None)  # passes on one max
 
 
+
+def test_psd_checks_refuse_a_nan_spectrum():
+    m = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    for name, call in (("matrix", matcore.sqrt_psd),
+                       ("first matrix", lambda x: matcore.geometric_mean(x, np.eye(2))),
+                       ("second matrix", lambda x: matcore.geometric_mean(np.eye(2), x)),
+                       ("density", car_oracle.sqrt_density)):
+        with pytest.raises(NotPositiveError, match=f"^{name} is not PSD: minimal eigenvalue nan$"):
+            call(m)
+    # a NaN past the lowest entry fails too, in the matrix of a stack that holds it
+    w = np.array([[0.0, 1.0], [0.5, np.nan]])
+    with pytest.raises(NotPositiveError, match="minimal eigenvalue 5.000000e-01"):
+        matcore.require_psd(w, "matrix")
+    matcore.require_psd(w[:1], "matrix")
+
+
 def common_support_stack(rng, d, dtype):
     """Pairs (a, b) of PSD d x d matrices whose common support has each rank k = 0..d, with
     its orthonormal basis c: each operand also has columns of its own off it."""

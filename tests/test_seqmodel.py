@@ -375,6 +375,41 @@ def test_pair_functions_see_modes_up_to_tail_from(rng, monkeypatch, n):
         assert [terms.size for terms in table] == [want, want], fam.label
 
 
+def series_families(rng):
+    """Built-in and user rules of both kinds, literals of both kinds, and both orders of a
+    concatenation."""
+    lit = mixed_literal(rng, (2, 4, 2), 4)
+    return [
+        seqmodel.car_power_family(2.0), seqmodel.ccr_thermal_power_family(0.5),
+        seqmodel.car_mu_sequence(lambda k: 0.3, lambda k: 0.3 + 0.1 / k),
+        seqmodel.ccr_thermal_sequence(lambda k: 1.5, lambda k: 1.5 + 1.0 / k),
+        lit, vacuum_vs_width(3.0, 2),
+        seqmodel.concat_families(lit, 2, seqmodel.car_power_family(1.0)),
+        seqmodel.concat_families(seqmodel.car_power_family(1.0), 3, lit),
+        seqmodel.concat_families(seqmodel.ccr_thermal_power_family(2.0), 3,
+                                 vacuum_vs_width(3.0, 1)),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 100, 1500])
+def test_each_partial_sum_evaluates_its_own_series_alone(rng, monkeypatch, n):
+    calls = spy_on_pair_calls(monkeypatch)
+    for fam in series_families(rng):
+        calls.clear()
+        (qe, _), (tp, _) = seqmodel._series_sums(fam, n, (n,))
+        # both series: per block, log tp first and then qe
+        names = [f for f, _, _ in calls]
+        assert names[0::2] == [f"log_trans_prob_{fam.kind}"] * (len(names) // 2), fam.label
+        assert names[1::2] == [f"qe_distance_{fam.kind}"] * (len(names) // 2), fam.label
+        both = calls[:]
+        for scan, name, want, first in ((seqmodel.partial_qe_sum, "qe_distance", qe, 1),
+                                        (seqmodel.partial_log_tp, "log_trans_prob", tp, 0)):
+            calls.clear()
+            assert scan(fam, n) == want[0], fam.label  # the bits of the two-series pass
+            assert {f for f, _, _ in calls} == {f"{name}_{fam.kind}"}, fam.label
+            assert calls == both[first::2], fam.label  # the same blocks
+
+
 @pytest.mark.parametrize("make", [
     lambda rng: vacuum_vs_width(30.0, 32),
     lambda rng: mixed_literal(rng, (2, 4, 8, 32, 6, 2, 16, 4) * 4, 32),
@@ -493,6 +528,13 @@ def test_partial_sums_nondecreasing():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
         seqmodel.partial_qe_sum(fam, 0)
+
+
+@pytest.mark.parametrize("scan", [seqmodel.partial_qe_sum, seqmodel.partial_log_tp])
+def test_partial_sums_refuse_fewer_than_one_mode(scan):
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+            scan(seqmodel.car_power_family(2.0), n)
 
 
 def test_partial_sums_absorb_infinity():
