@@ -1,15 +1,16 @@
 """Brute-force Fock-space oracle for fermionic quasi-free states.
 
-Represents the CAR generators as explicit 2^n x 2^n matrices (Jordan-Wigner)
-and builds the density matrix of a quasi-free state as a product of n
-commuting pair factors, then evaluates state overlaps directly. Exponential
-in the mode count — the whole point is to be an independent check on the
+Represents the CAR generators as explicit 2^n x 2^n matrices (Jordan-Wigner),
+builds sqrt(rho) of a quasi-free state as a product of n commuting pair factors
+and rho as its square, then evaluates state overlaps directly. Exponential in
+the mode count — the whole point is to be an independent check on the
 determinant formulas, so it shares no factorisation with :mod:`quasifree.car`.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ SELF_CHECK_TOL = 1e-10
 SELF_CHECK_PSD_TOL = 1e-9
 # entries of the rotated generators density_from_covariance builds at once (1 MiB)
 GENERATOR_BLOCK_ENTRIES = 2**16
+# sqrt(rho) of each density density_from_covariance returned, by id(rho) until rho is freed
+_ROOTS: dict = {}
 
 
 @dataclass(frozen=True)
@@ -122,10 +125,12 @@ def density_from_covariance(s) -> np.ndarray:
     In a real orthonormal pairing (x_j, y_j) that block-diagonalises
     A = Im S, the state is a product over pairs:
     rho = 2^-n prod_j (I - 2 s_j b_j b'_j) with b_j = x_j.c, b'_j = y_j.c and
-    s_j = x_j^T S y_j; the factors commute, and pure pairs (|s_j| = 1/2)
-    are exact. The result is verified Hermitian, trace one within 1e-10,
-    PSD within 1e-9 and tr(rho c_j c_k) = 2 S_jk within 1e-10 — a violation
-    means a convention bug, so it raises instead of clamping.
+    s_j = x_j^T S y_j. The factors commute, so the product of their closed-form
+    roots is sqrt(rho) (:func:`sqrt_density` returns it while rho lives) and rho
+    is its square; pure pairs (|s_j| = 1/2) are exact. The result is verified
+    Hermitian, trace one within 1e-10, PSD within 1e-9 and tr(rho c_j c_k) =
+    2 S_jk within 1e-10 — a violation means a convention bug, so it raises
+    instead of clamping.
     """
     cov = s if isinstance(s, CarCovariance) else validate_car(s)
     d = cov.dim
@@ -139,15 +144,21 @@ def density_from_covariance(s) -> np.ndarray:
     sm = cov.matrix
     pairs = _pairing(sm.imag)
     coef = np.einsum("ij,ij->j", pairs[:, 0::2], sm @ pairs[:, 1::2])
+    # I + K_j, K_j = -2 s_j b_j b'_j, has K_j^2 = kappa_j^2 I and the PSD root
+    # (alpha_j I + K_j / alpha_j) / sqrt 2, exact on a pure pair (alpha_j = 1)
+    kappa = np.minimum(2.0 * np.abs(coef), 1.0)
+    alpha = 0.5 * (np.sqrt(2.0 + 2.0 * kappa) + np.sqrt(2.0 - 2.0 * kappa))
+    beta = -2.0 * coef / alpha
     dim = rep.dim
-    rho = np.eye(dim, dtype=complex) / dim
+    root = np.eye(dim, dtype=complex) / dim
     step = max(1, GENERATOR_BLOCK_ENTRIES // (2 * dim * dim))  # all pairs to 6 modes, 1 from 8
     for lo in range(0, n, step):
         gens = rep.combine(pairs[:, 2 * lo : 2 * (lo + step)])
         for j in range(len(gens) // 2):
-            rho = rho - 2.0 * coef[lo + j] * ((rho @ gens[2 * j]) @ gens[2 * j + 1])
+            root = alpha[lo + j] * root + beta[lo + j] * ((root @ gens[2 * j]) @ gens[2 * j + 1])
 
-    rho = hermitian_part(rho)
+    root = hermitian_part(root)
+    rho = hermitian_part(root @ root)
     trace_err = abs(float(np.trace(rho).real) - 1.0)
     if trace_err > SELF_CHECK_TOL:
         raise RuntimeError(f"oracle density trace off by {trace_err:.3e} (convention bug)")
@@ -158,19 +169,26 @@ def density_from_covariance(s) -> np.ndarray:
     w = np.linalg.eigvalsh(rho)
     if w[0] < -SELF_CHECK_PSD_TOL:
         raise RuntimeError(f"oracle density not PSD: eigenvalue {w[0]:.3e} (convention bug)")
-    rho.setflags(write=False)
+    for x in (rho, root):
+        x.setflags(write=False)
+    _ROOTS[id(rho)] = root
+    weakref.finalize(rho, _ROOTS.pop, id(rho))
     return rho
 
 
 def sqrt_density(rho: np.ndarray) -> np.ndarray:
-    """Square root of a density matrix by ``numpy.linalg.eigh``, for both oracles.
+    """Square root of a density matrix, for both oracles.
 
-    A real density takes a real ``eigh`` and has a real root. The oracles
-    take their spectra from numpy, not from the closed-form kernels of
-    :mod:`quasifree.matcore` that the formulas use, but clamp through their
+    A read-only density from :func:`density_from_covariance` gives, by
+    identity, the root built with it. Any other takes ``numpy.linalg.eigh``
+    (real for a real density), not the closed-form kernels of
+    :mod:`quasifree.matcore` that the formulas use, and clamps through their
     ``require_psd``: eigenvalues in ``[-ZERO_TOL * ||rho||, 0)`` become zero,
     and below that :class:`~quasifree.errors.NotPositiveError` is raised.
     """
+    root = _ROOTS.get(id(rho))  # an entry's key is the id of a live density
+    if root is not None and not rho.flags.writeable:
+        return root
     w, v = np.linalg.eigh(hermitian_part(rho))
     require_psd(w, "density")
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T

@@ -285,12 +285,13 @@ def _transition_analysis(cov_s: CcrCovariance, cov_t: CcrCovariance):
     w, v = eigh(g)
     keep = w > ZERO_TOL * np.maximum(np.trace(g, axis1=-2, axis2=-1), 0.0)[:, None]
     rank, live = np.count_nonzero(keep, axis=-1), ~mismatch & np.any(keep, axis=-1)
-    # whitened by A + B on its support, the identity off it: each factor there is 1
-    inv = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)[live]
-    core = matcore.sandwich(v[live] * inv[:, None, :],
-                            2.0 * matcore.geometric_mean(a[live], b[live]), keep[live])
     factors = np.ones((n, d))
-    factors[live] = np.clip(eigvalsh(core), 0.0, 1.0)
+    if live.any():  # else every factor stays 1, and no mean of an empty stack is taken
+        # whitened by A + B on its support, the identity off it: each factor there is 1
+        inv = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)[live]
+        core = matcore.sandwich(v[live] * inv[:, None, :],
+                                2.0 * matcore.geometric_mean(a[live], b[live]), keep[live])
+        factors[live] = np.clip(eigvalsh(core), 0.0, 1.0)
     # the padding's 1s sort after every factor below 1, so log tp sums the first rank
     # factors: numpy's pairwise sum groups its terms by how many there are
     with np.errstate(divide="ignore"):

@@ -1,5 +1,6 @@
 """Tests for the explicit Fock-space oracle (Jordan-Wigner density matrices)."""
 
+import gc
 import itertools
 
 import numpy as np
@@ -126,6 +127,8 @@ def test_density_matches_wick_walk(rng):
         ("pure + kernel", blocks([0.5, 0.0, -0.5, 0.0], o8)),
         ("pure degenerate", blocks([0.5, 0.5, 0.5], o6)),
         ("tiny block", blocks([1e-13, 0.3, -0.1], o6)),
+        ("near-pure 1e-6", blocks([0.5 - 1e-6, 0.2, -0.5 + 1e-6, 0.0], o8)),
+        ("near-pure 1e-9", blocks([0.5 - 1e-9, -0.3, 0.1], o6)),
     ]
     for kind, s in cases:
         got = car_oracle.density_from_covariance(s)
@@ -279,3 +282,81 @@ def test_density_blocks_keep_the_pairwise_add_at_bits(rng, n, monkeypatch):
     monkeypatch.setattr(car_oracle, "GENERATOR_BLOCK_ENTRIES", 0)
     monkeypatch.setattr(car_oracle.CliffordRep, "combine", _combine_by_add_at)
     assert all(map(_same_bytes, got, map(car_oracle.density_from_covariance, covs)))
+
+
+def eigh_root(rho):
+    """The reference route: sqrt(rho) from numpy's eigh, rounding below zero clamped."""
+    w, v = np.linalg.eigh(rho)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def root_cases(rng, n):
+    """Random, kernel (mu = 0), pure (|mu| = 1/2) and near-pure (1/2 - |mu| = 1e-6, 1e-9)
+    covariances on n modes, all but the first rotated."""
+    o = sampling.random_orthogonal(rng, 2 * n)
+    rest = list(rng.uniform(-0.45, 0.45, n - 1))
+    cases = [("random", sampling.random_car_covariance(rng, 2 * n)),
+             ("kernel", blocks([0.0] + rest, o)),
+             ("pure", blocks(rng.choice([-0.5, 0.5], n), o))]
+    return cases + [(f"near-pure {delta:g}", blocks([0.5 - delta] + rest, o))
+                    for delta in (1e-6, 1e-9)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_closed_form_root_matches_the_eigh_route(rng, n):
+    for kind, s in root_cases(rng, n):
+        rho = car_oracle.density_from_covariance(s)
+        root = car_oracle.sqrt_density(rho)
+        assert root is car_oracle.sqrt_density(rho) and not root.flags.writeable, kind
+        assert np.array_equal(root, root.conj().T), kind
+        assert np.linalg.eigvalsh(root)[0] >= -1e-14, kind
+        # on (near-)null eigenvalues the eigh route takes a square root of its own
+        # rounding, ~sqrt(dim * eps); elsewhere both routes agree to rounding
+        tol = 1e-12 if kind in ("random", "kernel") else 4.0 * np.sqrt(2**n * np.finfo(float).eps)
+        assert np.max(np.abs(root - eigh_root(rho))) <= tol, kind
+
+
+def test_near_pure_roots_keep_their_small_eigenvalues():
+    # unrotated blocks: sqrt(rho) is the Kronecker product of diag(sqrt(1/2 -+ mu_j))
+    for delta in (1e-6, 1e-9):
+        mus = [0.5 - delta, -0.5 + delta, 0.3, 0.0]
+        root = car_oracle.sqrt_density(car_oracle.density_from_covariance(blocks(mus)))
+        exact = np.ones(1)
+        for mu in mus:
+            exact = np.kron(exact, np.sqrt([0.5 - mu, 0.5 + mu]))
+        assert np.array_equal(root, np.diag(np.diag(root)))
+        assert np.max(np.abs(np.diag(root).real / exact - 1.0)) <= 1e-9
+
+
+def test_stored_and_copied_densities_give_one_overlap(rng):
+    for n in (1, 2, 3, 5):
+        for s, t in [sampling.random_car_pair(rng, 2 * n),
+                     [c for kind, c in root_cases(rng, n) if kind in ("random", "kernel")]]:
+            rho, tau = (car_oracle.density_from_covariance(x) for x in (s, t))
+            for fn in (car_oracle.overlap, car_oracle.fidelity_tr):
+                assert abs(fn(rho, tau) - fn(rho.copy(), tau.copy())) <= 1e-12
+
+
+def test_only_a_read_only_returned_density_reads_its_root(monkeypatch, rng):
+    rho = car_oracle.density_from_covariance(sampling.random_car_covariance(rng, 4))
+    stored = car_oracle.sqrt_density(rho)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    for other in (rho.copy(), rho[:, :], np.asarray(rho.tolist())):
+        assert np.max(np.abs(car_oracle.sqrt_density(other) - stored)) <= 1e-12
+    assert car_oracle.sqrt_density(rho) is stored and len(calls) == 3
+    rho.setflags(write=True)  # the root no longer vouches for what rho may hold
+    car_oracle.sqrt_density(rho)
+    assert len(calls) == 4
+
+
+def test_roots_are_dropped_with_their_densities():
+    gc.collect()
+    before = len(car_oracle._ROOTS)
+    s = car.mu_covariance(0.3)
+    kept = [car_oracle.density_from_covariance(s) for _ in range(1000)]
+    assert len(car_oracle._ROOTS) == before + 1000
+    del kept
+    gc.collect()
+    assert len(car_oracle._ROOTS) == before

@@ -162,6 +162,7 @@ def test_pairs_with_no_support_take_no_geometric_mean(monkeypatch):
     stack = ccr.validate_ccr(sigma, [[[-1e-13]], [[1.0]]])
     assert list(ccr.log_trans_prob_ccr(stack, stack)) == [0.0, 0.0]
     assert sum(a.shape[0] for a in calls) == 1  # the stack's supported pair alone
+    assert len(calls) == 1  # and no mean of an empty stack for the unsupported pairs
 
 
 def test_stacked_pair_api_matches_pairs_bitwise(rng):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -536,6 +537,33 @@ def test_oracles_take_their_spectra_from_numpy(monkeypatch):
     states = [ccr_oracle.gaussian_density(ccr_oracle.thermal_hamiltonian(q), 20)
               for q in (0.2, 0.4)]
     ccr_oracle.overlap_ccr(*states)
+
+
+def test_oracle_densities_bring_their_roots(monkeypatch, rng):
+    """overlap and fidelity_tr read the roots density_from_covariance built with each
+    density; any other density takes one numpy eigh per root."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *a, **k: calls.append(a[0].shape) or eigh(*a, **k))
+    rho, tau = (car_oracle.density_from_covariance(s) for s in sampling.random_car_pair(rng, 4))
+    calls.clear()  # the oracle's pairing takes its own eigh
+    car_oracle.overlap(rho, tau)
+    car_oracle.fidelity_tr(rho, tau)
+    assert calls == []
+    hand = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+    car_oracle.overlap(hand, rho.copy())
+    car_oracle.fidelity_tr(hand, tau.copy())
+    assert calls == [(4, 4)] * 4
+    # 4-mode pairs at 1/2 - |mu| = 1e-6 under random rotations: the roots take no
+    # square root of eigh noise, which put the eigh route 1.8e-11 to 4.4e-10 off here
+    delta = 1e-6
+    block = scipy.linalg.block_diag(*car.mu_covariance(np.full(4, 0.5 - delta)).matrix)
+    for _ in range(3):
+        s, t = (car.validate_car(o @ block @ o.T)
+                for o in (sampling.random_orthogonal(rng, 8) for _ in range(2)))
+        rho, tau = (car_oracle.density_from_covariance(x) for x in (s, t))
+        assert abs(car_oracle.overlap(rho, tau) - car.trans_prob_car(s, t)) <= 1e-12
 
 
 # ------------------------------------------------------------ projections
